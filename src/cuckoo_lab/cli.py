@@ -62,6 +62,8 @@ def _json_value(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value} has no JSON representation")
         return _num_repr(value)
     if isinstance(value, int):
         return str(value)
@@ -135,6 +137,17 @@ _SWEEPABLE: dict[str, dict[str, type]] = {
 _SWEEP_ALIASES = {"lambda": "lam"}
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued flags: NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuckoo-lab",
@@ -157,28 +170,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--model", required=True, choices=("d2", "mixed-det", "mixed-rand", "partitioned", "bound-d"))
-    p.add_argument("--a", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--a", type=_finite_float)
+    p.add_argument("--p", type=_finite_float)
+    p.add_argument("--beta", type=_finite_float)
     p.add_argument("--d", type=int)
     p.add_argument("--round", action="store_true", help="snap a*n or beta*m to the nearest integer")
     add_common(p)
 
     p = sub.add_parser("asymptotic", help="limit matching fraction gamma at fixed load")
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=_finite_float)
     p.add_argument("--model", required=True, choices=("d2", "mixed", "mixed-rand", "partitioned"))
-    p.add_argument("--a", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--a", type=_finite_float)
+    p.add_argument("--p", type=_finite_float)
+    p.add_argument("--beta", type=_finite_float)
     add_common(p)
 
     p = sub.add_parser("simulate", help="Monte-Carlo matching-size statistics")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--model", required=True, choices=("d2", "mixed-det", "mixed-rand", "partitioned", "fixed-d"))
-    p.add_argument("--a", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--a", type=_finite_float)
+    p.add_argument("--p", type=_finite_float)
+    p.add_argument("--beta", type=_finite_float)
     p.add_argument("--d", type=int)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -187,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stash-size", help="stash capacity for a target overflow probability")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--epsilon", type=_finite_float)
     add_common(p)
 
     p = sub.add_parser("trace", help="repeated table builds over a key stream")
@@ -199,14 +212,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--repeats", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=float, help="partition the bins into banks beta*m / (1-beta)*m")
+    p.add_argument("--beta", type=_finite_float, help="partition the bins into banks beta*m / (1-beta)*m")
     p.add_argument("--keep-duplicates", action="store_true")
     add_common(p)
 
     p = sub.add_parser("concentration", help="empirical deviation fraction vs. the tail bound")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", dest="lam", type=_finite_float)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--one-sided", action="store_true")
@@ -222,10 +235,29 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise UsageError(f"--{flag} is required here")
 
 
-def _forbid(args: argparse.Namespace, model: str, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is not None:
+# the one model flag each model takes (None: it takes none)
+_MODEL_FLAG = {
+    "d2": None,
+    "mixed": "a",
+    "mixed-det": "a",
+    "mixed-rand": "p",
+    "partitioned": "beta",
+    "bound-d": "d",
+    "fixed-d": "d",
+}
+
+
+def _model_flags(args: argparse.Namespace, *flags: str) -> dict:
+    """Require the model's own flag and forbid the command's other model
+    ``flags``; returns the model's flag and its value, if it has one."""
+    model = args.model
+    own = _MODEL_FLAG[model]
+    if own is not None:
+        _require(args, own)
+    for name in flags:
+        if name != own and getattr(args, name) is not None:
             raise UsageError(f"--{name} does not apply to model {model!r}")
+    return {} if own is None else {own: getattr(args, own)}
 
 
 def _snap(args: argparse.Namespace) -> None:
@@ -245,30 +277,17 @@ def _handle_exact(args: argparse.Namespace) -> tuple[dict, dict]:
     if getattr(args, "round", False):
         _snap(args)
     model = args.model
-    params: dict = {"model": model, "n": args.n, "m": args.m}
+    params: dict = {"model": model, "n": args.n, "m": args.m, **_model_flags(args, "a", "p", "beta", "d")}
     try:
         if model == "d2":
-            _forbid(args, model, "a", "p", "beta", "d")
             res = expected_matching_d2(args.n, args.m)
         elif model == "mixed-det":
-            _require(args, "a")
-            _forbid(args, model, "p", "beta", "d")
-            params["a"] = args.a
             res = expected_matching_mixed_det(args.n, args.m, args.a)
         elif model == "mixed-rand":
-            _require(args, "p")
-            _forbid(args, model, "a", "beta", "d")
-            params["p"] = args.p
             res = expected_matching_mixed_rand(args.n, args.m, args.p)
         elif model == "partitioned":
-            _require(args, "beta")
-            _forbid(args, model, "a", "p", "d")
-            params["beta"] = args.beta
             res = expected_matching_partitioned(args.n, args.m, args.beta)
         else:  # bound-d
-            _require(args, "d")
-            _forbid(args, model, "a", "p", "beta")
-            params["d"] = args.d
             bound = matching_upper_bound_d(args.n, args.m, args.d)
             results = {
                 "mu": bound,
@@ -293,25 +312,15 @@ def _handle_exact(args: argparse.Namespace) -> tuple[dict, dict]:
 def _handle_asymptotic(args: argparse.Namespace) -> tuple[dict, dict]:
     _require(args, "alpha")
     model = args.model
-    params: dict = {"model": model, "alpha": args.alpha}
+    params: dict = {"model": model, "alpha": args.alpha, **_model_flags(args, "a", "p", "beta")}
     try:
         if model == "d2":
-            _forbid(args, model, "a", "p", "beta")
             res = gamma_d2(args.alpha)
         elif model == "mixed":
-            _require(args, "a")
-            _forbid(args, model, "p", "beta")
-            params["a"] = args.a
             res = gamma_mixed(args.alpha, args.a)
         elif model == "mixed-rand":
-            _require(args, "p")
-            _forbid(args, model, "a", "beta")
-            params["p"] = args.p
             res = gamma_mixed_rand(args.alpha, args.p)
         else:  # partitioned
-            _require(args, "beta")
-            _forbid(args, model, "a", "p")
-            params["beta"] = args.beta
             res = gamma_partitioned(args.alpha, args.beta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -323,40 +332,18 @@ def _handle_asymptotic(args: argparse.Namespace) -> tuple[dict, dict]:
     return params, results
 
 
-def _model_params(args: argparse.Namespace) -> ModelParams:
-    model = args.model
-    try:
-        if model == "d2":
-            _forbid(args, model, "a", "p", "beta", "d")
-            return ModelParams.fixed2(args.n, args.m)
-        if model == "mixed-det":
-            _require(args, "a")
-            return ModelParams.mixed_det(args.n, args.m, args.a)
-        if model == "mixed-rand":
-            _require(args, "p")
-            return ModelParams.mixed_rand(args.n, args.m, args.p)
-        if model == "partitioned":
-            _require(args, "beta")
-            return ModelParams.partitioned(args.n, args.m, args.beta)
-        if model == "fixed-d":
-            _require(args, "d")
-            return ModelParams.fixed_d(args.n, args.m, args.d)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown model {model!r}")
-
-
 def _handle_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     _require(args, "n", "m", "trials")
-    mp = _model_params(args)
+    flags = _model_flags(args, "a", "p", "beta", "d")
+    try:
+        # simulate's model names are the ModelParams variants
+        mp = ModelParams(args.n, args.m, args.model, a=args.a, p=args.p, beta=args.beta, d=args.d)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     stats = estimate_mu(mp, args.trials, RngSeed(args.seed))
-    params: dict = {"model": args.model, "n": args.n, "m": args.m, "trials": args.trials}
-    for name in ("a", "p", "beta", "d"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
+    params: dict = {"model": args.model, "n": args.n, "m": args.m, "trials": args.trials, **flags}
     results = {
         "mean": stats.mean,
         "std_dev": stats.std_dev,
@@ -463,8 +450,8 @@ def _parse_sweep(spec: str, subcommand: str) -> tuple[str, list[float]]:
     try:
         name, _, grid = spec.partition("=")
         start_s, stop_s, step_s = grid.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
-    except ValueError:
+        start, stop, step = (_finite_float(v) for v in (start_s, stop_s, step_s))
+    except (ValueError, argparse.ArgumentTypeError):
         raise UsageError(f"bad --sweep spec {spec!r}; expected PARAM=START:STOP:STEP") from None
     name = _SWEEP_ALIASES.get(name, name)
     allowed = _SWEEPABLE.get(subcommand, {})

@@ -3,11 +3,22 @@
 Insertion runs a breadth-first augmenting-path search over the occupancy
 graph instead of the classic random-walk kick-out.  That makes the table
 an online maximum-matching machine: a key is stashed only when no
-augmenting path exists, so with d = 2 (and in fact for any d on
-insert-only workloads) the number of placed keys equals the maximum
-matching size of the bipartite graph induced by all stored keys' bin
-choices, instance by instance, not just in expectation.  Deletions restore
-that invariant by giving every stashed key one re-insertion attempt.
+augmenting path exists, so for any d the number of placed keys equals
+the maximum matching size of the bipartite graph induced by all stored
+keys' bin choices, instance by instance, not just in expectation.
+Deletions restore that invariant by giving the stashed keys, in stash
+order, re-insertion attempts until one succeeds.
+
+Searches are pruned by a set of dead bins: occupied bins from which no
+displacement chain reaches an empty bin.  Every bin a failed search
+visits becomes dead.  The set is closed under "the occupant's other
+choices" (a dead bin's occupant can only move into dead bins), so a
+successful search never passes through a dead bin and never changes one,
+and the pruned breadth-first search reaches the live bins in the order
+the full search would, through the same parents: it performs the same
+chain.  Only emptying a dead bin can revive dead bins, so that clears
+the whole set.  The stash keeps each key's cached choices in
+insertion order, so re-insertion attempts never rehash.
 """
 
 from __future__ import annotations
@@ -82,8 +93,12 @@ class CuckooTable:
                 raise ValueError("partition boundary must split the bins")
         # bins hold (key, choices) so displacement chains never rehash
         self._bins: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * self.m
-        self._stash: list[int] = []
+        # stashed key -> its choices, in stash (insertion) order
+        self._stash: dict[int, tuple[int, ...]] = {}
         self._where: dict[int, int] = {}
+        # occupied bins from which no displacement chain reaches an empty
+        # bin; closed under the occupant's choices (module docstring)
+        self._dead: set[int] = set()
 
     # -- write path ---------------------------------------------------------
 
@@ -98,7 +113,7 @@ class CuckooTable:
         choices = self.bin_choices(key)
         bin_index = self._place_by_augmenting(choices)
         if bin_index is None:
-            self._stash.append(key)
+            self._stash[key] = choices
             self._where[key] = _STASH
             self.stats.stashed = len(self._stash)
             if self.stats.stashed > self.stats.stash_peak:
@@ -113,12 +128,14 @@ class CuckooTable:
     def _place_by_augmenting(self, choices: Sequence[int]) -> Optional[int]:
         """BFS over the occupancy graph for a chain of displacements that
         frees one of ``choices``; performs the chain and returns the freed
-        bin, or None when every reachable bin stays full."""
+        bin, or None when every reachable bin stays full.  Dead bins are
+        skipped; a failed search marks every bin it visited dead."""
         bins = self._bins
+        dead = self._dead
         roots: list[int] = []
         seen = set()
         for b in choices:
-            if b in seen:
+            if b in seen or b in dead:
                 continue
             if bins[b] is None:
                 return b
@@ -133,7 +150,7 @@ class CuckooTable:
             occupant = bins[b]
             assert occupant is not None
             for nb in occupant[1]:
-                if nb in seen:
+                if nb in seen or nb in dead:
                     continue
                 seen.add(nb)
                 parent[nb] = b
@@ -144,6 +161,7 @@ class CuckooTable:
             if empty is not None:
                 break
         if empty is None:
+            dead |= seen
             return None
 
         # walk back to the root, shifting occupants one hop forward
@@ -167,32 +185,43 @@ class CuckooTable:
     def remove(self, key: int) -> bool:
         """Delete a key from its bin or the stash.
 
-        Afterwards every stashed key gets one augmenting re-insertion
-        attempt, in stash order; at most one can succeed, which restores
-        the placed-count/maximum-matching invariant.
+        Removing a stashed key changes no bin, so no stashed key gains a
+        chain to an empty bin and nothing else is done.  Removing a placed
+        key empties its bin; if that bin was dead the dead set is cleared,
+        otherwise no dead bin can reach it and the set stays valid.  Then
+        the stashed keys get augmenting re-insertion attempts, in stash
+        order, from their cached choices.  Every augmenting path ends at
+        the emptied bin, so at most one attempt can succeed and the loop
+        stops there; that restores the placed-count/maximum-matching
+        invariant.  The dead set only prunes bins no chain could use, so
+        the promoted key and its chain are those a search without it would
+        find; a stashed key whose choices are all dead fails in O(d).
         """
         loc = self._where.pop(key, None)
         if loc is None:
             return False
         if loc == _STASH:
-            self._stash.remove(key)
-        else:
-            self._bins[loc] = None
-            self.stats.placed -= 1
-        for stashed_key in list(self._stash):
-            choices = self.bin_choices(stashed_key)
+            del self._stash[key]
+            self.stats.stashed = len(self._stash)
+            return True
+        self._bins[loc] = None
+        self.stats.placed -= 1
+        if loc in self._dead:
+            self._dead.clear()
+        for stashed_key, choices in self._stash.items():
             bin_index = self._place_by_augmenting(choices)
             if bin_index is not None:
-                self._stash.remove(stashed_key)
+                del self._stash[stashed_key]
                 self._set_bin(bin_index, stashed_key, choices)
                 self.stats.placed += 1
+                break
         self.stats.stashed = len(self._stash)
         return True
 
     # -- read path ----------------------------------------------------------
 
     def lookup(self, key: int) -> LookupResult:
-        """Probe the key's d bins, then scan the stash."""
+        """Probe the key's d bins, then the stash."""
         self.stats.lookups += 1
         for b in self.bin_choices(key):
             slot = self._bins[b]

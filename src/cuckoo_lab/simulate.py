@@ -214,7 +214,7 @@ def _partial_sums(
                 if hi > lo
             ]
             chunks = [f.result() for f in futures]
-    except (OSError, PermissionError):
+    except OSError:
         # forking unavailable; same numbers, sequentially
         return _trial_chunk(params, seed, 0, trials)
     total = sum(c[0] for c in chunks)
@@ -294,7 +294,7 @@ def concentration_experiment(
                     if hi > lo
                 ]
                 exceed = sum(f.result() for f in futures)
-        except (OSError, PermissionError):
+        except OSError:
             exceed = _exceed_chunk(params, rng_seed, 0, trials, mu_exact, radius, one_sided)
 
     bound = concentration_tail_bound(lam, one_sided=one_sided)

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cuckoo import new_table
-from .hashing import bin_choices, wang_mix64
+from .hashing import wang_mix64
 from .simulate import RngSeed, effective_threads
 
 __all__ = [
     "KeyStream",
     "TraceReport",
-    "wang_mix64",
-    "bin_choices",
     "read_keys",
     "synthetic_stream",
     "disambiguate_duplicates",
@@ -214,7 +212,7 @@ def run_trace_experiment(
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_one_repeat, *a) for a in args]
                 outcomes = [f.result() for f in futures]
-        except (OSError, PermissionError):
+        except OSError:
             outcomes = [_run_one_repeat(*a) for a in args]
 
     seeds = tuple(o[0] for o in outcomes)

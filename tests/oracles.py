@@ -4,11 +4,13 @@ Nothing in here calls into cuckoo_lab: expectations are enumerated over
 complete choice spaces with exact rational arithmetic, matchings are found
 by backtracking, and connected-structure counts come from direct
 enumeration (plus an exhaustive-decomposition recursion for the two sizes
-where direct enumeration is too large).
+where direct enumeration is too large).  The cuckoo table is kept in its
+plain form, without search pruning, to compare layouts against.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from fractions import Fraction
 from math import comb
@@ -224,3 +226,109 @@ def count_connected_general(s: int, d: int) -> int:
         if _is_connected(s, q, edges):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# cuckoo table
+
+
+class ReferenceCuckooTable:
+    """The cuckoo table without search pruning: a remove retries a full
+    breadth-first search from every stashed key, rehashing it, and the
+    stash is a list.  ``choices_of`` maps a key to its bin choices, so the
+    reference shares the hashing of the table it is compared against and
+    nothing else.  ``stats`` holds the same counters as ``TableStats`` of a
+    table without a stash limit.
+    """
+
+    def __init__(self, m, choices_of) -> None:
+        self.choices_of = choices_of
+        self.bins = [None] * m  # (key, choices) or None
+        self.stash: list = []
+        self.where: dict = {}  # key -> bin, or -1 in the stash
+        self.stats = dict(placed=0, stashed=0, displacements=0, lookups=0,
+                          stash_peak=0, stash_limit_exceeded=False)
+
+    def insert(self, key):
+        if key in self.where:
+            raise ValueError(f"key {key} already stored")
+        choices = self.choices_of(key)
+        b = self._place(choices)
+        if b is None:
+            self.stash.append(key)
+            self.where[key] = -1
+            st = self.stats
+            st["stashed"] = len(self.stash)
+            st["stash_peak"] = max(st["stash_peak"], st["stashed"])
+            return None
+        self.bins[b] = (key, choices)
+        self.where[key] = b
+        self.stats["placed"] += 1
+        return b
+
+    def _place(self, choices):
+        bins = self.bins
+        roots, seen = [], set()
+        for b in choices:
+            if b in seen:
+                continue
+            if bins[b] is None:
+                return b
+            seen.add(b)
+            roots.append(b)
+        parent = {}
+        queue = collections.deque(roots)
+        empty = None
+        while queue and empty is None:
+            b = queue.popleft()
+            for nb in bins[b][1]:
+                if nb in seen:
+                    continue
+                seen.add(nb)
+                parent[nb] = b
+                if bins[nb] is None:
+                    empty = nb
+                    break
+                queue.append(nb)
+        if empty is None:
+            return None
+        dst = empty
+        while dst in parent:
+            src = parent[dst]
+            bins[dst] = bins[src]
+            self.where[bins[dst][0]] = dst
+            self.stats["displacements"] += 1
+            dst = src
+        bins[dst] = None
+        return dst
+
+    def remove(self, key):
+        loc = self.where.pop(key, None)
+        if loc is None:
+            return False
+        if loc == -1:
+            self.stash.remove(key)
+        else:
+            self.bins[loc] = None
+            self.stats["placed"] -= 1
+        for stashed in list(self.stash):
+            choices = self.choices_of(stashed)
+            b = self._place(choices)
+            if b is not None:
+                self.stash.remove(stashed)
+                self.bins[b] = (stashed, choices)
+                self.where[stashed] = b
+                self.stats["placed"] += 1
+        self.stats["stashed"] = len(self.stash)
+        return True
+
+    def lookup(self, key):
+        """(found, in_stash, bin), probing the bins then the stash."""
+        self.stats["lookups"] += 1
+        for b in self.choices_of(key):
+            slot = self.bins[b]
+            if slot is not None and slot[0] == key:
+                return True, False, b
+        if key in self.stash:
+            return True, True, None
+        return False, False, None

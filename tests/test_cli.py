@@ -9,7 +9,7 @@ import pytest
 
 from cuckoo_lab import __version__
 from cuckoo_lab.asymptotics import gamma_d2
-from cuckoo_lab.cli import run
+from cuckoo_lab.cli import _json_value, run
 from cuckoo_lab.exact import expected_matching_d2, expected_matching_mixed_det
 from cuckoo_lab.simulate import RngSeed, estimate_mu
 from cuckoo_lab.exact import ModelParams
@@ -197,10 +197,22 @@ def test_argument_errors_exit_2(capsys):
         ("asymptotic", "--alpha", "1", "--model", "d2", "--sweep", "beta=0:1:0.1"),  # beta clashes with d2
         ("exact", "--n", "2", "--m", "2"),  # missing --model
         ("no-such-command",),
+        ("asymptotic", "--alpha", "nan", "--model", "d2"),  # non-finite floats
+        ("asymptotic", "--alpha", "inf", "--model", "d2"),
+        ("concentration", "--n", "10", "--m", "10", "--lambda", "nan", "--trials", "5"),
+        ("asymptotic", "--model", "d2", "--sweep", "alpha=0:inf:1"),
+        ("simulate", "--n", "20", "--m", "20", "--model", "mixed-det", "--a", "1.5",
+         "--p", "0.3", "--beta", "0.5", "--trials", "2"),  # flags of other models
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv)
         assert code == 2, (argv, err)
+
+
+def test_json_refuses_non_finite_floats():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _json_value({"x": value})
 
 
 def test_runtime_errors_exit_1(capsys):

@@ -1,5 +1,6 @@
 """Cuckoo table semantics and the placed-count/maximum-matching guarantee."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from cuckoo_lab.cuckoo import CuckooTable, DuplicateKeyError, new_table
 from cuckoo_lab.matching import BipartiteGraph, max_matching
 from cuckoo_lab.simulate import SplitMix64
+
+from oracles import ReferenceCuckooTable
 
 
 def _table(m=8, d=2, seed=1, boundary=None, stash_limit=None) -> CuckooTable:
@@ -139,6 +142,23 @@ def test_remove_promotes_stashed_key():
     _check_equivalence(t)
 
 
+def test_remove_stashed_key_changes_no_bin():
+    t = _table(m=40, seed=4)
+    for k in range(80):
+        t.insert(k * 7919 + 3)
+    stash = t.stash_keys()
+    assert len(stash) >= 3
+    victim = stash[len(stash) // 2]
+    bins = {k: t.bin_of(k) for k in t.stored_keys() if k != victim}
+    before = dataclasses.replace(t.stats)
+    assert t.remove(victim)
+    assert {k: t.bin_of(k) for k in t.stored_keys()} == bins
+    assert t.stash_keys() == tuple(k for k in stash if k != victim)
+    assert t.stats.displacements == before.displacements
+    assert t.stats.placed == before.placed
+    assert t.stats.stashed == before.stashed - 1
+
+
 def test_remove_absent_leaves_table_unchanged():
     t = _table()
     t.insert(1)
@@ -208,6 +228,51 @@ def test_equivalence_through_interleaved_operations():
                 t.insert(key)
                 live.append(key)
             _check_equivalence(t)
+
+
+def _check_dead_bins(table: CuckooTable) -> None:
+    # dead bins are occupied and their occupants can only move to dead bins
+    for b in table._dead:
+        slot = table._bins[b]
+        assert slot is not None
+        assert all(c in table._dead for c in slot[1])
+
+
+@pytest.mark.parametrize(
+    "d, boundary", [(2, None), (3, None), (2, 400)], ids=["d2", "d3", "partitioned"]
+)
+def test_remove_matches_reference_at_full_load(d, boundary):
+    # fill to n = m, then remove/insert/lookup at that load; after every
+    # operation the layout, stash order and counters equal those of the
+    # unpruned reference table
+    m = 1000
+    rng = random.Random(8800 + d)
+    t = _table(m=m, d=d, seed=71 + d, boundary=boundary)
+    ref = ReferenceCuckooTable(m, t.bin_choices)
+    live: list[int] = []
+    saw_dead = False
+    for step in range(m + 500):
+        r = rng.random()
+        if step >= m and r < 0.4:
+            key = live.pop(rng.randrange(len(live)))
+            assert t.remove(key) == ref.remove(key)
+        elif step >= m and r < 0.6:
+            key = rng.choice(live) if r < 0.5 else rng.getrandbits(64)
+            res = t.lookup(key)
+            assert (res.found, res.in_stash, res.bin) == ref.lookup(key)
+        else:
+            key = rng.getrandbits(64)
+            assert t.insert(key) == ref.insert(key)
+            live.append(key)
+        assert t._bins == ref.bins
+        assert t.stash_keys() == tuple(ref.stash)
+        assert dataclasses.asdict(t.stats) == ref.stats
+        saw_dead = saw_dead or bool(t._dead)
+        if step % 250 == 249:
+            _check_equivalence(t)
+            _check_dead_bins(t)
+    assert saw_dead
+    assert t.load_stats().stash_size > 0
 
 
 def test_no_key_loss_and_bin_validity():

@@ -244,7 +244,15 @@ def _solve_branch_pair(x_const: float, y_const: float) -> tuple[float, float]:
     res = abs(t1 - x_const * exp(t2)) + abs(t2 - y_const * exp(t1))
     if not (isfinite(res) and res <= _RESIDUAL_TOL):
         raise BranchSolveError(f"residual {res} after polish; no convergence")
-    if t1 <= 0.0 or t2 <= 0.0 or t1 * t2 > 1.0 + _BRANCH_PRODUCT_TOL:
+    # a constant that underflowed to 0 (alpha/beta beyond ~745) has the
+    # exact solution component 0
+    if (
+        t1 < 0.0
+        or t2 < 0.0
+        or (t1 == 0.0 and x_const != 0.0)
+        or (t2 == 0.0 and y_const != 0.0)
+        or t1 * t2 > 1.0 + _BRANCH_PRODUCT_TOL
+    ):
         raise BranchSolveError(f"landed on inadmissible branch: t1={t1}, t2={t2}")
     return t1, t2
 

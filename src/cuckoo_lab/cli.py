@@ -20,15 +20,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .asymptotics import gamma_d2, gamma_mixed, gamma_mixed_rand, gamma_partitioned
-from .exact import (
-    ModelParams,
-    expected_matching_d2,
-    expected_matching_mixed_det,
-    expected_matching_mixed_rand,
-    expected_matching_partitioned,
-    matching_upper_bound_d,
-    stash_size_for_epsilon,
-)
+from .exact import ModelParams, evaluate, matching_upper_bound_d, stash_size_for_epsilon
 from .simulate import RngSeed, concentration_experiment, estimate_mu
 from .trace import disambiguate_duplicates, read_keys, run_trace_experiment, synthetic_stream, KeyStream
 
@@ -279,32 +271,19 @@ def _handle_exact(args: argparse.Namespace) -> tuple[dict, dict]:
     model = args.model
     params: dict = {"model": model, "n": args.n, "m": args.m, **_model_flags(args, "a", "p", "beta", "d")}
     try:
-        if model == "d2":
-            res = expected_matching_d2(args.n, args.m)
-        elif model == "mixed-det":
-            res = expected_matching_mixed_det(args.n, args.m, args.a)
-        elif model == "mixed-rand":
-            res = expected_matching_mixed_rand(args.n, args.m, args.p)
-        elif model == "partitioned":
-            res = expected_matching_partitioned(args.n, args.m, args.beta)
-        else:  # bound-d
-            bound = matching_upper_bound_d(args.n, args.m, args.d)
-            results = {
-                "mu": bound,
-                "stash_expected": args.n - bound,
-                "mu_over_n": bound / args.n if args.n else 0.0,
-                "truncated_at": None,
-                "mu_error_bound": 0.0,
-            }
-            return params, results
+        if model == "bound-d":
+            mu, truncated_at = matching_upper_bound_d(args.n, args.m, args.d), None
+        else:
+            # the other exact model names are the ModelParams variants
+            res = evaluate(ModelParams(args.n, args.m, model, a=args.a, p=args.p, beta=args.beta))
+            mu, truncated_at = res.mu, res.truncated_at
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     results = {
-        "mu": res.mu,
-        "stash_expected": res.stash_expected,
-        "mu_over_n": res.mu / args.n if args.n else 0.0,
-        "truncated_at": res.truncated_at,
-        "mu_error_bound": res.mu_error_bound,
+        "mu": mu,
+        "stash_expected": args.n - mu,
+        "mu_over_n": mu / args.n if args.n else 0.0,
+        "truncated_at": truncated_at,
     }
     return params, results
 
@@ -368,6 +347,10 @@ def _handle_stash_size(args: argparse.Namespace) -> tuple[dict, dict]:
 def _handle_trace(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.repeats < 1:
         raise UsageError("--repeats must be >= 1")
+    if args.m < 1:
+        raise UsageError("--m must be >= 1")
+    if args.d < 2:
+        raise UsageError("--d must be >= 2")
     if args.synthetic is not None:
         if args.synthetic < 0:
             raise UsageError("--synthetic must be >= 0")

@@ -22,8 +22,8 @@ m reach 1e5.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import partial
 from math import exp, fsum, lgamma, log, log1p, sqrt
 from typing import Optional, Union
 
@@ -139,20 +139,16 @@ def require_integral(value: float, what: str) -> int:
 class ExactResult:
     """Outcome of one exact evaluation.
 
-    ``terms`` is the per-index diagnostic series of the evaluated sum (the
-    expected deficit-component counts, except for the mixed-rand model
-    where each entry is that outcome's probability-weighted expected
-    stash).  ``truncated_at`` records where the sum was cut short, if it
-    was.  ``mu_error_bound`` is nonzero only for the mixed-rand model,
-    where a far-tail slice of outcome probabilities is dropped; it bounds
-    the resulting error on ``mu``.
+    ``terms`` is the evaluated series: entry s is the expected number of
+    bins left unmatched by the tree components with s elements.
+    ``truncated_at`` is the index s at which the sum was cut short, if it
+    was.
     """
 
     mu: float
     stash_expected: float
     terms: tuple[float, ...] = field(repr=False, default=())
     truncated_at: Optional[int] = None
-    mu_error_bound: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -355,35 +351,55 @@ def _result(n: int, m: int, terms: list[float], truncated_at: Optional[int]) -> 
 # the exact expectations
 
 
-def _mixed_deficit_terms(d1: int, d2: int, m: int, truncate: bool) -> tuple[list[float], Optional[int]]:
-    """Expected number of one-spare-bin components of each size s, for a
-    graph with d1 one-choice and d2 two-choice elements.
+def _deficit_series(
+    n: int, m: int, d: int, pool: int, p: float, truncate: bool
+) -> tuple[list[float], Optional[int]]:
+    """Expected number of bins stranded by the tree components with s
+    d-choice elements and q = (d-1)s + 1 bins, for s = 0, 1, ...
 
-    Summand s: choose the s two-choice elements and s+1 bins, confine all
-    their choices accordingly, and connect the shape.  One-choice elements
-    never sit in such a component, so they only contribute avoidance
-    factors.
+    ``pool`` of the n elements may have d choices, each independently with
+    probability p; every other element has one.  Summand s is
+
+        (q-s) C(pool,s) p^s C(m,q) (q/m)^(ds) conn(s,d) avoid(q/m):
+
+    choose the component's s elements and q bins, confine their d choices
+    to those bins, connect the shape, and keep every other element out of
+    them.  With p = 1 the d-choice count is fixed and
+    avoid(x) = (1-x)^(d(pool-s) + (n-pool)); otherwise pool = n, d = 2
+    and each outside element avoids the bins with probability
+    p(1-x)^2 + (1-p)(1-x), giving avoid(x) = [(1-x)(1-px)]^(n-s).  That
+    second form is the binomial average of the first over the two-choice
+    count, summed in closed form by C(n,k) C(k,s) = C(n,s) C(n-s,k-s).
     """
-    n = d1 + d2
-    b = min(d2, m - 1)
+    connect = _log_connect_probability_d2 if d == 2 else partial(_log_connect_probability_general, d=d)
+    fixed = p == 1.0
+    log_p = log(p) if p > 0.0 else 0.0  # the pool is empty when p = 0
+    # the s-independent halves of log C(pool, s) and log C(m, q)
+    lg_pool = lgamma(pool + 1)
+    lg_m = lgamma(m + 1)
     terms: list[float] = []
     trunc = _Truncator()
-    truncated_at = None
-    for s in range(b + 1):
-        p = (s + 1) / m
+    for s in range(min(pool, (m - 1) // (d - 1)) + 1):
+        q = (d - 1) * s + 1
+        x = q / m
+        if fixed:
+            log_avoid = _log_pow1m(x, d * (pool - s) + (n - pool))
+        else:
+            log_avoid = _log_pow1m(x, n - s) + _log_pow1m(p * x, n - s)
         lt = (
-            log_binomial(d2, s)
-            + log_binomial(m, s + 1)
-            + _log_pow1m(p, 2 * (d2 - s) + d1)
-            + _log_pow(p, 2 * s)
-            + _log_connect_probability_d2(s)
+            log(q - s)
+            + (lg_pool - lgamma(s + 1) - lgamma(pool - s + 1))
+            + s * log_p
+            + (lg_m - lgamma(q + 1) - lgamma(m - q + 1))
+            + log_avoid
+            + d * s * log(x)
+            + connect(s)
         )
         term = exp(lt) if lt != _NEG_INF else 0.0
         terms.append(term)
         if truncate and trunc.feed(s, term):
-            truncated_at = s
             break
-    return terms, truncated_at
+    return terms, trunc.stopped_at
 
 
 def expected_matching_d2(n: int, m: int, *, truncate: bool = True) -> ExactResult:
@@ -394,9 +410,8 @@ def expected_matching_d2(n: int, m: int, *, truncate: bool = True) -> ExactResul
     sum over s of C(n,s) C(m,s+1) (1-(s+1)/m)^(2(n-s)) ((s+1)/m)^(2s)
     times the connection probability 2^s s! / (s+1)^(s+1).
     """
-    params = ModelParams.fixed2(n, m)
-    terms, truncated_at = _mixed_deficit_terms(0, params.n, params.m, truncate)
-    return _result(n, m, terms, truncated_at)
+    ModelParams.fixed2(n, m)
+    return _result(n, m, *_deficit_series(n, m, 2, n, 1.0, truncate))
 
 
 def expected_matching_mixed_det(n: int, m: int, a: float, *, truncate: bool = True) -> ExactResult:
@@ -405,60 +420,17 @@ def expected_matching_mixed_det(n: int, m: int, a: float, *, truncate: bool = Tr
     :func:`expected_matching_d2`, a = 1 to m - m(1-1/m)^n.
     """
     params = ModelParams.mixed_det(n, m, a)
-    terms, truncated_at = _mixed_deficit_terms(
-        params.one_choice_count, params.two_choice_count, m, truncate
-    )
-    return _result(n, m, terms, truncated_at)
-
-
-# Width of the evaluated probability window around the mean two-choice
-# count, in standard deviations; the mass outside is below 1e-31.
-_MIXED_RAND_WINDOW_SIGMAS = 12.0
+    return _result(n, m, *_deficit_series(n, m, 2, params.two_choice_count, 1.0, truncate))
 
 
 def expected_matching_mixed_rand(n: int, m: int, p: float, *, truncate: bool = True) -> ExactResult:
     """Expected maximum matching size when each element independently draws
-    two bins with probability p, one otherwise.
-
-    Averages the fixed-split expectation over the binomial number of
-    two-choice elements, restricted to a 12-sigma window; the discarded
-    tail mass times min(n, m) bounds the error and is reported in
-    ``mu_error_bound``.
+    two bins with probability p, one otherwise: the fixed-split
+    expectation averaged over the binomial two-choice count, as one series.
     """
-    params = ModelParams.mixed_rand(n, m, p)
-    if n == 0:
-        return ExactResult(mu=0.0, stash_expected=0.0, terms=(0.0,))
-
-    sigma = sqrt(n * p * (1.0 - p))
-    lo = max(0, math.floor(n * p - _MIXED_RAND_WINDOW_SIGMAS * sigma))
-    hi = min(n, math.ceil(n * p + _MIXED_RAND_WINDOW_SIGMAS * sigma))
-
-    def weight(d2: int) -> float:
-        lw = log_binomial(n, d2) + _log_pow(p, d2) + _log_pow(1.0 - p, n - d2)
-        return exp(lw) if lw != _NEG_INF else 0.0
-
-    mu_parts: list[float] = []
-    stash_parts: list[float] = []
-    for d2 in range(lo, hi + 1):
-        w = weight(d2)
-        inner_terms, _ = _mixed_deficit_terms(n - d2, d2, m, truncate)
-        inner_mu = _clamp_mu(m - fsum(inner_terms), n, m)
-        mu_parts.append(w * inner_mu)
-        stash_parts.append(w * (n - inner_mu))
-
-    # the discarded outcome probabilities are summed directly (all positive,
-    # no cancellation), not inferred from 1 - sum(kept)
-    tail_mass = fsum(weight(d2) for d2 in range(0, lo)) + fsum(
-        weight(d2) for d2 in range(hi + 1, n + 1)
-    )
-    mu = _clamp_mu(fsum(mu_parts), n, m)
-    return ExactResult(
-        mu=mu,
-        stash_expected=n - mu,
-        terms=tuple(stash_parts),
-        truncated_at=hi if hi < n else None,
-        mu_error_bound=tail_mass * min(n, m),
-    )
+    ModelParams.mixed_rand(n, m, p)
+    pool = n if p > 0.0 else 0
+    return _result(n, m, *_deficit_series(n, m, 2, pool, p, truncate))
 
 
 def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool = True) -> ExactResult:
@@ -522,23 +494,7 @@ def matching_upper_bound_d(n: int, m: int, d: int, *, truncate: bool = True) -> 
     :func:`expected_matching_d2` exactly.
     """
     ModelParams.fixed_d(n, m, d)
-    b = min(n, (m - 1) // (d - 1))
-    terms: list[float] = []
-    trunc = _Truncator()
-    for s in range(b + 1):
-        q = (d - 1) * s + 1
-        lt = (
-            log(q - s)
-            + log_binomial(n, s)
-            + log_binomial(m, q)
-            + _log_pow1m(q / m, d * (n - s))
-            + _log_pow(q / m, d * s)
-            + _log_connect_probability_general(s, d)
-        )
-        term = exp(lt) if lt != _NEG_INF else 0.0
-        terms.append(term)
-        if truncate and trunc.feed(s, term):
-            break
+    terms, _ = _deficit_series(n, m, d, n, 1.0, truncate)
     return _clamp_mu(m - fsum(terms), n, m)
 
 

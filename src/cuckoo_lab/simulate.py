@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from math import sqrt
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .exact import ModelParams, evaluate, concentration_tail_bound
 from .matching import BipartiteGraph, max_matching, mu_via_deficit
@@ -183,7 +184,8 @@ def _trial_chunk(params: ModelParams, seed: RngSeed, lo: int, hi: int) -> tuple[
 
 def effective_threads(threads: Optional[int] = None) -> int:
     """Worker count: the explicit argument, else the CUCKOO_LAB_THREADS
-    environment variable, else 1.  The env var also acts as a cap."""
+    environment variable, else 1.  The env var also acts as a cap, and
+    the CPU count caps both."""
     env = os.environ.get(THREADS_ENV_VAR)
     cap = None
     if env is not None:
@@ -192,34 +194,30 @@ def effective_threads(threads: Optional[int] = None) -> int:
         except ValueError:
             cap = None
     if threads is None:
-        return cap if cap is not None else 1
-    threads = max(1, threads)
-    return min(threads, cap) if cap is not None else threads
+        threads = cap if cap is not None else 1
+    elif cap is not None:
+        threads = min(threads, cap)
+    return max(1, min(threads, os.cpu_count() or 1))
 
 
-def _partial_sums(
-    params: ModelParams, seed: RngSeed, trials: int, threads: Optional[int]
-) -> tuple[int, int, int, int]:
-    workers = min(effective_threads(threads), trials)
+def fan_out(fn: Callable, count: int, args: tuple, threads: Optional[int] = None) -> list:
+    """Split indices [0, count) into one contiguous chunk per worker and
+    return ``fn(*args, lo, hi)`` for each chunk, in index order.
+
+    Chunks run in worker processes when :func:`effective_threads` allows
+    more than one; if the pool cannot start or breaks, they run
+    sequentially instead, giving the same results.
+    """
+    workers = min(effective_threads(threads), count)
     if workers <= 1:
-        return _trial_chunk(params, seed, 0, trials)
-
-    bounds = [trials * k // workers for k in range(workers + 1)]
-    chunks = []
+        return [fn(*args, 0, count)]
+    bounds = [count * k // workers for k in range(workers + 1)]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_trial_chunk, params, seed, lo, hi)
-                for lo, hi in zip(bounds, bounds[1:])
-                if hi > lo
-            ]
-            chunks = [f.result() for f in futures]
-    except OSError:
-        # forking unavailable; same numbers, sequentially
-        return _trial_chunk(params, seed, 0, trials)
-    total = sum(c[0] for c in chunks)
-    total_sq = sum(c[1] for c in chunks)
-    return total, total_sq, min(c[2] for c in chunks), max(c[3] for c in chunks)
+            futures = [pool.submit(fn, *args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            return [f.result() for f in futures]
+    except (OSError, BrokenProcessPool):
+        return [fn(*args, 0, count)]
 
 
 def estimate_mu(
@@ -238,7 +236,11 @@ def estimate_mu(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng_seed = _coerce_seed(seed)
-    total, total_sq, mn, mx = _partial_sums(params, rng_seed, trials, threads)
+    chunks = fan_out(_trial_chunk, trials, (params, rng_seed), threads)
+    total = sum(c[0] for c in chunks)
+    total_sq = sum(c[1] for c in chunks)
+    mn = min(c[2] for c in chunks)
+    mx = max(c[3] for c in chunks)
 
     mean = total / trials
     if trials > 1:
@@ -281,21 +283,7 @@ def concentration_experiment(
     mu_exact = evaluate(params).mu
     radius = lam * sqrt(params.n)
 
-    workers = min(effective_threads(threads), trials)
-    if workers <= 1:
-        exceed = _exceed_chunk(params, rng_seed, 0, trials, mu_exact, radius, one_sided)
-    else:
-        bounds = [trials * k // workers for k in range(workers + 1)]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_exceed_chunk, params, rng_seed, lo, hi, mu_exact, radius, one_sided)
-                    for lo, hi in zip(bounds, bounds[1:])
-                    if hi > lo
-                ]
-                exceed = sum(f.result() for f in futures)
-        except OSError:
-            exceed = _exceed_chunk(params, rng_seed, 0, trials, mu_exact, radius, one_sided)
+    exceed = sum(fan_out(_exceed_chunk, trials, (params, rng_seed, mu_exact, radius, one_sided), threads))
 
     bound = concentration_tail_bound(lam, one_sided=one_sided)
     return exceed / trials, bound
@@ -304,11 +292,11 @@ def concentration_experiment(
 def _exceed_chunk(
     params: ModelParams,
     seed: RngSeed,
-    lo: int,
-    hi: int,
     mu_exact: float,
     radius: float,
     one_sided: bool,
+    lo: int,
+    hi: int,
 ) -> int:
     exceed = 0
     for t in range(lo, hi):

@@ -11,13 +11,12 @@ produced.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cuckoo import new_table
 from .hashing import wang_mix64
-from .simulate import RngSeed, effective_threads
+from .simulate import RngSeed, fan_out
 
 __all__ = [
     "KeyStream",
@@ -157,20 +156,25 @@ def _seeds_for_repeat(base_seed: int, repeat: int, d: int) -> tuple[int, ...]:
     return tuple(rng.next_u64() for _ in range(d))
 
 
-def _run_one_repeat(
+def _run_repeats(
     keys: tuple[int, ...],
     m: int,
     d: int,
     base_seed: int,
-    repeat: int,
     partition_boundary: Optional[int],
     stash_limit: Optional[int],
-) -> tuple[tuple[int, ...], int]:
-    seeds = _seeds_for_repeat(base_seed, repeat, d)
-    table = new_table(m, d, seeds, partition_boundary, stash_limit)
-    for key in keys:
-        table.insert(key)
-    return seeds, table.load_stats().stash_size
+    lo: int,
+    hi: int,
+) -> list[tuple[tuple[int, ...], int]]:
+    """(hash seeds, final stash size) of repeats [lo, hi)."""
+    outcomes = []
+    for repeat in range(lo, hi):
+        seeds = _seeds_for_repeat(base_seed, repeat, d)
+        table = new_table(m, d, seeds, partition_boundary, stash_limit)
+        for key in keys:
+            table.insert(key)
+        outcomes.append((seeds, table.load_stats().stash_size))
+    return outcomes
 
 
 def run_trace_experiment(
@@ -200,20 +204,10 @@ def run_trace_experiment(
         )
     n = len(keys)
 
-    workers = min(effective_threads(threads), repeats)
-    args = [
-        (keys, m, d, base_seed, r, partition_boundary, stash_limit)
-        for r in range(repeats)
-    ]
-    if workers <= 1:
-        outcomes = [_run_one_repeat(*a) for a in args]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_one_repeat, *a) for a in args]
-                outcomes = [f.result() for f in futures]
-        except OSError:
-            outcomes = [_run_one_repeat(*a) for a in args]
+    chunks = fan_out(
+        _run_repeats, repeats, (keys, m, d, base_seed, partition_boundary, stash_limit), threads
+    )
+    outcomes = [o for chunk in chunks for o in chunk]
 
     seeds = tuple(o[0] for o in outcomes)
     if n == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 from fractions import Fraction
 from math import comb
 
@@ -105,6 +106,12 @@ def enumerate_expected_mu_mixed_rand(n: int, m: int, p: Fraction) -> Fraction:
         if weight:
             acc += weight * enumerate_expected_mu_degrees(pattern, m)
     return acc
+
+
+def binomial_mixture(n: int, p: Fraction, value_at) -> float:
+    """Average of ``value_at(k)`` over k ~ Binomial(n, p), with exact weights."""
+    weights = [comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    return math.fsum(float(w) * value_at(k) for k, w in enumerate(weights) if w)
 
 
 def enumerate_expected_mu_partitioned(n: int, m1: int, m2: int) -> Fraction:

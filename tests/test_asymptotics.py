@@ -205,6 +205,14 @@ def test_gamma_partitioned_branch_solution_is_valid():
         assert t2 - y_const * math.exp(t1) == pytest.approx(0.0, abs=1e-11)
 
 
+def test_gamma_partitioned_underflowed_constants():
+    # alpha/beta beyond ~745: X and Y underflow to 0, and (0, 0) is the
+    # exact branch solution
+    res = gamma_partitioned(1000.0, 0.5)
+    assert res.branch_data == (0.0, 0.0)
+    assert res.gamma == pytest.approx(1 / 1000, rel=1e-15)
+
+
 def test_gamma_partitioned_validation():
     with pytest.raises(ValueError):
         gamma_partitioned(0.0, 0.5)

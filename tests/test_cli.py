@@ -203,10 +203,20 @@ def test_argument_errors_exit_2(capsys):
         ("asymptotic", "--model", "d2", "--sweep", "alpha=0:inf:1"),
         ("simulate", "--n", "20", "--m", "20", "--model", "mixed-det", "--a", "1.5",
          "--p", "0.3", "--beta", "0.5", "--trials", "2"),  # flags of other models
+        ("trace", "--synthetic", "10", "--m", "0", "--repeats", "1"),  # no bins
+        ("trace", "--synthetic", "10", "--m", "10", "--d", "1", "--repeats", "1"),  # one choice
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv)
         assert code == 2, (argv, err)
+
+
+def test_asymptotic_partitioned_at_large_alpha(capsys):
+    code, out, err = _run(
+        capsys, "asymptotic", "--model", "partitioned", "--beta", "0.5", "--alpha", "1000"
+    )
+    assert code == 0, err
+    assert _json(out)["results"]["gamma"] == pytest.approx(1 / 1000, rel=1e-15)
 
 
 def test_json_refuses_non_finite_floats():

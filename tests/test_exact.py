@@ -277,11 +277,34 @@ def test_mixed_rand_three_term_mixture():
     frozen = Fraction(55, 32)
     assert oracles.enumerate_expected_mu_mixed_rand(2, 2, Fraction(1, 2)) == frozen
     assert res.mu == pytest.approx(float(frozen), abs=1e-12)
+    # larger points: the fixed-split expectation averaged over every
+    # two-choice count k ~ Binomial(n, p)
+    for n, m, p in [(3, 2, 0.5), (7, 11, 0.3), (12, 9, 0.75), (25, 25, 0.5), (40, 80, 0.1), (60, 45, 0.9)]:
+        mixture = oracles.binomial_mixture(
+            n, Fraction(p), lambda k: expected_matching_mixed_det(n, m, 1 + k / n).mu
+        )
+        assert expected_matching_mixed_rand(n, m, p).mu == pytest.approx(mixture, rel=1e-12), (n, m, p)
 
 
-def test_mixed_rand_tail_bound_is_negligible():
-    res = expected_matching_mixed_rand(500, 500, 0.37)
-    assert 0.0 <= res.mu_error_bound < 1e-20
+# float.hex() of the results at m = 10000, frozen: a change to how the
+# series are summed that moves any bit of them shows up here
+GOLDEN_MU_HEX = {
+    # n: (d2 mu, mixed-det a=1.5 mu, bound-d d=3, stash_size_for_epsilon eps=1e-6)
+    5000: ("0x1.387be70c40a4bp+12", "0x1.1a6985b130684p+12", "0x1.3880000000000p+12", "0x1.73f2c47db662ep+8"),
+    10000: ("0x1.05e9172c82844p+13", "0x1.d0e372ca77a20p+12", "0x1.28dd90493c1c3p+13", "0x1.0c1081f035a8dp+11"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_MU_HEX))
+def test_series_golden_values(n):
+    m = 10_000
+    got = (
+        expected_matching_d2(n, m).mu.hex(),
+        expected_matching_mixed_det(n, m, 1.5).mu.hex(),
+        matching_upper_bound_d(n, m, 3).hex(),
+        stash_size_for_epsilon(n, m, 1e-6).hex(),
+    )
+    assert got == GOLDEN_MU_HEX[n]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Seeded generation, Monte-Carlo statistics, and the concentration check."""
 
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from cuckoo_lab import simulate
 from cuckoo_lab.exact import ModelParams, concentration_tail_bound, evaluate
 from cuckoo_lab.simulate import (
     RngSeed,
@@ -11,6 +14,7 @@ from cuckoo_lab.simulate import (
     concentration_experiment,
     effective_threads,
     estimate_mu,
+    fan_out,
     gen_graph,
     mix64,
     probability_threshold,
@@ -184,6 +188,7 @@ def test_parallel_equals_sequential():
 
 
 def test_effective_threads_env_cap(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     monkeypatch.delenv("CUCKOO_LAB_THREADS", raising=False)
     assert effective_threads(None) == 1
     assert effective_threads(4) == 4
@@ -192,6 +197,39 @@ def test_effective_threads_env_cap(monkeypatch):
     assert effective_threads(8) == 2
     monkeypatch.setenv("CUCKOO_LAB_THREADS", "junk")
     assert effective_threads(3) == 3
+
+
+def test_effective_threads_cpu_cap(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("CUCKOO_LAB_THREADS", "64")
+    assert effective_threads() == 2
+    assert effective_threads(8) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert effective_threads() == 1
+
+
+class _BrokenPool:
+    """Stands in for ProcessPoolExecutor: the pool breaks on first use."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        raise BrokenProcessPool("worker died")
+
+
+def test_fan_out_falls_back_when_pool_breaks(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _BrokenPool)
+    params = ModelParams.fixed2(30, 30)
+    assert estimate_mu(params, 12, RngSeed(3), threads=3) == estimate_mu(params, 12, RngSeed(3), threads=1)
+    assert fan_out(lambda lo, hi: (lo, hi), 12, (), threads=3) == [(0, 12)]
 
 
 # ---------------------------------------------------------------------------

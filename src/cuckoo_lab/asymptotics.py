@@ -2,8 +2,9 @@
 
 All results are expressed through the Lambert-W function (the inverse of
 x * e^x), implemented here from scratch: branch-specific initial guesses
-refined by Halley iteration.  The two-bank model needs a two-variable
-implicit solve instead; see :func:`gamma_partitioned`.
+refined by Halley iteration.  The two-bank model needs an implicit solve
+instead, a monotone Newton iteration in one variable; see
+:func:`gamma_partitioned`.
 
 Branch-equation validation for the two-bank model
 -------------------------------------------------
@@ -25,7 +26,7 @@ pairing and only this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, expm1, isfinite, log, sqrt
+from math import exp, expm1, isfinite, log, log1p, sqrt
 from typing import Optional
 
 _E_INV = exp(-1.0)
@@ -50,8 +51,8 @@ class AsymptoticResult:
 
 
 class BranchSolveError(RuntimeError):
-    """The two-bank implicit solve failed to converge to the admissible
-    branch within its iteration budget."""
+    """The two-bank implicit solve ended with a residual above its
+    tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def gamma_d2(alpha: float) -> AsymptoticResult:
         raise ValueError("alpha must be > 0")
     if alpha <= 0.5:
         return AsymptoticResult(gamma=1.0, closed_form_used=True)
-    w = lambert_w0(-2.0 * alpha * exp(-2.0 * alpha))
+    w = lambert_w0(-2.0 * (alpha * exp(-2.0 * alpha)))
     gamma = 1.0 / alpha + w / (2.0 * alpha * alpha) + w * w / (4.0 * alpha * alpha)
     return AsymptoticResult(gamma=_clamp01(gamma))
 
@@ -161,7 +162,7 @@ def gamma_mixed(alpha: float, a: float) -> AsymptoticResult:
         return gamma_d2(alpha)
     if a == 1.0:
         return AsymptoticResult(gamma=_clamp01(-expm1(-alpha) / alpha), closed_form_used=True)
-    w = lambert_w0(-2.0 * alpha * (a - 1.0) * exp(-a * alpha))
+    w = lambert_w0(-2.0 * (a - 1.0) * (alpha * exp(-a * alpha)))
     denom2 = 2.0 * alpha * alpha * (a - 1.0)
     gamma = 1.0 / alpha + w / denom2 + w * w / (2.0 * denom2)
     return AsymptoticResult(gamma=_clamp01(gamma))
@@ -180,81 +181,40 @@ def gamma_mixed_rand(alpha: float, p: float) -> AsymptoticResult:
 # two-bank limit
 
 
-_PAIR_MAX_SWEEPS = 200_000
-_PAIR_SWEEP_TOL = 1e-13
 _NEWTON_MAX_ITER = 60
 _RESIDUAL_TOL = 1e-11
-_BRANCH_PRODUCT_TOL = 1e-9
 
 
-def _solve_branch_pair(x_const: float, y_const: float) -> tuple[float, float]:
-    """Solve t1 = X e^(t2), t2 = Y e^(t1) on the branch with t1 t2 <= 1.
+def _smallest_root(ln_a: float, ln_b: float) -> tuple[float, float]:
+    """Smallest solution u >= 0 of u = exp(ln_a + v), v = exp(ln_b + u).
 
-    Damped fixed-point iteration from (X, Y): starting below the smallest
-    positive solution, the iterates increase monotonically toward it, and
-    that solution is the attracting one with t1 t2 <= 1.  A 2x2 Newton
-    polish sharpens the result to machine accuracy (the fixed point alone
-    crawls when t1 t2 is close to 1).
+    Substituting v gives one equation, f(u) = u - exp(ln_a + e^(ln_b + u))
+    = 0.  The subtracted term is convex in u, so f is concave with
+    f(0) < 0, and Newton from u = 0 rises monotonically onto the smallest
+    root without overshooting it.  There f' = 1 - u v >= 0, which is the
+    admissible branch.  The constants enter only through their logarithms,
+    so a constant outside the float range still contributes through the
+    exponential it multiplies.
     """
-    t1, t2 = x_const, y_const
-    damp = 1.0
-    prev_res = float("inf")
-    grew = 0
-    for _ in range(_PAIR_MAX_SWEEPS):
-        n1 = t1 + damp * (x_const * exp(t2) - t1)
-        n2 = t2 + damp * (y_const * exp(n1) - t2)
-        if not (isfinite(n1) and isfinite(n2)):
-            damp *= 0.5
-            if damp < 1e-6:
-                raise BranchSolveError("fixed-point iteration diverged")
-            t1, t2 = x_const, y_const
-            continue
-        step = max(abs(n1 - t1), abs(n2 - t2))
-        t1, t2 = n1, n2
-        res = abs(t1 - x_const * exp(t2)) + abs(t2 - y_const * exp(t1))
-        if res > prev_res:
-            grew += 1
-            if grew >= 3:
-                damp *= 0.5
-                grew = 0
-        else:
-            grew = 0
-        prev_res = res
-        if step < _PAIR_SWEEP_TOL:
-            break
-
+    u = last = 0.0
     for _ in range(_NEWTON_MAX_ITER):
-        e2 = x_const * exp(t2)
-        e1 = y_const * exp(t1)
-        f1 = t1 - e2
-        f2 = t2 - e1
-        if abs(f1) + abs(f2) < 1e-16:
+        v = exp(ln_b + u)
+        g = exp(ln_a + v)
+        slope = 1.0 - g * v
+        if not slope > 0.0:
+            # rounding carried the last step past the maximum of f, which
+            # only happens next to a double root: step back
+            u = last
             break
-        # Jacobian of (f1, f2) in (t1, t2): [[1, -X e^(t2)], [-Y e^(t1), 1]]
-        det = 1.0 - e2 * e1
-        if det == 0.0:
+        step = (g - u) / slope
+        if not u + step > u:
             break
-        d1 = (f1 + e2 * f2) / det
-        d2 = (e1 * f1 + f2) / det
-        t1 -= d1
-        t2 -= d2
-        if max(abs(d1), abs(d2)) < 1e-16 * max(1.0, abs(t1), abs(t2)):
-            break
-
-    res = abs(t1 - x_const * exp(t2)) + abs(t2 - y_const * exp(t1))
-    if not (isfinite(res) and res <= _RESIDUAL_TOL):
-        raise BranchSolveError(f"residual {res} after polish; no convergence")
-    # a constant that underflowed to 0 (alpha/beta beyond ~745) has the
-    # exact solution component 0
-    if (
-        t1 < 0.0
-        or t2 < 0.0
-        or (t1 == 0.0 and x_const != 0.0)
-        or (t2 == 0.0 and y_const != 0.0)
-        or t1 * t2 > 1.0 + _BRANCH_PRODUCT_TOL
-    ):
-        raise BranchSolveError(f"landed on inadmissible branch: t1={t1}, t2={t2}")
-    return t1, t2
+        last, u = u, u + step
+    v = exp(ln_b + u)
+    res = abs(u - exp(ln_a + v))
+    if not res <= _RESIDUAL_TOL * max(1.0, u):
+        raise BranchSolveError(f"residual {res} after the Newton iteration")
+    return u, v
 
 
 def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
@@ -272,6 +232,13 @@ def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
     is solved on the branch t1 t2 <= 1 (see the module docstring for why
     this pairing of the constants is the validated one) and
     gamma = 1/alpha - beta(1-beta)/alpha^2 (t1 + t2 - t1 t2).
+
+    The pair is reduced to one equation in one variable and solved by a
+    monotone Newton iteration (:func:`_smallest_root`), which converges onto
+    the smallest root; that, and no check of t1 t2, is what keeps it on the
+    admissible branch.  Just above alpha^2 = beta(1-beta) the two roots
+    merge into a double root at which floats fix the pair only to about
+    sqrt(machine epsilon), so t1 t2 may come out slightly above 1 there.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
@@ -284,9 +251,16 @@ def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
         t2 = alpha / beta
         return AsymptoticResult(gamma=1.0, branch_data=(t1, t2), closed_form_used=True)
 
-    x_const = alpha / (1.0 - beta) * exp(-alpha / beta)
-    y_const = alpha / beta * exp(-alpha / (1.0 - beta))
-    t1, t2 = _solve_branch_pair(x_const, y_const)
+    # ln X and ln Y: X and Y themselves may fall outside the float range
+    ln_x = log(alpha) - alpha / beta - log1p(-beta)
+    ln_y = log(alpha) - alpha / (1.0 - beta) - log(beta)
+    # solve for the variable with the smaller constant: it is the one below
+    # 1 next to a double root, where a step that rounding pushed too far
+    # then cannot overflow exp
+    if ln_x <= ln_y:
+        t1, t2 = _smallest_root(ln_x, ln_y)
+    else:
+        t2, t1 = _smallest_root(ln_y, ln_x)
     gamma = 1.0 / alpha - beta * (1.0 - beta) / (alpha * alpha) * (t1 + t2 - t1 * t2)
     return AsymptoticResult(gamma=_clamp01(gamma), branch_data=(t1, t2))
 

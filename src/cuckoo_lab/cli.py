@@ -291,16 +291,18 @@ def _handle_exact(args: argparse.Namespace) -> tuple[dict, dict]:
 def _handle_asymptotic(args: argparse.Namespace) -> tuple[dict, dict]:
     _require(args, "alpha")
     model = args.model
-    params: dict = {"model": model, "alpha": args.alpha, **_model_flags(args, "a", "p", "beta")}
+    flags = _model_flags(args, "a", "p", "beta")
+    params: dict = {"model": model, "alpha": args.alpha, **flags}
+    # built per call, so that a function swapped into this module's
+    # namespace (a tracing wrapper, say) is the one called
+    limit = {
+        "d2": gamma_d2,
+        "mixed": gamma_mixed,
+        "mixed-rand": gamma_mixed_rand,
+        "partitioned": gamma_partitioned,
+    }[model]
     try:
-        if model == "d2":
-            res = gamma_d2(args.alpha)
-        elif model == "mixed":
-            res = gamma_mixed(args.alpha, args.a)
-        elif model == "mixed-rand":
-            res = gamma_mixed_rand(args.alpha, args.p)
-        else:  # partitioned
-            res = gamma_partitioned(args.alpha, args.beta)
+        res = limit(args.alpha, *flags.values())
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     results: dict = {"gamma": res.gamma, "closed_form": res.closed_form_used}
@@ -319,9 +321,10 @@ def _handle_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
         mp = ModelParams(args.n, args.m, args.model, a=args.a, p=args.p, beta=args.beta, d=args.d)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    stats = estimate_mu(mp, args.trials, RngSeed(args.seed))
+    try:
+        stats = estimate_mu(mp, args.trials, RngSeed(args.seed))
+    except ValueError as exc:  # trials < 1, or a partition that leaves a bank empty
+        raise UsageError(str(exc)) from exc
     params: dict = {"model": args.model, "n": args.n, "m": args.m, "trials": args.trials, **flags}
     results = {
         "mean": stats.mean,

@@ -162,7 +162,6 @@ def _run_repeats(
     d: int,
     base_seed: int,
     partition_boundary: Optional[int],
-    stash_limit: Optional[int],
     lo: int,
     hi: int,
 ) -> list[tuple[tuple[int, ...], int]]:
@@ -170,7 +169,7 @@ def _run_repeats(
     outcomes = []
     for repeat in range(lo, hi):
         seeds = _seeds_for_repeat(base_seed, repeat, d)
-        table = new_table(m, d, seeds, partition_boundary, stash_limit)
+        table = new_table(m, d, seeds, partition_boundary)
         for key in keys:
             table.insert(key)
         outcomes.append((seeds, table.load_stats().stash_size))
@@ -185,7 +184,6 @@ def run_trace_experiment(
     base_seed: int,
     partition_boundary: Optional[int] = None,
     *,
-    stash_limit: Optional[int] = None,
     threads: Optional[int] = None,
 ) -> TraceReport:
     """Insert the whole stream into a fresh table once per repeat, with
@@ -204,9 +202,7 @@ def run_trace_experiment(
         )
     n = len(keys)
 
-    chunks = fan_out(
-        _run_repeats, repeats, (keys, m, d, base_seed, partition_boundary, stash_limit), threads
-    )
+    chunks = fan_out(_run_repeats, repeats, (keys, m, d, base_seed, partition_boundary), threads)
     outcomes = [o for chunk in chunks for o in chunk]
 
     seeds = tuple(o[0] for o in outcomes)

@@ -4,15 +4,18 @@ Nothing in here calls into cuckoo_lab: expectations are enumerated over
 complete choice spaces with exact rational arithmetic, matchings are found
 by backtracking, and connected-structure counts come from direct
 enumeration (plus an exhaustive-decomposition recursion for the two sizes
-where direct enumeration is too large).  The cuckoo table is kept in its
-plain form, without search pruning, to compare layouts against.
+where direct enumeration is too large).  The two-bank limit is bisected in
+50-digit decimal arithmetic.  The cuckoo table is kept in its plain form,
+without search pruning, to compare layouts against.
 """
 
 from __future__ import annotations
 
 import collections
+import decimal
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -233,6 +236,44 @@ def count_connected_general(s: int, d: int) -> int:
         if _is_connected(s, q, edges):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# two-bank limit
+
+
+def two_bank_gamma(alpha: float, beta: float) -> float:
+    """Two-bank limit matching fraction, for alpha^2 > beta(1-beta), from
+    the smallest root t1 of t = X exp(Y e^t), X = alpha/(1-beta)
+    e^(-alpha/beta), Y = alpha/beta e^(-alpha/(1-beta)), found by
+    bisection in 50-digit decimal arithmetic.
+
+    f(t) = t - X exp(Y e^t) is concave with f(0) < 0, and the closed-form
+    root alpha/(1-beta) is its larger root, so bisecting f' on
+    [0, alpha/(1-beta)] finds the maximum of f and bisecting f left of it
+    finds the smallest root.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b = Decimal(alpha), Decimal(beta)
+        x = a / (1 - b) * (-a / b).exp()
+        y = a / b * (-a / (1 - b)).exp()
+
+        def last_true(pred, lo, hi):
+            # pred holds at lo and fails at hi
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+            return lo
+
+        def slope_positive(t):
+            t2 = y * t.exp()
+            return x * t2.exp() * t2 < 1
+
+        peak = last_true(slope_positive, Decimal(0), a / (1 - b))
+        t1 = last_true(lambda t: t < x * (y * t.exp()).exp(), Decimal(0), peak)
+        t2 = y * t1.exp()
+        return float(1 / a - b * (1 - b) / (a * a) * (t1 + t2 - t1 * t2))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from cuckoo_lab.exact import (
     expected_matching_partitioned,
 )
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # Lambert W
@@ -211,6 +213,36 @@ def test_gamma_partitioned_underflowed_constants():
     res = gamma_partitioned(1000.0, 0.5)
     assert res.branch_data == (0.0, 0.0)
     assert res.gamma == pytest.approx(1 / 1000, rel=1e-15)
+
+
+_TWO_BANK_GRID = [
+    (alpha, beta)
+    for alpha in (0.501, 0.55, 0.7, 1.0, 2.0, 5.0)
+    for beta in (0.01, 0.1, 0.3, 0.45, 0.5, 0.7, 0.99)
+    if alpha * alpha > beta * (1 - beta)
+]
+
+
+@pytest.mark.parametrize("alpha,beta", _TWO_BANK_GRID)
+def test_gamma_partitioned_against_decimal_oracle(alpha, beta):
+    expected = oracles.two_bank_gamma(alpha, beta)
+    assert gamma_partitioned(alpha, beta).gamma == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [
+        (1.0, 1e-4),  # e^(alpha/beta) overflows
+        (1.0, 0.9999),
+        (0.01, 0.01 / 740),  # X underflows but X e^(t2) does not
+        (0.00204, 1 - 2.2e-6),  # Y underflows but Y e^(t1) does not
+        (0.500000000001, 0.5),  # next to the double root t1 t2 = 1
+        (0.0037259539497963385, 1.3882925571625308e-05),  # a step overshoots the double root
+    ],
+)
+def test_gamma_partitioned_extreme_points_against_decimal_oracle(alpha, beta):
+    expected = oracles.two_bank_gamma(alpha, beta)
+    assert gamma_partitioned(alpha, beta).gamma == pytest.approx(expected, abs=1e-8)
 
 
 def test_gamma_partitioned_validation():

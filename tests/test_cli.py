@@ -205,6 +205,11 @@ def test_argument_errors_exit_2(capsys):
          "--p", "0.3", "--beta", "0.5", "--trials", "2"),  # flags of other models
         ("trace", "--synthetic", "10", "--m", "0", "--repeats", "1"),  # no bins
         ("trace", "--synthetic", "10", "--m", "10", "--d", "1", "--repeats", "1"),  # one choice
+        ("simulate", "--n", "10", "--m", "10", "--model", "partitioned", "--beta", "0",
+         "--trials", "2"),  # an empty bank
+        ("simulate", "--n", "10", "--m", "10", "--model", "partitioned", "--beta", "1",
+         "--trials", "2"),
+        ("simulate", "--n", "10", "--m", "10", "--model", "d2", "--trials", "0"),
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv)
@@ -217,6 +222,16 @@ def test_asymptotic_partitioned_at_large_alpha(capsys):
     )
     assert code == 0, err
     assert _json(out)["results"]["gamma"] == pytest.approx(1 / 1000, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "model_flags",
+    [("d2",), ("mixed", "--a", "1.5"), ("mixed-rand", "--p", "0.5"), ("partitioned", "--beta", "0.3")],
+)
+def test_asymptotic_at_huge_alpha(capsys, model_flags):
+    code, out, err = _run(capsys, "asymptotic", "--alpha", "1e308", "--model", *model_flags)
+    assert code == 0, err
+    assert _json(out)["results"]["gamma"] == pytest.approx(1e-308, rel=1e-12, abs=0)
 
 
 def test_json_refuses_non_finite_floats():

@@ -25,8 +25,9 @@ pairing and only this one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import exp, expm1, isfinite, log, log1p, sqrt
+from math import exp, expm1, inf, isfinite, log, log1p, sqrt
 from typing import Optional
 
 _E_INV = exp(-1.0)
@@ -153,7 +154,12 @@ def gamma_mixed(alpha: float, a: float) -> AsymptoticResult:
     """Limit matching fraction when the mean number of choices per element
     is a in [1, 2].  a = 2 reduces to :func:`gamma_d2`; a = 1 has the
     closed form (1 - e^(-alpha))/alpha; in between the W argument is
-    -2 alpha (a-1) e^(-a alpha), always inside the branch radius."""
+    -2 alpha (a-1) e^(-a alpha), always inside the branch radius.
+
+    With w = W(-2 alpha (a-1) e^(-a alpha)) and y = a alpha + w,
+    gamma = 1/alpha + w/(2 alpha^2 (a-1)) + w^2/(4 alpha^2 (a-1)); since
+    w e^w is the W argument, 2 alpha (a-1) = -w e^y, and gamma becomes
+    (1 - e^(-y) - (w/2) e^(-y))/alpha, whose two parts do not cancel."""
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
     if not 1.0 <= a <= 2.0:
@@ -163,8 +169,8 @@ def gamma_mixed(alpha: float, a: float) -> AsymptoticResult:
     if a == 1.0:
         return AsymptoticResult(gamma=_clamp01(-expm1(-alpha) / alpha), closed_form_used=True)
     w = lambert_w0(-2.0 * (a - 1.0) * (alpha * exp(-a * alpha)))
-    denom2 = 2.0 * alpha * alpha * (a - 1.0)
-    gamma = 1.0 / alpha + w / denom2 + w * w / (2.0 * denom2)
+    y = a * alpha + w
+    gamma = (-expm1(-y) - 0.5 * w * exp(-y)) / alpha
     return AsymptoticResult(gamma=_clamp01(gamma))
 
 
@@ -183,23 +189,28 @@ def gamma_mixed_rand(alpha: float, p: float) -> AsymptoticResult:
 
 _NEWTON_MAX_ITER = 60
 _RESIDUAL_TOL = 1e-11
+_LN_FLOAT_MAX = log(sys.float_info.max)
 
 
-def _smallest_root(ln_a: float, ln_b: float) -> tuple[float, float]:
-    """Smallest solution u >= 0 of u = exp(ln_a + v), v = exp(ln_b + u).
+def _smallest_root(ca: float, ln_ca: float, cb: float, ln_cb: float) -> float:
+    """Smallest solution u >= 0 of u = ca e^(v - cb), v = cb e^(u - ca).
 
-    Substituting v gives one equation, f(u) = u - exp(ln_a + e^(ln_b + u))
+    Substituting v gives one equation, f(u) = u - ca exp(cb (e^(u - ca) - 1))
     = 0.  The subtracted term is convex in u, so f is concave with
     f(0) < 0, and Newton from u = 0 rises monotonically onto the smallest
     root without overshooting it.  There f' = 1 - u v >= 0, which is the
-    admissible branch.  The constants enter only through their logarithms,
-    so a constant outside the float range still contributes through the
-    exponential it multiplies.
+    admissible branch.  cb and ca may be inf; their logarithms, given
+    separately, are finite, so a constant outside the float range still
+    contributes through the exponential it multiplies.
     """
+    if ln_cb - ca > _LN_FLOAT_MAX:
+        # v > cb e^(-ca) is beyond the float range, and u v <= 1 on the
+        # admissible branch, so u is below the smallest normal float
+        return 0.0
     u = last = 0.0
     for _ in range(_NEWTON_MAX_ITER):
-        v = exp(ln_b + u)
-        g = exp(ln_a + v)
+        v = exp(ln_cb + (u - ca))
+        g = exp(ln_ca + cb * expm1(u - ca))
         slope = 1.0 - g * v
         if not slope > 0.0:
             # rounding carried the last step past the maximum of f, which
@@ -210,11 +221,34 @@ def _smallest_root(ln_a: float, ln_b: float) -> tuple[float, float]:
         if not u + step > u:
             break
         last, u = u, u + step
-    v = exp(ln_b + u)
-    res = abs(u - exp(ln_a + v))
+    res = abs(u - exp(ln_ca + cb * expm1(u - ca)))
     if not res <= _RESIDUAL_TOL * max(1.0, u):
         raise BranchSolveError(f"residual {res} after the Newton iteration")
-    return u, v
+    return u
+
+
+def _branch_pair(
+    alpha: float, a: tuple[float, float, float], b: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    """(u, v, gamma) on the admissible branch of the two-bank pair
+    u = ca e^(v - cb), v = cb e^(u - ca), given a = (ca, ln ca, fa) with
+    fa = alpha/ca, and b likewise; fa + fb = 1.  ca or cb may be inf.
+
+    (ca, cb) is itself a solution, the largest, so ya = ln(u/ca) = v - cb
+    and yb = ln(v/cb) = u - ca are <= 0, and
+    gamma = (fb (1 - e^ya) + fa (1 - e^yb))/alpha + e^(ya + yb)
+    is a sum of non-negative parts.  v enters it only through
+    ya = cb (e^yb - 1), so v may lie beyond the float range, reported as
+    inf, while gamma stays finite.
+    """
+    ca, ln_ca, fa = a
+    cb, ln_cb, fb = b
+    u = _smallest_root(ca, ln_ca, cb, ln_cb)
+    yb = u - ca
+    ya = cb * expm1(yb)
+    gamma = (-fb * expm1(ya) - fa * expm1(yb)) / alpha + exp(ya + yb)
+    ln_v = ln_cb + yb
+    return u, exp(ln_v) if ln_v <= _LN_FLOAT_MAX else inf, gamma
 
 
 def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
@@ -231,7 +265,9 @@ def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
 
     is solved on the branch t1 t2 <= 1 (see the module docstring for why
     this pairing of the constants is the validated one) and
-    gamma = 1/alpha - beta(1-beta)/alpha^2 (t1 + t2 - t1 t2).
+    gamma = 1/alpha - beta(1-beta)/alpha^2 (t1 + t2 - t1 t2), evaluated in
+    a form free of cancellation (:func:`_branch_pair`).  A component of
+    ``branch_data`` beyond the float range is inf.
 
     The pair is reduced to one equation in one variable and solved by a
     monotone Newton iteration (:func:`_smallest_root`), which converges onto
@@ -251,17 +287,18 @@ def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
         t2 = alpha / beta
         return AsymptoticResult(gamma=1.0, branch_data=(t1, t2), closed_form_used=True)
 
-    # ln X and ln Y: X and Y themselves may fall outside the float range
-    ln_x = log(alpha) - alpha / beta - log1p(-beta)
-    ln_y = log(alpha) - alpha / (1.0 - beta) - log(beta)
-    # solve for the variable with the smaller constant: it is the one below
-    # 1 next to a double root, where a step that rounding pushed too far
-    # then cannot overflow exp
-    if ln_x <= ln_y:
-        t1, t2 = _smallest_root(ln_x, ln_y)
+    # (constant, its log, bank fraction) of t1 and of t2: a constant may
+    # overflow to inf, its log cannot
+    ln_alpha = log(alpha)
+    one = (alpha / (1.0 - beta), ln_alpha - log1p(-beta), 1.0 - beta)
+    two = (alpha / beta, ln_alpha - log(beta), beta)
+    # solve for the variable with the smaller constant, ln X = ln c1 - c2
+    # against ln Y = ln c2 - c1: it is the one below 1 next to a double
+    # root, where a step that rounding pushed too far then cannot overflow
+    if one[1] - two[0] <= two[1] - one[0]:
+        t1, t2, gamma = _branch_pair(alpha, one, two)
     else:
-        t2, t1 = _smallest_root(ln_y, ln_x)
-    gamma = 1.0 / alpha - beta * (1.0 - beta) / (alpha * alpha) * (t1 + t2 - t1 * t2)
+        t2, t1, gamma = _branch_pair(alpha, two, one)
     return AsymptoticResult(gamma=_clamp01(gamma), branch_data=(t1, t2))
 
 

@@ -307,9 +307,10 @@ def _handle_asymptotic(args: argparse.Namespace) -> tuple[dict, dict]:
         raise UsageError(str(exc)) from exc
     results: dict = {"gamma": res.gamma, "closed_form": res.closed_form_used}
     if model == "partitioned":
-        t1, t2 = res.branch_data if res.branch_data else (None, None)
-        results["t1"] = t1
-        results["t2"] = t2
+        # null without a branch pair, or for a component beyond the float range
+        t1, t2 = res.branch_data or (math.inf, math.inf)
+        results["t1"] = t1 if math.isfinite(t1) else None
+        results["t2"] = t2 if math.isfinite(t2) else None
     return params, results
 
 

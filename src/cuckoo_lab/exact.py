@@ -453,8 +453,8 @@ def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool
 
     terms: list[float] = []
     trunc = _Truncator()
-    truncated_at = None
     for s in range(n + 1):
+        log_elements = log_binomial(n, s)
         b1 = max(0, s + 1 - m2)
         b2 = min(s + 1, m1)
         row: list[float] = []
@@ -464,7 +464,7 @@ def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool
             if lp == _NEG_INF:
                 continue
             lt = (
-                log_binomial(n, s)
+                log_elements
                 + log_binomial(m1, i)
                 + log_binomial(m2, j)
                 + _log_pow1m(i / m1, n - s)
@@ -478,9 +478,8 @@ def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool
         term = fsum(row)
         terms.append(term)
         if truncate and trunc.feed(s, term):
-            truncated_at = s
             break
-    return _result(n, m, terms, truncated_at)
+    return _result(n, m, terms, trunc.stopped_at)
 
 
 def matching_upper_bound_d(n: int, m: int, d: int, *, truncate: bool = True) -> float:

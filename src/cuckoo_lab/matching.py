@@ -146,109 +146,95 @@ def _hopcroft_karp(adj: Sequence[Sequence[int]], n: int, m: int) -> tuple[list[i
                     stack.pop()
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def components(graph: BipartiteGraph) -> list[ComponentSummary]:
     """Decompose the graph into connected components.
 
-    Isolated right vertices become (s=0, q=1) components.  The local
-    matching sizes are read off one global maximum matching, which is also
-    a maximum matching within each component.  Deficit classification uses
-    d = max(2, maximum left degree).
+    Components are read off the cuckoo graph, whose vertices are the bins
+    and whose edges (hyperedges when d > 2) are the keys: one union-find
+    over the bins joins each key's choices.  Each component yields one summary, isolated bins
+    (s=0, q=1) included, and each key with no choice is a component of its
+    own (s=1, q=0).  The local matching sizes are read off one global
+    maximum matching, which is also a maximum matching within each
+    component.  Deficit classification uses d = max(2, maximum left
+    degree).
     """
-    n, m = graph.n, graph.m
-    uf = _UnionFind(n + m)
-    for u, row in enumerate(graph.choices):
-        for v in row:
-            uf.union(u, n + v)
+    m = graph.m
+    parent = list(range(m))
+    for row in graph.choices:
+        for v in row[1:]:
+            a, b = _find(parent, row[0]), _find(parent, v)
+            if a != b:
+                parent[b] = a
 
     d_eff = max(2, graph.max_left_degree())
     _, matched = max_matching(graph)
 
-    s_count: dict[int, int] = {}
-    q_count: dict[int, int] = {}
-    e_count: dict[int, int] = {}
-    m_count: dict[int, int] = {}
-    for u in range(n):
-        r = uf.find(u)
-        s_count[r] = s_count.get(r, 0) + 1
-        e_count[r] = e_count.get(r, 0) + len(graph.choices[u])
-        if matched[u] is not None:
-            m_count[r] = m_count.get(r, 0) + 1
+    s_count = [0] * m
+    q_count = [0] * m
+    e_count = [0] * m
+    m_count = [0] * m
+    no_choice = 0
+    for u, row in enumerate(graph.choices):
+        if not row:
+            no_choice += 1
+            continue
+        r = _find(parent, row[0])
+        s_count[r] += 1
+        e_count[r] += len(row)
+        m_count[r] += matched[u] is not None
     for v in range(m):
-        r = uf.find(n + v)
-        q_count[r] = q_count.get(r, 0) + 1
+        q_count[_find(parent, v)] += 1
 
-    out = []
-    for root in sorted(set(s_count) | set(q_count)):
-        s = s_count.get(root, 0)
-        q = q_count.get(root, 0)
-        edges = e_count.get(root, 0)
-        local = m_count.get(root, 0)
-        out.append(
-            ComponentSummary(
-                s=s,
-                q=q,
-                edge_count=edges,
-                is_tree=edges == s + q - 1,
-                local_matching=local,
-                is_deficit=q == (d_eff - 1) * s + 1,
-            )
+    shapes = [(s_count[r], q_count[r], e_count[r], m_count[r]) for r in range(m) if parent[r] == r]
+    return [
+        ComponentSummary(
+            s=s,
+            q=q,
+            edge_count=edges,
+            is_tree=edges == s + q - 1,
+            local_matching=local,
+            is_deficit=q == (d_eff - 1) * s + 1,
         )
-    return out
+        for s, q, edges, local in shapes + [(1, 0, 0, 0)] * no_choice
+    ]
 
 
 def mu_via_deficit(graph: BipartiteGraph) -> int:
     """Maximum matching size of a graph with left degrees <= 2, computed as
-    the bin count minus the number of components with one spare bin.
+    the bin count minus the number of trees in the cuckoo graph.
 
-    Components with q == s + 1 (isolated bins included, as s = 0) each
-    leave exactly one bin unmatched; every other component matches all its
-    bins.  Runs in near-linear time, no matching search.
+    The cuckoo graph has the bins as vertices and each key as an edge
+    between its choices; a one-choice key, or a key that repeats a bin, is
+    a loop, and a key with no choice is no edge.  A component with a cycle
+    or a loop matches all its bins; a tree, an isolated bin included,
+    leaves exactly one spare.  One union-find over the bins, with a
+    per-root flag set by any cycle or loop, counts the trees in
+    near-linear time, with no matching search.
     """
-    n, m = graph.n, graph.m
+    m = graph.m
+    parent = list(range(m))
+    saturated = [False] * m
     for u, row in enumerate(graph.choices):
         if len(row) > 2:
             raise ValueError(f"left vertex {u} has degree {len(row)} > 2")
-
-    uf = _UnionFind(n + m)
-    for u, row in enumerate(graph.choices):
-        for v in row:
-            uf.union(u, n + v)
-
-    s_count: dict[int, int] = {}
-    q_count: dict[int, int] = {}
-    for u in range(n):
-        r = uf.find(u)
-        s_count[r] = s_count.get(r, 0) + 1
-    for v in range(m):
-        r = uf.find(n + v)
-        q_count[r] = q_count.get(r, 0) + 1
-
-    deficit = 0
-    for root, q in q_count.items():
-        if q == s_count.get(root, 0) + 1:
-            deficit += 1
-    return m - deficit
+        if not row:
+            continue
+        # a one-choice key has row[0] == row[-1]: a loop, like a repeated bin
+        a = _find(parent, row[0])
+        b = _find(parent, row[-1])
+        if a == b:
+            saturated[a] = True
+        else:
+            parent[b] = a
+            saturated[a] = saturated[a] or saturated[b]
+    return m - sum(1 for r in range(m) if parent[r] == r and not saturated[r])
 
 
 def assert_structure(summary: ComponentSummary, d: int) -> Optional[str]:

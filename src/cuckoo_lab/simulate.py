@@ -83,10 +83,6 @@ class RngSeed:
         return SplitMix64(mix64(self.seed ^ mix64(self.stream + index + 1)))
 
 
-def _coerce_seed(seed: Union[int, RngSeed]) -> RngSeed:
-    return seed if isinstance(seed, RngSeed) else RngSeed(seed)
-
-
 def probability_threshold(p: float) -> int:
     """p mapped onto the 64-bit comparison scale, exact at 0 and 1."""
     if not 0.0 <= p <= 1.0:
@@ -145,14 +141,6 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
     return BipartiteGraph(n=n, m=m, choices=choices, partition_boundary=boundary)
 
 
-def _matching_size(params: ModelParams, graph: BipartiteGraph) -> int:
-    # Degree <= 2 graphs admit the spare-bin component count, which equals
-    # the maximum matching size and is much cheaper than a search.
-    if params.variant == "fixed-d" and params.d is not None and params.d > 2:
-        return max_matching(graph)[0]
-    return mu_via_deficit(graph)
-
-
 @dataclass(frozen=True)
 class SimStats:
     """Sample statistics of the per-trial maximum matching sizes."""
@@ -165,21 +153,13 @@ class SimStats:
     std_error: float
 
 
-def _trial_chunk(params: ModelParams, seed: RngSeed, lo: int, hi: int) -> tuple[int, int, int, int]:
-    """Exact partial sums over trials [lo, hi): (sum, sum of squares, min, max)."""
-    total = 0
-    total_sq = 0
-    mn = None
-    mx = None
-    for t in range(lo, hi):
-        size = _matching_size(params, gen_graph(params, seed.derive(t)))
-        total += size
-        total_sq += size * size
-        if mn is None or size < mn:
-            mn = size
-        if mx is None or size > mx:
-            mx = size
-    return total, total_sq, mn if mn is not None else 0, mx if mx is not None else 0
+def _matching_sizes(params: ModelParams, seed: RngSeed, lo: int, hi: int) -> list[int]:
+    """Maximum matching sizes of trials [lo, hi)."""
+    # Degree <= 2 graphs admit the spare-bin component count, which equals
+    # the maximum matching size and is much cheaper than a search.
+    search = params.variant == "fixed-d" and params.d is not None and params.d > 2
+    graphs = (gen_graph(params, seed.derive(t)) for t in range(lo, hi))
+    return [max_matching(g)[0] if search else mu_via_deficit(g) for g in graphs]
 
 
 def effective_threads(threads: Optional[int] = None) -> int:
@@ -220,6 +200,14 @@ def fan_out(fn: Callable, count: int, args: tuple, threads: Optional[int] = None
         return [fn(*args, 0, count)]
 
 
+def _trial_sizes(
+    params: ModelParams, trials: int, seed: Union[int, RngSeed], threads: Optional[int]
+) -> list[int]:
+    """Maximum matching sizes of trials [0, trials), in trial order."""
+    rng_seed = seed if isinstance(seed, RngSeed) else RngSeed(seed)
+    return sum(fan_out(_matching_sizes, trials, (params, rng_seed), threads), [])
+
+
 def estimate_mu(
     params: ModelParams,
     trials: int,
@@ -235,12 +223,9 @@ def estimate_mu(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng_seed = _coerce_seed(seed)
-    chunks = fan_out(_trial_chunk, trials, (params, rng_seed), threads)
-    total = sum(c[0] for c in chunks)
-    total_sq = sum(c[1] for c in chunks)
-    mn = min(c[2] for c in chunks)
-    mx = max(c[3] for c in chunks)
+    sizes = _trial_sizes(params, trials, seed, threads)
+    total = sum(sizes)
+    total_sq = sum(size * size for size in sizes)
 
     mean = total / trials
     if trials > 1:
@@ -253,8 +238,8 @@ def estimate_mu(
         trials=trials,
         mean=mean,
         std_dev=std,
-        min=float(mn),
-        max=float(mx),
+        min=float(min(sizes)),
+        max=float(max(sizes)),
         std_error=std / sqrt(trials),
     )
 
@@ -279,29 +264,12 @@ def concentration_experiment(
         raise ValueError("need at least 100 trials for a meaningful fraction")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    rng_seed = _coerce_seed(seed)
     mu_exact = evaluate(params).mu
     radius = lam * sqrt(params.n)
-
-    exceed = sum(fan_out(_exceed_chunk, trials, (params, rng_seed, mu_exact, radius, one_sided), threads))
+    exceed = 0
+    for size in _trial_sizes(params, trials, seed, threads):
+        deviation = mu_exact - size if one_sided else abs(size - mu_exact)
+        exceed += deviation > radius
 
     bound = concentration_tail_bound(lam, one_sided=one_sided)
     return exceed / trials, bound
-
-
-def _exceed_chunk(
-    params: ModelParams,
-    seed: RngSeed,
-    mu_exact: float,
-    radius: float,
-    one_sided: bool,
-    lo: int,
-    hi: int,
-) -> int:
-    exceed = 0
-    for t in range(lo, hi):
-        size = _matching_size(params, gen_graph(params, seed.derive(t)))
-        deviation = mu_exact - size if one_sided else abs(size - mu_exact)
-        if deviation > radius:
-            exceed += 1
-    return exceed

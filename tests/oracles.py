@@ -239,6 +239,31 @@ def count_connected_general(s: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# mixed-choice limit
+
+
+def mixed_gamma(alpha: float, a: float) -> float:
+    """Limit matching fraction with mean a in (1, 2) choices per element,
+    1/alpha + w/(2 alpha^2 (a-1)) + w^2/(4 alpha^2 (a-1)) with
+    w = W0(-2 alpha (a-1) e^(-a alpha)), in 60-digit decimal arithmetic.
+
+    The argument lies in (-1/e, 0), so W0 is found by bisecting w e^w,
+    increasing on [-1, 0].  The formula cancels about log10(1/alpha)
+    digits, which sixty digits leave far below double precision.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        al, a = Decimal(alpha), Decimal(a)
+        x = -2 * al * (a - 1) * (-a * al).exp()
+        lo, hi = Decimal(-1), Decimal(0)
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid * mid.exp() < x else (lo, mid)
+        denom2 = 2 * al * al * (a - 1)
+        return float(1 / al + lo / denom2 + lo * lo / (2 * denom2))
+
+
+# ---------------------------------------------------------------------------
 # two-bank limit
 
 
@@ -255,6 +280,8 @@ def two_bank_gamma(alpha: float, beta: float) -> float:
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 50
+        # e^t2 outgrows the default exponent range when beta is tiny
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
         a, b = Decimal(alpha), Decimal(beta)
         x = a / (1 - b) * (-a / b).exp()
         y = a / b * (-a / (1 - b)).exp()

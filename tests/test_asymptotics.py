@@ -133,6 +133,13 @@ def test_gamma_mixed_continuous_at_a1():
         assert near == pytest.approx(base, abs=1e-7)
 
 
+@pytest.mark.parametrize("a", [1.01, 1.5, 1.7])
+@pytest.mark.parametrize("alpha", [1e-8, 1e-5, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0])
+def test_gamma_mixed_against_decimal_oracle(alpha, a):
+    # at small alpha the three-term formula cancels; the evaluated form must not
+    assert gamma_mixed(alpha, a).gamma == pytest.approx(oracles.mixed_gamma(alpha, a), rel=1e-14, abs=0)
+
+
 def test_gamma_mixed_validation():
     with pytest.raises(ValueError):
         gamma_mixed(1.0, 0.9)
@@ -215,11 +222,25 @@ def test_gamma_partitioned_underflowed_constants():
     assert res.gamma == pytest.approx(1 / 1000, rel=1e-15)
 
 
+@pytest.mark.parametrize("alpha,beta", [(1e-10, 5e-324), (4e-66, 1.2e-262), (1e-5, 1e-200)])
+def test_gamma_partitioned_vanishing_bank(alpha, beta):
+    # the small bank fills with probability about exp(-alpha^2/beta), which
+    # is 0 in floats here, so gamma is the single-choice value; alpha/beta
+    # e^(-alpha) is beyond the float range at the first point
+    res = gamma_partitioned(alpha, beta)
+    assert res.gamma == pytest.approx(-math.expm1(-alpha) / alpha, rel=1e-12, abs=0)
+    assert res.branch_data[0] == 0.0
+
+
 _TWO_BANK_GRID = [
     (alpha, beta)
     for alpha in (0.501, 0.55, 0.7, 1.0, 2.0, 5.0)
     for beta in (0.01, 0.1, 0.3, 0.45, 0.5, 0.7, 0.99)
     if alpha * alpha > beta * (1 - beta)
+] + [
+    # small alpha beside a tiny bank, where 1/alpha - beta(1-beta)/alpha^2
+    # (t1 + t2 - t1 t2) cancels all but a few digits
+    (0.01, 1e-5), (1e-3, 1e-7), (1e-6, 1e-13), (1e-10, 1e-21),
 ]
 
 

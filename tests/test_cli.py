@@ -224,6 +224,22 @@ def test_asymptotic_partitioned_at_large_alpha(capsys):
     assert _json(out)["results"]["gamma"] == pytest.approx(1 / 1000, rel=1e-15)
 
 
+def test_asymptotic_partitioned_at_subnormal_beta(capsys):
+    # t2 = alpha/beta e^(-alpha) is beyond the float range, gamma is not
+    code, out, err = _run(
+        capsys, "asymptotic", "--model", "partitioned", "--alpha", "1e-10", "--beta", "5e-324"
+    )
+    assert code == 0, err
+    results = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert results["gamma"] == pytest.approx(-math.expm1(-1e-10) / 1e-10, rel=1e-12, abs=0)
+    assert results["t1"] == 0.0
+    assert results["t2"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.mark.parametrize(
     "model_flags",
     [("d2",), ("mixed", "--a", "1.5"), ("mixed-rand", "--p", "0.5"), ("partitioned", "--beta", "0.3")],

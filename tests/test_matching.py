@@ -1,6 +1,7 @@
 """Matching kernel against brute force, plus the component structure rules."""
 
 import random
+import zlib
 
 import pytest
 
@@ -98,6 +99,15 @@ def test_components_empty_graph():
     assert all(c.is_deficit for c in comps)
 
 
+def test_key_with_no_choice():
+    g = _graph(2, 2, [[], [0]])
+    assert mu_via_deficit(g) == max_matching(g)[0] == 1
+    comps = components(g)
+    shapes = sorted((c.s, c.q, c.edge_count, c.is_tree, c.local_matching, c.is_deficit) for c in comps)
+    assert shapes == [(0, 1, 0, True, 0, True), (1, 0, 0, True, 0, False), (1, 1, 1, True, 1, False)]
+    assert sum(c.local_matching for c in comps) == max_matching(g)[0]
+
+
 def test_components_conservation():
     rng = random.Random(5)
     for _ in range(300):
@@ -139,6 +149,16 @@ def test_mu_via_deficit_equals_matching_on_random_graphs():
         ]
         g = _graph(n, m, choices)
         assert mu_via_deficit(g) == max_matching(g)[0]
+    seed = RngSeed(1000)
+    for params in (
+        ModelParams.fixed2(1000, 1000),
+        ModelParams.mixed_det(1000, 1000, 1.5),
+        ModelParams.mixed_rand(1000, 1000, 0.5),
+        ModelParams.partitioned(1000, 1000, 0.3),
+    ):
+        for t in range(3):
+            g = gen_graph(params, seed.derive(t))
+            assert mu_via_deficit(g) == max_matching(g)[0], (params.variant, t)
 
 
 def test_deficit_component_is_tree_with_full_degrees():
@@ -188,10 +208,15 @@ _VARIANTS = [
 ]
 
 
-@pytest.mark.parametrize("params", _VARIANTS, ids=lambda p: f"{p.variant}-d{p.d or 2}")
+def _case_id(params):
+    return f"{params.variant}-d{params.d or 2}"
+
+
+@pytest.mark.parametrize("params", _VARIANTS, ids=_case_id)
 def test_structure_rules_hold_on_random_graphs(params):
     d = params.d if params.d else 2
-    seed = RngSeed(0xC0FFEE ^ hash(params.variant) & 0xFFFF)
+    # a fixed seed per case; hash() of a str changes from process to process
+    seed = RngSeed(0xC0FFEE ^ zlib.crc32(_case_id(params).encode()) & 0xFFFF)
     for t in range(10_000):
         g = gen_graph(params, seed.derive(t))
         for c in components(g):

@@ -292,15 +292,6 @@ def log_binomial(n: int, k: int) -> float:
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
-def _log_pow(base: float, exponent: float) -> float:
-    # exponent * ln(base) with the empty-product convention 0^0 = 1
-    if exponent == 0:
-        return 0.0
-    if base <= 0.0:
-        return _NEG_INF
-    return exponent * log(base)
-
-
 def _log_pow1m(x: float, exponent: float) -> float:
     # exponent * ln(1 - x), same 0^0 convention, accurate for small x
     if exponent == 0:
@@ -451,35 +442,102 @@ def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool
     if m1 < 1 or m2 < 1:
         raise ValueError("both banks must be non-empty")
 
+    # Summand (i, j) of row s, j = s + 1 - i, is
+    #   C(n,s) C(m1,i) C(m2,j) (1-i/m1)^(n-s) (1-j/m2)^(n-s) (i/m1)^s (j/m2)^s conn(i,j).
+    # Its log adds table entries with the operations, in the order, of
+    # evaluating each factor from scratch (log_binomial, then
+    # (n-s) log1p(-i/m1), s log(i/m1), and the log of conn as in
+    # _log_connect_probability_partitioned), so every summand is the same
+    # double.  A log 0 entry set to 0 only meets a zero exponent (0^0 = 1).
+    choose1, out1, in1, choose2, out2, in2 = [], [], [], [], [], []  # see _grow_bank
+    log_k = [0.0, 0.0]  # log 0 set to 0, and log 1
+
     terms: list[float] = []
     trunc = _Truncator()
+    peak = 0
     for s in range(n + 1):
-        log_elements = log_binomial(n, s)
-        b1 = max(0, s + 1 - m2)
-        b2 = min(s + 1, m1)
-        row: list[float] = []
-        for i in range(b1, b2 + 1):
-            j = s + 1 - i
-            lp = _log_connect_probability_partitioned(i, j)
-            if lp == _NEG_INF:
-                continue
-            lt = (
-                log_elements
-                + log_binomial(m1, i)
-                + log_binomial(m2, j)
-                + _log_pow1m(i / m1, n - s)
-                + _log_pow1m(j / m2, n - s)
-                + _log_pow(i / m1, s)
-                + _log_pow(j / m2, s)
-                + lp
-            )
-            if lt != _NEG_INF:
-                row.append(exp(lt))
+        if s == 0:  # the single bins, shapes (0, 1) and (1, 0)
+            lo, hi = 0, 1
+        else:  # a shape with s >= 1 elements needs a bin in each bank
+            lo, hi = max(1, s + 1 - m2), min(s, m1)
+        if lo > hi:  # s >= m: no shape has s + 1 bins
+            row: list[float] = []
+        else:  # the row reads entries up to max(s, 1)
+            _grow_bank(m1, choose1, out1, in1, max(s, 1))
+            _grow_bank(m2, choose2, out2, in2, max(s, 1))
+            log_k.extend(log(k) for k in range(len(log_k), s + 1))
+            a = n - s
+            if not a:  # s = n, the last row: 0^0 = 1
+                out1, out2 = [0.0] * len(out1), [0.0] * len(out2)
+            le = log_binomial(n, s)
+            lg = lgamma(s + 1)
+
+            def log_term(i: int) -> float:
+                j = s + 1 - i
+                li = log_k[i]
+                lj = log_k[j]
+                return (
+                    le + choose1[i] + choose2[j] + a * out1[i] + a * out2[j] + s * in1[i] + s * in2[j]
+                    + ((j - 1) * li + (i - 1) * lj + lg - s * (li + lj))
+                )
+
+            row, peak = _sum_from_peak(log_term, lo, hi, min(max(peak, lo), hi))
         term = fsum(row)
         terms.append(term)
         if truncate and trunc.feed(s, term):
             break
     return _result(n, m, terms, trunc.stopped_at)
+
+
+# A row of the two-bank series is cut on each side after this many
+# consecutive summands more than _ROW_CUT nats below its peak: e^-60 ~ 1e-26,
+# ten orders of magnitude below one ulp of the row sum.
+_ROW_CUT = 60.0
+_ROW_RUN = 3
+
+
+def _grow_bank(mb: int, choose: list[float], out: list[float], into: list[float], top: int) -> None:
+    """Extend log C(mb, k), log1p(-k/mb) and log(k/mb) to every k up to
+    min(top, mb).  The lists grow with the rows, so a series cut after a
+    few hundred rows costs a few hundred entries of a bank of 1e5 bins.
+    The log of 1 - mb/mb is -inf; that of 0/mb is set to 0, as it only
+    meets the exponent s = 0."""
+    lg_mb = lgamma(mb + 1)
+    for k in range(len(choose), min(top, mb) + 1):
+        choose.append(lg_mb - lgamma(k + 1) - lgamma(mb - k + 1))
+        out.append(log1p(-(k / mb)) if k < mb else _NEG_INF)
+        into.append(log(k / mb) if k else 0.0)
+
+
+def _sum_from_peak(log_term, lo: int, hi: int, start: int) -> tuple[list[float], int]:
+    """exp of the summands of one row i in [lo, hi] that matter, and the
+    index of the row's peak.
+
+    Row s of the two-bank series is log-concave in i.  With j = s + 1 - i
+    the connection count and the (i/m1)^s (j/m2)^s factors reduce to
+    (j-1) log i + (i-1) log j + const, whose second derivative
+    -1/i - s/i^2 - 1/j - s/j^2 is negative; log C(m1, i), log C(m2, j) and
+    (n-s) log(1 - i/m1), (n-s) log(1 - j/m2) are concave too.  So a climb
+    from ``start`` finds the peak, and past the peak each side only falls:
+    once it is _ROW_CUT below the value climbed to, the rest of that side
+    is lower still.  A climb that stops early on a rounding plateau only
+    lowers that value, which keeps more terms, never fewer.
+    """
+    i, top = start, log_term(start)
+    while i < hi and (lt := log_term(i + 1)) > top:
+        i, top = i + 1, lt
+    while i > lo and (lt := log_term(i - 1)) > top:
+        i, top = i - 1, lt
+    cut = top - _ROW_CUT
+    row = [exp(top)]
+    for step, end in ((1, hi), (-1, lo)):
+        k, run = i, 0
+        while k != end and run < _ROW_RUN:
+            k += step
+            lt = log_term(k)
+            row.append(exp(lt))
+            run = run + 1 if lt < cut else 0
+    return row, i
 
 
 def matching_upper_bound_d(n: int, m: int, d: int, *, truncate: bool = True) -> float:

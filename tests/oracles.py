@@ -6,7 +6,9 @@ by backtracking, and connected-structure counts come from direct
 enumeration (plus an exhaustive-decomposition recursion for the two sizes
 where direct enumeration is too large).  The two-bank limit is bisected in
 50-digit decimal arithmetic.  The cuckoo table is kept in its plain form,
-without search pruning, to compare layouts against.
+without search pruning, to compare layouts against, and the two-bank
+exact series as the full double sum, to compare its peak-walk summation
+against.
 """
 
 from __future__ import annotations
@@ -301,6 +303,94 @@ def two_bank_gamma(alpha: float, beta: float) -> float:
         t1 = last_true(lambda t: t < x * (y * t.exp()).exp(), Decimal(0), peak)
         t2 = y * t1.exp()
         return float(1 / a - b * (1 - b) / (a * a) * (t1 + t2 - t1 * t2))
+
+
+# ---------------------------------------------------------------------------
+# two-bank exact series
+
+
+def _log_binomial(n: int, k: int) -> float:
+    if k < 0 or k > n:
+        return float("-inf")
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _log_pow(base: float, exponent: float) -> float:
+    # exponent * ln(base) with the empty-product convention 0^0 = 1
+    if exponent == 0:
+        return 0.0
+    if base <= 0.0:
+        return float("-inf")
+    return exponent * math.log(base)
+
+
+def _log_pow1m(x: float, exponent: float) -> float:
+    # exponent * ln(1 - x), same 0^0 convention, accurate for small x
+    if exponent == 0:
+        return 0.0
+    if x >= 1.0:
+        return float("-inf")
+    return exponent * math.log1p(-x)
+
+
+def _log_connect_probability_partitioned(i: int, j: int) -> float:
+    # i^(j-1) j^(i-1) (i+j-1)! connected shapes over (i j)^(i+j-1) choice vectors
+    if (i, j) in ((1, 0), (0, 1)):
+        return 0.0
+    if i == 0 or j == 0:
+        return float("-inf")
+    lt = (j - 1) * math.log(i) + (i - 1) * math.log(j) + math.lgamma(i + j)
+    return lt - (i + j - 1) * (math.log(i) + math.log(j))
+
+
+def partitioned_row_logs(n: int, m1: int, m2: int, s: int) -> list[float]:
+    """ln of every summand of row s of the two-bank series, in order of the
+    up-bank size i of the shape, skipping shapes that cannot connect."""
+    log_elements = _log_binomial(n, s)
+    b1 = max(0, s + 1 - m2)
+    b2 = min(s + 1, m1)
+    row: list[float] = []
+    for i in range(b1, b2 + 1):
+        j = s + 1 - i
+        lp = _log_connect_probability_partitioned(i, j)
+        if lp == float("-inf"):
+            continue
+        lt = (
+            log_elements
+            + _log_binomial(m1, i)
+            + _log_binomial(m2, j)
+            + _log_pow1m(i / m1, n - s)
+            + _log_pow1m(j / m2, n - s)
+            + _log_pow(i / m1, s)
+            + _log_pow(j / m2, s)
+            + lp
+        )
+        row.append(lt)
+    return row
+
+
+def partitioned_series_full(n: int, m1: int, m2: int, *, truncate: bool = True):
+    """The two-bank series summed over every summand of every row: returns
+    (mu, terms, truncated_at) as ``expected_matching_partitioned`` reports
+    them, with the same stopping rule (50 consecutive row sums below 1e-18
+    of the running total) and the same clamp of mu to [0, min(n, m)]."""
+    m = m1 + m2
+    terms: list[float] = []
+    running, tiny_run, truncated_at = 0.0, 0, None
+    for s in range(n + 1):
+        term = math.fsum(math.exp(lt) for lt in partitioned_row_logs(n, m1, m2, s) if lt != float("-inf"))
+        terms.append(term)
+        if truncate:
+            running += term
+            if term < 1e-18 * running:
+                tiny_run += 1
+                if tiny_run >= 50:
+                    truncated_at = s
+                    break
+            else:
+                tiny_run = 0
+    mu = min(max(m - math.fsum(terms), 0.0), float(min(n, m)))
+    return mu, tuple(terms), truncated_at
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,21 @@ def test_criterion_11_concentration():
     _passed(11, "deviation fractions below the concentration bound")
 
 
+def test_criterion_11_companion_half_below_mean():
+    # The radii of criterion 11 are at least 5 standard deviations of the
+    # matching size (sd ~ 8.3 at n = m = 1000), so its fractions read 0 for
+    # any mu_exact within a few sd.  At lambda = 0 the one-sided fraction
+    # counts the trials below mu_exact: about half of them (0.52 over 6000
+    # trials; the size is integral and close to normal), against ~0.16 or
+    # ~0.84 for a mu_exact one sd off.  The two-sided Hoeffding radius at
+    # confidence 1 - 1e-6 is 0.135 over 400 trials.
+    trials = 400
+    params = ModelParams.fixed2(1000, 1000)
+    empirical, _ = concentration_experiment(params, trials, 0.0, RngSeed(11), one_sided=True)
+    radius = math.sqrt(math.log(2 / 1e-6) / (2 * trials))
+    assert abs(empirical - 0.5) <= radius, (empirical, radius)
+
+
 def test_criterion_12_tree_count_oracles():
     for s in range(5):
         count = oracles.count_connected_pairs_d2(s)

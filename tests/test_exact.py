@@ -357,6 +357,55 @@ def test_partitioned_matches_simulation():
     assert abs(stats.mean - exact) <= 3 * stats.std_error
 
 
+# (n, m, beta): (mu.hex(), truncated_at), frozen from the series summed over
+# every summand of every row
+GOLDEN_PARTITIONED = {
+    (200, 400, 0.3): ("0x1.8f067d3cc4462p+7", None),
+    (400, 400, 0.3): ("0x1.43224e6400c52p+8", 129),
+    (1000, 2000, 0.3): ("0x1.f35e55c06baacp+9", 783),
+}
+
+
+@pytest.mark.parametrize("n, m, beta", sorted(GOLDEN_PARTITIONED))
+def test_partitioned_golden_values(n, m, beta):
+    result = expected_matching_partitioned(n, m, beta)
+    assert (result.mu.hex(), result.truncated_at) == GOLDEN_PARTITIONED[(n, m, beta)]
+
+
+def _partitioned_grid():
+    for n in range(21):
+        for m in range(2, 21):
+            for m1 in range(1, m):
+                yield n, m, m1
+    # a one-bin bank, and n > m, where rows s >= m are empty
+    yield from [(200, 400, 120), (300, 200, 20), (600, 300, 1)]
+
+
+def test_partitioned_matches_full_series():
+    # rows summed outward from their peak equal every summand summed, bit for bit
+    for n, m, m1 in _partitioned_grid():
+        for truncate in (True, False):
+            got = expected_matching_partitioned(n, m, m1 / m, truncate=truncate)
+            want = oracles.partitioned_series_full(n, m1, m - m1, truncate=truncate)
+            assert (got.mu, got.terms, got.truncated_at) == want, (n, m, m1, truncate)
+
+
+@pytest.mark.parametrize("n, m1, m2", [(30, 4, 26), (200, 120, 280), (400, 120, 280), (300, 150, 150)])
+def test_partitioned_rows_are_log_concave(n, m1, m2):
+    # the peak walk of expected_matching_partitioned relies on this: every
+    # row's log-summands have non-positive second differences, up to rounding
+    for s in range(n + 1):
+        row = oracles.partitioned_row_logs(n, m1, m2, s)
+        # a full bank (summand 0, log -inf) can only sit at either end of a row
+        while row and row[0] == float("-inf"):
+            row.pop(0)
+        while row and row[-1] == float("-inf"):
+            row.pop()
+        assert float("-inf") not in row, (n, m1, m2, s)
+        for a, b, c in zip(row, row[1:], row[2:]):
+            assert a - 2 * b + c <= 8 * math.ulp(max(abs(a), abs(b), abs(c))), (n, m1, m2, s)
+
+
 # ---------------------------------------------------------------------------
 # d >= 2 upper bound
 

@@ -24,11 +24,9 @@ from .cuckoo import CuckooTable, DuplicateKeyError, LoadStats, LookupResult, new
 from .exact import (
     ExactResult,
     ModelParams,
-    ShapeD2,
-    ShapeGeneralD,
-    ShapePartitioned,
     concentration_tail_bound,
     connect_probability,
+    connect_probability_partitioned,
     expected_matching_d2,
     expected_matching_mixed_det,
     expected_matching_mixed_rand,
@@ -79,9 +77,6 @@ __all__ = [
     "LookupResult",
     "ModelParams",
     "RngSeed",
-    "ShapeD2",
-    "ShapeGeneralD",
-    "ShapePartitioned",
     "SimStats",
     "SplitMix64",
     "TraceReport",
@@ -91,6 +86,7 @@ __all__ = [
     "concentration_experiment",
     "concentration_tail_bound",
     "connect_probability",
+    "connect_probability_partitioned",
     "disambiguate_duplicates",
     "estimate_mu",
     "expected_matching_d2",

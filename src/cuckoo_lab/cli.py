@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .asymptotics import gamma_d2, gamma_mixed, gamma_mixed_rand, gamma_partitioned
-from .exact import ModelParams, evaluate, matching_upper_bound_d, stash_size_for_epsilon
+from .exact import ModelParams, evaluate, matching_upper_bound_d, require_integral, stash_size_for_epsilon
 from .simulate import RngSeed, concentration_experiment, estimate_mu
 from .trace import disambiguate_duplicates, read_keys, run_trace_experiment, synthetic_stream, KeyStream
 
@@ -253,10 +253,11 @@ def _model_flags(args: argparse.Namespace, *flags: str) -> dict:
 
 
 def _snap(args: argparse.Namespace) -> None:
-    """Apply --round: replace a or beta with the nearest representable value."""
-    if getattr(args, "model", None) == "mixed-det" and args.a is not None and args.n:
+    """Apply --round: replace a or beta with the nearest representable value.
+    A value outside its range is left as it is, for the model to reject."""
+    if args.model == "mixed-det" and args.a is not None and args.n and 1.0 <= args.a <= 2.0:
         args.a = round(args.a * args.n) / args.n
-    if getattr(args, "model", None) == "partitioned" and args.beta is not None and args.m:
+    if args.model == "partitioned" and args.beta is not None and args.m and 0.0 <= args.beta <= 1.0:
         args.beta = round(args.beta * args.m) / args.m
 
 
@@ -266,7 +267,7 @@ def _snap(args: argparse.Namespace) -> None:
 
 def _handle_exact(args: argparse.Namespace) -> tuple[dict, dict]:
     _require(args, "n", "m")
-    if getattr(args, "round", False):
+    if args.round:
         _snap(args)
     model = args.model
     params: dict = {"model": model, "n": args.n, "m": args.m, **_model_flags(args, "a", "p", "beta", "d")}
@@ -373,9 +374,12 @@ def _handle_trace(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.beta is not None:
         if args.d != 2:
             raise UsageError("--beta requires d = 2")
-        boundary = round(args.beta * args.m)
-        if abs(boundary - args.beta * args.m) > 1e-9 * max(1, args.m):
-            raise UsageError(f"beta*m = {args.beta * args.m} is not an integer")
+        if not 0.0 <= args.beta <= 1.0:
+            raise UsageError("beta must be in [0, 1]")
+        try:
+            boundary = require_integral(args.beta * args.m, "beta*m")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if not 0 < boundary < args.m:
             raise UsageError("beta must leave both banks non-empty")
     report = run_trace_experiment(stream, args.m, args.d, args.repeats, args.seed, boundary)
@@ -477,9 +481,11 @@ def run(argv: Sequence[str]) -> int:
             name, values = _parse_sweep(args.sweep, args.subcommand)
             caster = _SWEEPABLE[args.subcommand][name]
             for value in values:
-                setattr(args, name, caster(round(value)) if caster is int else value)
-                parameters, results = handler(args)
-                records.append(_make_record(args, parameters, results))
+                # each point gets its own copy: handlers may rewrite it (--round)
+                point = argparse.Namespace(**vars(args))
+                setattr(point, name, caster(round(value)) if caster is int else value)
+                parameters, results = handler(point)
+                records.append(_make_record(point, parameters, results))
         else:
             parameters, results = handler(args)
             records.append(_make_record(args, parameters, results))

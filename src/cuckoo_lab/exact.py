@@ -17,15 +17,16 @@ Those component counts are built from closed-form labeled-tree counts and
 evaluated summand-by-summand in the log domain (factorials as log-gamma
 differences), then accumulated with exact compensated summation, because
 adjacent summands can differ by hundreds of orders of magnitude when n and
-m reach 1e5.
+m reach 1e5.  Each model yields its series one component size s at a time,
+and one loop, :func:`_series`, sums all five and applies the one stopping
+rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from math import exp, fsum, lgamma, log, log1p, sqrt
-from typing import Optional, Union
+from typing import Iterator, Optional
 
 _NEG_INF = float("-inf")
 
@@ -209,77 +210,33 @@ def husimi_count(s: int, d: int) -> float:
     return lgamma(q + 1) - s * lgamma(d) + (s - 2) * log(q)
 
 
-@dataclass(frozen=True)
-class ShapeD2:
-    """Component with s degree-2 left vertices and s+1 right vertices."""
-
-    s: int
-
-
-@dataclass(frozen=True)
-class ShapePartitioned:
-    """Two-bank component with i up bins, j down bins, i+j-1 left vertices."""
-
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class ShapeGeneralD:
-    """Component with s degree-d left vertices and (d-1)*s+1 right vertices."""
-
-    s: int
-    d: int
-
-
-Shape = Union[ShapeD2, ShapePartitioned, ShapeGeneralD]
-
-
-def _log_connect_probability_d2(s: int) -> float:
-    # 2^s T_s / (s+1)^(2s): ordered choice pairs that connect the shape
-    return s * log(2) + tree_count_d2(s) - 2 * s * log(s + 1) if s > 0 else 0.0
-
-
-def _log_connect_probability_partitioned(i: int, j: int) -> float:
-    if (i, j) in ((1, 0), (0, 1)):
-        return 0.0
-    lt = tree_count_partitioned(i, j)
-    if lt == _NEG_INF:
-        return _NEG_INF
-    return lt - (i + j - 1) * (log(i) + log(j))
-
-
-def _log_connect_probability_general(s: int, d: int) -> float:
-    if d == 2:
-        return _log_connect_probability_d2(s)
+def _log_connect(s: int, d: int) -> float:
+    """ln of the probability that the d uniform choices of s elements,
+    confined to the (d-1)s + 1 bins of a component, connect it."""
     if s == 0:
         return 0.0
+    if d == 2:
+        # 2^s T_s / (s+1)^(2s): ordered choice pairs that connect the shape
+        return s * log(2) + tree_count_d2(s) - 2 * s * log(s + 1)
     q = (d - 1) * s + 1
     return s * lgamma(d + 1) + husimi_count(s, d) - d * s * log(q)
 
 
-def connect_probability(shape: Shape) -> float:
-    """Probability that uniformly random choices confined to a component
-    shape actually connect it."""
-    if isinstance(shape, ShapeD2):
-        if shape.s < 0:
-            raise ValueError("s must be >= 0")
-        lp = _log_connect_probability_d2(shape.s)
-    elif isinstance(shape, ShapePartitioned):
-        if shape.i < 0 or shape.j < 0:
-            raise ValueError("bank sizes must be >= 0")
-        if shape.i == 0 and shape.j == 0:
-            raise ValueError("at least one bank vertex required")
-        lp = _log_connect_probability_partitioned(shape.i, shape.j)
-    elif isinstance(shape, ShapeGeneralD):
-        if shape.s < 0 or shape.d < 2:
-            raise ValueError("need s >= 0 and d >= 2")
-        lp = _log_connect_probability_general(shape.s, shape.d)
-    else:
-        raise TypeError(f"not a component shape: {shape!r}")
-    if lp == _NEG_INF:
-        return 0.0
-    return min(1.0, exp(lp))
+def connect_probability(s: int, d: int) -> float:
+    """Probability that the d uniform choices of s elements, confined to
+    the (d-1)s + 1 bins of a component, actually connect it."""
+    if s < 0 or d < 2:
+        raise ValueError("need s >= 0 and d >= 2")
+    return min(1.0, exp(_log_connect(s, d)))
+
+
+def connect_probability_partitioned(i: int, j: int) -> float:
+    """Probability that the up and down choices of i + j - 1 elements,
+    confined to i up bins and j down bins, actually connect them."""
+    lt = tree_count_partitioned(i, j)  # also rejects bad bank sizes
+    if i == 0 or j == 0:  # a single bin connects; an empty bank never does
+        return exp(lt)
+    return min(1.0, exp(lt - (i + j - 1) * (log(i) + log(j))))
 
 
 # ---------------------------------------------------------------------------
@@ -301,50 +258,34 @@ def _log_pow1m(x: float, exponent: float) -> float:
     return exponent * log1p(-x)
 
 
-class _Truncator:
-    """Implements the consecutive-tiny-summand stopping rule."""
+def _series(n: int, m: int, rows: Iterator[float], truncate: bool) -> ExactResult:
+    """m minus the sum of ``rows``, the expected number of bins stranded by
+    the tree components with s = 0, 1, ... elements, clamped to
+    [0, min(n, m)].
 
-    __slots__ = ("running", "tiny_run", "stopped_at")
-
-    def __init__(self) -> None:
-        self.running = 0.0
-        self.tiny_run = 0
-        self.stopped_at: Optional[int] = None
-
-    def feed(self, index: int, term: float) -> bool:
-        """Account for one summand; True means stop summing."""
-        self.running += term
-        if term < TRUNCATION_EPS * self.running:
-            self.tiny_run += 1
-            if self.tiny_run >= TRUNCATION_RUN:
-                self.stopped_at = index
-                return True
-        else:
-            self.tiny_run = 0
-        return False
-
-
-def _clamp_mu(raw: float, n: int, m: int) -> float:
-    return min(max(raw, 0.0), float(min(n, m)))
-
-
-def _result(n: int, m: int, terms: list[float], truncated_at: Optional[int]) -> ExactResult:
-    mu = _clamp_mu(m - fsum(terms), n, m)
-    return ExactResult(
-        mu=mu,
-        stash_expected=n - mu,
-        terms=tuple(terms),
-        truncated_at=truncated_at,
-    )
+    With ``truncate`` the sum stops once TRUNCATION_RUN consecutive rows
+    fall below TRUNCATION_EPS times the running total.
+    """
+    terms: list[float] = []
+    running, tiny_run, truncated_at = 0.0, 0, None
+    for s, term in enumerate(rows):
+        terms.append(term)
+        if truncate:
+            running += term
+            if term >= TRUNCATION_EPS * running:
+                tiny_run = 0
+            elif (tiny_run := tiny_run + 1) >= TRUNCATION_RUN:
+                truncated_at = s
+                break
+    mu = min(max(m - fsum(terms), 0.0), float(min(n, m)))
+    return ExactResult(mu=mu, stash_expected=n - mu, terms=tuple(terms), truncated_at=truncated_at)
 
 
 # ---------------------------------------------------------------------------
 # the exact expectations
 
 
-def _deficit_series(
-    n: int, m: int, d: int, pool: int, p: float, truncate: bool
-) -> tuple[list[float], Optional[int]]:
+def _deficit_rows(n: int, m: int, d: int, pool: int, p: float) -> Iterator[float]:
     """Expected number of bins stranded by the tree components with s
     d-choice elements and q = (d-1)s + 1 bins, for s = 0, 1, ...
 
@@ -362,14 +303,11 @@ def _deficit_series(
     second form is the binomial average of the first over the two-choice
     count, summed in closed form by C(n,k) C(k,s) = C(n,s) C(n-s,k-s).
     """
-    connect = _log_connect_probability_d2 if d == 2 else partial(_log_connect_probability_general, d=d)
     fixed = p == 1.0
     log_p = log(p) if p > 0.0 else 0.0  # the pool is empty when p = 0
     # the s-independent halves of log C(pool, s) and log C(m, q)
     lg_pool = lgamma(pool + 1)
     lg_m = lgamma(m + 1)
-    terms: list[float] = []
-    trunc = _Truncator()
     for s in range(min(pool, (m - 1) // (d - 1)) + 1):
         q = (d - 1) * s + 1
         x = q / m
@@ -384,13 +322,9 @@ def _deficit_series(
             + (lg_m - lgamma(q + 1) - lgamma(m - q + 1))
             + log_avoid
             + d * s * log(x)
-            + connect(s)
+            + _log_connect(s, d)
         )
-        term = exp(lt) if lt != _NEG_INF else 0.0
-        terms.append(term)
-        if truncate and trunc.feed(s, term):
-            break
-    return terms, trunc.stopped_at
+        yield exp(lt) if lt != _NEG_INF else 0.0
 
 
 def expected_matching_d2(n: int, m: int, *, truncate: bool = True) -> ExactResult:
@@ -402,7 +336,7 @@ def expected_matching_d2(n: int, m: int, *, truncate: bool = True) -> ExactResul
     times the connection probability 2^s s! / (s+1)^(s+1).
     """
     ModelParams.fixed2(n, m)
-    return _result(n, m, *_deficit_series(n, m, 2, n, 1.0, truncate))
+    return _series(n, m, _deficit_rows(n, m, 2, n, 1.0), truncate)
 
 
 def expected_matching_mixed_det(n: int, m: int, a: float, *, truncate: bool = True) -> ExactResult:
@@ -411,7 +345,7 @@ def expected_matching_mixed_det(n: int, m: int, a: float, *, truncate: bool = Tr
     :func:`expected_matching_d2`, a = 1 to m - m(1-1/m)^n.
     """
     params = ModelParams.mixed_det(n, m, a)
-    return _result(n, m, *_deficit_series(n, m, 2, params.two_choice_count, 1.0, truncate))
+    return _series(n, m, _deficit_rows(n, m, 2, params.two_choice_count, 1.0), truncate)
 
 
 def expected_matching_mixed_rand(n: int, m: int, p: float, *, truncate: bool = True) -> ExactResult:
@@ -421,7 +355,7 @@ def expected_matching_mixed_rand(n: int, m: int, p: float, *, truncate: bool = T
     """
     ModelParams.mixed_rand(n, m, p)
     pool = n if p > 0.0 else 0
-    return _result(n, m, *_deficit_series(n, m, 2, pool, p, truncate))
+    return _series(n, m, _deficit_rows(n, m, 2, pool, p), truncate)
 
 
 def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool = True) -> ExactResult:
@@ -441,19 +375,22 @@ def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool
     m2 = m - m1
     if m1 < 1 or m2 < 1:
         raise ValueError("both banks must be non-empty")
+    return _series(n, m, _partitioned_rows(n, m1, m2), truncate)
 
-    # Summand (i, j) of row s, j = s + 1 - i, is
+
+def _partitioned_rows(n: int, m1: int, m2: int) -> Iterator[float]:
+    """Expected number of bins stranded by the two-bank tree components
+    with s elements, for s = 0, 1, ..., n: the sum of row s over the
+    shapes with i up bins and j = s + 1 - i down bins."""
+    # Summand (i, j) of row s is
     #   C(n,s) C(m1,i) C(m2,j) (1-i/m1)^(n-s) (1-j/m2)^(n-s) (i/m1)^s (j/m2)^s conn(i,j).
     # Its log adds table entries with the operations, in the order, of
     # evaluating each factor from scratch (log_binomial, then
     # (n-s) log1p(-i/m1), s log(i/m1), and the log of conn as in
-    # _log_connect_probability_partitioned), so every summand is the same
+    # connect_probability_partitioned), so every summand is the same
     # double.  A log 0 entry set to 0 only meets a zero exponent (0^0 = 1).
     choose1, out1, in1, choose2, out2, in2 = [], [], [], [], [], []  # see _grow_bank
     log_k = [0.0, 0.0]  # log 0 set to 0, and log 1
-
-    terms: list[float] = []
-    trunc = _Truncator()
     peak = 0
     for s in range(n + 1):
         if s == 0:  # the single bins, shapes (0, 1) and (1, 0)
@@ -461,32 +398,29 @@ def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool
         else:  # a shape with s >= 1 elements needs a bin in each bank
             lo, hi = max(1, s + 1 - m2), min(s, m1)
         if lo > hi:  # s >= m: no shape has s + 1 bins
-            row: list[float] = []
-        else:  # the row reads entries up to max(s, 1)
-            _grow_bank(m1, choose1, out1, in1, max(s, 1))
-            _grow_bank(m2, choose2, out2, in2, max(s, 1))
-            log_k.extend(log(k) for k in range(len(log_k), s + 1))
-            a = n - s
-            if not a:  # s = n, the last row: 0^0 = 1
-                out1, out2 = [0.0] * len(out1), [0.0] * len(out2)
-            le = log_binomial(n, s)
-            lg = lgamma(s + 1)
+            yield 0.0
+            continue
+        # the row reads entries up to max(s, 1)
+        _grow_bank(m1, choose1, out1, in1, max(s, 1))
+        _grow_bank(m2, choose2, out2, in2, max(s, 1))
+        log_k.extend(log(k) for k in range(len(log_k), s + 1))
+        a = n - s
+        if not a:  # s = n, the last row: 0^0 = 1
+            out1, out2 = [0.0] * len(out1), [0.0] * len(out2)
+        le = log_binomial(n, s)
+        lg = lgamma(s + 1)
 
-            def log_term(i: int) -> float:
-                j = s + 1 - i
-                li = log_k[i]
-                lj = log_k[j]
-                return (
-                    le + choose1[i] + choose2[j] + a * out1[i] + a * out2[j] + s * in1[i] + s * in2[j]
-                    + ((j - 1) * li + (i - 1) * lj + lg - s * (li + lj))
-                )
+        def log_term(i: int) -> float:
+            j = s + 1 - i
+            li = log_k[i]
+            lj = log_k[j]
+            return (
+                le + choose1[i] + choose2[j] + a * out1[i] + a * out2[j] + s * in1[i] + s * in2[j]
+                + ((j - 1) * li + (i - 1) * lj + lg - s * (li + lj))
+            )
 
-            row, peak = _sum_from_peak(log_term, lo, hi, min(max(peak, lo), hi))
-        term = fsum(row)
-        terms.append(term)
-        if truncate and trunc.feed(s, term):
-            break
-    return _result(n, m, terms, trunc.stopped_at)
+        row, peak = _sum_from_peak(log_term, lo, hi, min(max(peak, lo), hi))
+        yield fsum(row)
 
 
 # A row of the two-bank series is cut on each side after this many
@@ -551,8 +485,7 @@ def matching_upper_bound_d(n: int, m: int, d: int, *, truncate: bool = True) -> 
     :func:`expected_matching_d2` exactly.
     """
     ModelParams.fixed_d(n, m, d)
-    terms, _ = _deficit_series(n, m, d, n, 1.0, truncate)
-    return _clamp_mu(m - fsum(terms), n, m)
+    return _series(n, m, _deficit_rows(n, m, d, n, 1.0), truncate).mu
 
 
 def evaluate(params: ModelParams, *, truncate: bool = True) -> ExactResult:
@@ -592,7 +525,8 @@ def stash_size_for_epsilon(n: int, m: int, epsilon: float) -> float:
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be in (0, 1]")
     result = expected_matching_d2(n, m)
-    return result.stash_expected + sqrt(2.0 * n * log(1.0 / epsilon))
+    # -log(epsilon) stays finite where 1/epsilon overflows (subnormal epsilon)
+    return result.stash_expected + sqrt(2.0 * n * -log(epsilon))
 
 
 def concentration_tail_bound(lam: float, *, one_sided: bool = False) -> float:

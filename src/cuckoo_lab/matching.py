@@ -18,15 +18,12 @@ class BipartiteGraph:
     """A bipartite multigraph given by per-left-vertex choice lists.
 
     ``choices[u]`` holds the right-vertex indices chosen by left vertex
-    ``u``; repeats are allowed and represent parallel edges.  When
-    ``partition_boundary`` is set, right vertices ``[0, k)`` form the "up"
-    bank and ``[k, m)`` the "down" bank.
+    ``u``; repeats are allowed and represent parallel edges.
     """
 
     n: int
     m: int
     choices: tuple[tuple[int, ...], ...]
-    partition_boundary: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.m < 0:
@@ -38,9 +35,6 @@ class BipartiteGraph:
             for c in row:
                 if not 0 <= c < m:
                     raise ValueError(f"choice {c} outside [0, {m})")
-        k = self.partition_boundary
-        if k is not None and not 0 <= k <= m:
-            raise ValueError("partition boundary outside [0, m]")
 
     def max_left_degree(self) -> int:
         return max((len(row) for row in self.choices), default=0)

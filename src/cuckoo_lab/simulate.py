@@ -101,7 +101,6 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
     """
     n, m = params.n, params.m
     variant = params.variant
-    boundary: Optional[int] = None
 
     if variant == "d2":
         choices = tuple((rng.below(m), rng.below(m)) for _ in range(n))
@@ -130,7 +129,6 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
         if n > 0 and (m1 < 1 or m2 < 1):
             raise ValueError("partitioned sampling needs both banks non-empty")
         choices = tuple((rng.below(m1), m1 + rng.below(m2)) for _ in range(n))
-        boundary = m1
     elif variant == "fixed-d":
         assert params.d is not None
         d = params.d
@@ -138,7 +136,7 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    return BipartiteGraph(n=n, m=m, choices=choices, partition_boundary=boundary)
+    return BipartiteGraph(n=n, m=m, choices=choices)
 
 
 @dataclass(frozen=True)

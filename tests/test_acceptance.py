@@ -111,7 +111,6 @@ def _induced_graph(table) -> BipartiteGraph:
         n=len(keys),
         m=table.m,
         choices=tuple(table.bin_choices(k) for k in keys),
-        partition_boundary=table.partition_boundary,
     )
 
 

@@ -1,16 +1,18 @@
 """CLI surface: grammar, output formats, exit codes, determinism."""
 
+import collections
 import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 
-from cuckoo_lab import __version__
+from cuckoo_lab import __version__, exact
 from cuckoo_lab.asymptotics import gamma_d2
 from cuckoo_lab.cli import _json_value, run
-from cuckoo_lab.exact import expected_matching_d2, expected_matching_mixed_det
+from cuckoo_lab.exact import expected_matching_d2, expected_matching_mixed_det, stash_size_for_epsilon
 from cuckoo_lab.simulate import RngSeed, estimate_mu
 from cuckoo_lab.exact import ModelParams
 
@@ -187,6 +189,85 @@ def test_round_flag_snaps_beta(capsys):
     assert _json(out)["parameters"]["beta"] == pytest.approx(0.3)
 
 
+def test_round_sweep_rows_match_standalone_runs(capsys):
+    # each grid point snaps a from the flag's value, not from the last point's
+    flags = ("exact", "--m", "1000", "--model", "mixed-det", "--a", "1.5", "--round")
+    code, out, err = _run(capsys, *flags, "--sweep", "n=101:104:1")
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["n"] for r in rows] == ["101", "102", "103", "104"]
+    for row in rows:
+        code, out, err = _run(capsys, *flags, "--n", row["n"], "--format", "csv")
+        assert code == 0, err
+        assert list(csv.DictReader(io.StringIO(out))) == [row]
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (0, 3)])
+def test_stash_size_at_subnormal_epsilon(capsys, n, m):
+    # ln(1/epsilon) overflows at a subnormal epsilon, -ln(epsilon) does not
+    code, out, err = _run(capsys, "stash-size", "--n", str(n), "--m", str(m), "--epsilon", "5e-324")
+    assert code == 0, err
+    results = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert results["stash_real"] == stash_size_for_epsilon(n, m, 5e-324)
+    assert results["stash_slots"] == math.ceil(results["stash_real"])
+
+
+def test_trace_rejects_fractional_bank(capsys):
+    code, _, err = _run(
+        capsys, "trace", "--synthetic", "1", "--m", "50", "--repeats", "1", "--beta", "0.25"
+    )
+    assert code == 2
+    assert "beta*m = 12.5 is not an integer" in err
+
+
+# the exact entry points a tracer wraps by name, and the commands that
+# must reach each exactly once through a module attribute
+_TRACED_EXACT = (
+    "expected_matching_d2",
+    "expected_matching_mixed_det",
+    "expected_matching_mixed_rand",
+    "expected_matching_partitioned",
+    "matching_upper_bound_d",
+    "stash_size_for_epsilon",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("exact", "--model", "d2"), {"expected_matching_d2": 1}),
+        (("exact", "--model", "mixed-det", "--a", "1.5"), {"expected_matching_mixed_det": 1}),
+        (("exact", "--model", "mixed-rand", "--p", "0.3"), {"expected_matching_mixed_rand": 1}),
+        (("exact", "--model", "partitioned", "--beta", "0.5"), {"expected_matching_partitioned": 1}),
+        (("exact", "--model", "bound-d", "--d", "3"), {"matching_upper_bound_d": 1}),
+        (("stash-size", "--epsilon", "1e-6"),
+         {"stash_size_for_epsilon": 1, "expected_matching_d2": 1}),
+    ],
+)
+def test_cli_reaches_traced_exact_functions(capsys, monkeypatch, argv, expected):
+    # patch every cuckoo_lab module attribute bound to each function, the
+    # way a tracer that wraps them by name does
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _TRACED_EXACT:
+        original = getattr(exact, name)
+        wrapper = counted(name, original)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name == "cuckoo_lab" or mod_name.startswith("cuckoo_lab."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    code, _, err = _run(capsys, *argv, "--n", "40", "--m", "50")
+    assert code == 0, err
+    assert calls == expected
+
+
 def test_argument_errors_exit_2(capsys):
     cases = [
         ("exact", "--n", "2", "--m", "2", "--model", "mixed-det"),  # missing --a
@@ -210,6 +291,10 @@ def test_argument_errors_exit_2(capsys):
         ("simulate", "--n", "10", "--m", "10", "--model", "partitioned", "--beta", "1",
          "--trials", "2"),
         ("simulate", "--n", "10", "--m", "10", "--model", "d2", "--trials", "0"),
+        # beta*m or a*n beyond the float range: out of range, never rounded
+        ("trace", "--synthetic", "1", "--m", "50", "--repeats", "1", "--beta", "1e308"),
+        ("exact", "--model", "partitioned", "--n", "50", "--m", "2", "--beta", "1e308", "--round"),
+        ("exact", "--model", "mixed-det", "--n", "50", "--m", "2", "--a", "1e308", "--round"),
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv)

@@ -9,11 +9,9 @@ from hypothesis import given, strategies as st
 from cuckoo_lab.exact import (
     ExactResult,
     ModelParams,
-    ShapeD2,
-    ShapeGeneralD,
-    ShapePartitioned,
     concentration_tail_bound,
     connect_probability,
+    connect_probability_partitioned,
     evaluate,
     expected_matching_d2,
     expected_matching_mixed_det,
@@ -113,29 +111,30 @@ def test_husimi_count_validation():
 
 
 def test_connect_probability_examples():
-    assert connect_probability(ShapeD2(1)) == pytest.approx(0.5, abs=1e-15)
-    assert connect_probability(ShapeD2(0)) == 1.0
-    assert connect_probability(ShapeGeneralD(1, 2)) == connect_probability(ShapeD2(1))
-    assert connect_probability(ShapePartitioned(1, 0)) == 1.0
-    assert connect_probability(ShapePartitioned(0, 2)) == 0.0
+    assert connect_probability(1, 2) == pytest.approx(0.5, abs=1e-15)
+    assert connect_probability(0, 2) == 1.0
+    assert connect_probability(0, 5) == 1.0
+    assert connect_probability(1, 3) == pytest.approx(2 / 9, rel=1e-15)  # 3 distinct of 3 bins
+    assert connect_probability_partitioned(1, 0) == 1.0
+    assert connect_probability_partitioned(0, 2) == 0.0
 
 
 def test_connect_probability_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        connect_probability(ShapeD2(-1))
+        connect_probability(-1, 2)
     with pytest.raises(ValueError):
-        connect_probability(ShapePartitioned(-1, 2))
+        connect_probability_partitioned(-1, 2)
     with pytest.raises(ValueError):
-        connect_probability(ShapeGeneralD(1, 1))
-    with pytest.raises(TypeError):
-        connect_probability("not-a-shape")
+        connect_probability_partitioned(0, 0)
+    with pytest.raises(ValueError):
+        connect_probability(1, 1)
 
 
 def test_connect_probability_d2_matches_ordered_enumeration():
     # counts all (s+1)^(2s) ordered choice assignments, repeats included
     for s in range(5):
         connected, total = oracles.count_connected_ordered_d2(s)
-        assert connect_probability(ShapeD2(s)) == pytest.approx(connected / total, rel=1e-12)
+        assert connect_probability(s, 2) == pytest.approx(connected / total, rel=1e-12)
 
 
 def test_connect_probability_partitioned_matches_enumeration():
@@ -146,7 +145,7 @@ def test_connect_probability_partitioned_matches_enumeration():
             s = i + j - 1
             total = (i * j) ** s if s > 0 else 1
             expected = oracles.count_connected_partitioned(i, j) / total if total else 0.0
-            assert connect_probability(ShapePartitioned(i, j)) == pytest.approx(expected, abs=1e-12)
+            assert connect_probability_partitioned(i, j) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from cuckoo_lab.simulate import RngSeed, gen_graph
 import oracles
 
 
-def _graph(n, m, choices, boundary=None):
-    return BipartiteGraph(n=n, m=m, choices=tuple(tuple(c) for c in choices), partition_boundary=boundary)
+def _graph(n, m, choices):
+    return BipartiteGraph(n=n, m=m, choices=tuple(tuple(c) for c in choices))
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +71,6 @@ def test_graph_validation():
         _graph(1, 2, [[2]])
     with pytest.raises(ValueError):
         _graph(2, 2, [[0]])
-    with pytest.raises(ValueError):
-        BipartiteGraph(n=1, m=2, choices=((0,),), partition_boundary=5)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,6 @@ def test_gen_graph_mixed_det_split():
 def test_gen_graph_partitioned_banks():
     params = ModelParams.partitioned(500, 100, 0.5)
     g = gen_graph(params, RngSeed(3).derive(0))
-    assert g.partition_boundary == 50
     for up, down in g.choices:
         assert 0 <= up < 50 <= down < 100
 

@@ -11,37 +11,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
 from .asymptotics import gamma_d2, gamma_mixed, gamma_mixed_rand, gamma_partitioned
 from .exact import ModelParams, evaluate, matching_upper_bound_d, require_integral, stash_size_for_epsilon
 from .simulate import RngSeed, concentration_experiment, estimate_mu
-from .trace import disambiguate_duplicates, read_keys, run_trace_experiment, synthetic_stream, KeyStream
-
-
-class UsageError(Exception):
-    """Bad or inconsistent command-line arguments (exit code 2)."""
-
-
-@dataclass
-class OutputRecord:
-    command: str
-    parameters: dict
-    results: dict
-    metadata: dict
-
-    def flat_items(self) -> list[tuple[str, object]]:
-        items: list[tuple[str, object]] = [("command", self.command)]
-        items.extend(self.parameters.items())
-        items.extend(self.results.items())
-        items.extend(self.metadata.items())
-        return items
+from .trace import KeyStream, disambiguate_duplicates, read_keys, run_trace_experiment, synthetic_stream
 
 
 def _num_repr(value: float) -> str:
@@ -69,17 +50,6 @@ def _json_value(value: object) -> str:
     raise TypeError(f"cannot serialize {value!r}")
 
 
-def _record_json(record: OutputRecord) -> str:
-    return _json_value(
-        {
-            "command": record.command,
-            "parameters": record.parameters,
-            "results": record.results,
-            "metadata": record.metadata,
-        }
-    )
-
-
 def _csv_cell(value: object) -> str:
     if value is None:
         return ""
@@ -90,43 +60,26 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
-def _records_csv(records: list[OutputRecord]) -> str:
+def _render(records: list[dict], fmt: str) -> str:
+    """The records as one JSON value, or as CSV with one column per field."""
+    if fmt == "json":
+        if len(records) == 1:
+            return _json_value(records[0]) + "\n"
+        return "[" + ",\n ".join(_json_value(r) for r in records) + "]\n"
+    rows = [{"command": r["command"], **r["parameters"], **r["results"], **r["metadata"]} for r in records]
+    header = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = [k for k, _ in records[0].flat_items()]
     writer.writerow(header)
-    for rec in records:
-        items = rec.flat_items()
-        if [k for k, _ in items] != header:
+    for row in rows:
+        if list(row) != header:
             raise RuntimeError("inconsistent sweep columns")
-        writer.writerow([_csv_cell(v) for _, v in items])
+        writer.writerow([_csv_cell(v) for v in row.values()])
     return buf.getvalue()
 
 
-def _emit(records: list[OutputRecord], fmt: str, out) -> None:
-    if fmt == "csv":
-        out.write(_records_csv(records))
-    elif len(records) == 1:
-        out.write(_record_json(records[0]) + "\n")
-    else:
-        out.write("[" + ",\n ".join(_record_json(r) for r in records) + "]\n")
-
-
 # ---------------------------------------------------------------------------
-# argument plumbing
-
-
-_SWEEPABLE: dict[str, dict[str, type]] = {
-    "exact": {"n": int, "m": int, "a": float, "p": float, "beta": float, "d": int},
-    "asymptotic": {"alpha": float, "a": float, "p": float, "beta": float},
-    "simulate": {"n": int, "m": int, "a": float, "p": float, "beta": float, "d": int, "trials": int},
-    "stash-size": {"n": int, "m": int, "epsilon": float},
-    "trace": {"m": int, "d": int, "repeats": int, "synthetic": int},
-    "concentration": {"n": int, "m": int, "lam": float, "trials": int},
-}
-
-# CLI flag spelling for sweep parameters whose dest differs
-_SWEEP_ALIASES = {"lambda": "lam"}
+# flags
 
 
 def _finite_float(text: str) -> float:
@@ -140,92 +93,31 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cuckoo-lab",
-        description="Expected cuckoo hash-table utilization and stash sizing, "
-        "exact, asymptotic, simulated, and trace-driven.",
-    )
-    parser.add_argument("--version", action="version", version=f"cuckoo-lab {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# Each subcommand's numeric flags and their types.  This one table builds
+# both the parser's numeric flags and the --sweep grid, so every numeric
+# flag can be swept.
+_NUMERIC: dict[str, dict[str, type]] = {
+    "exact": {"n": int, "m": int, "a": _finite_float, "p": _finite_float, "beta": _finite_float, "d": int},
+    "asymptotic": {"alpha": _finite_float, "a": _finite_float, "p": _finite_float, "beta": _finite_float},
+    "simulate": {
+        "n": int, "m": int, "a": _finite_float, "p": _finite_float, "beta": _finite_float, "d": int,
+        "trials": int, "seed": int,
+    },
+    "stash-size": {"n": int, "m": int, "epsilon": _finite_float},
+    "trace": {"synthetic": int, "m": int, "d": int, "repeats": int, "seed": int, "beta": _finite_float},
+    "concentration": {"n": int, "m": int, "lambda": _finite_float, "trials": int, "seed": int},
+}
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument(
-            "--sweep",
-            metavar="PARAM=START:STOP:STEP",
-            default=None,
-            help="repeat the command over a numeric grid, one output row per point",
-        )
-
-    p = sub.add_parser("exact", help="exact expected matching size / stash for finite n, m")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--model", required=True, choices=("d2", "mixed-det", "mixed-rand", "partitioned", "bound-d"))
-    p.add_argument("--a", type=_finite_float)
-    p.add_argument("--p", type=_finite_float)
-    p.add_argument("--beta", type=_finite_float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--round", action="store_true", help="snap a*n or beta*m to the nearest integer")
-    add_common(p)
-
-    p = sub.add_parser("asymptotic", help="limit matching fraction gamma at fixed load")
-    p.add_argument("--alpha", type=_finite_float)
-    p.add_argument("--model", required=True, choices=("d2", "mixed", "mixed-rand", "partitioned"))
-    p.add_argument("--a", type=_finite_float)
-    p.add_argument("--p", type=_finite_float)
-    p.add_argument("--beta", type=_finite_float)
-    add_common(p)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo matching-size statistics")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--model", required=True, choices=("d2", "mixed-det", "mixed-rand", "partitioned", "fixed-d"))
-    p.add_argument("--a", type=_finite_float)
-    p.add_argument("--p", type=_finite_float)
-    p.add_argument("--beta", type=_finite_float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-
-    p = sub.add_parser("stash-size", help="stash capacity for a target overflow probability")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--epsilon", type=_finite_float)
-    add_common(p)
-
-    p = sub.add_parser("trace", help="repeated table builds over a key stream")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", metavar="PATH")
-    src.add_argument("--synthetic", type=int, metavar="N")
-    p.add_argument("--input-format", choices=("hex-lines", "binary-u64-le"), default="hex-lines")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--repeats", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=_finite_float, help="partition the bins into banks beta*m / (1-beta)*m")
-    p.add_argument("--keep-duplicates", action="store_true")
-    add_common(p)
-
-    p = sub.add_parser("concentration", help="empirical deviation fraction vs. the tail bound")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--lambda", dest="lam", type=_finite_float)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--one-sided", action="store_true")
-    add_common(p)
-
-    return parser
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            flag = {"lam": "lambda"}.get(name, name)
-            raise UsageError(f"--{flag} is required here")
-
+# the numeric flags a subcommand cannot run without; checked once --sweep
+# has set its value, so a swept flag need not also be given
+_REQUIRED = {
+    "exact": ("n", "m"),
+    "asymptotic": ("alpha",),
+    "simulate": ("n", "m", "trials"),
+    "stash-size": ("n", "m", "epsilon"),
+    "trace": ("m", "repeats"),
+    "concentration": ("n", "m", "lambda", "trials"),
+}
 
 # the one model flag each model takes (None: it takes none)
 _MODEL_FLAG = {
@@ -239,16 +131,65 @@ _MODEL_FLAG = {
 }
 
 
-def _model_flags(args: argparse.Namespace, *flags: str) -> dict:
-    """Require the model's own flag and forbid the command's other model
-    ``flags``; returns the model's flag and its value, if it has one."""
-    model = args.model
-    own = _MODEL_FLAG[model]
-    if own is not None:
-        _require(args, own)
-    for name in flags:
-        if name != own and getattr(args, name) is not None:
-            raise UsageError(f"--{name} does not apply to model {model!r}")
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cuckoo-lab",
+        description="Expected cuckoo hash-table utilization and stash sizing, "
+        "exact, asymptotic, simulated, and trace-driven.",
+    )
+    parser.add_argument("--version", action="version", version=f"cuckoo-lab {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("exact", help="exact expected matching size / stash for finite n, m")
+    p.add_argument("--model", required=True, choices=("d2", "mixed-det", "mixed-rand", "partitioned", "bound-d"))
+    p.add_argument("--round", action="store_true", help="snap a*n or beta*m to the nearest integer")
+
+    p = sub.add_parser("asymptotic", help="limit matching fraction gamma at fixed load")
+    p.add_argument("--model", required=True, choices=("d2", "mixed", "mixed-rand", "partitioned"))
+
+    p = sub.add_parser("simulate", help="Monte-Carlo matching-size statistics")
+    p.add_argument("--model", required=True, choices=("d2", "mixed-det", "mixed-rand", "partitioned", "fixed-d"))
+    p.set_defaults(seed=0)
+
+    sub.add_parser("stash-size", help="stash capacity for a target overflow probability")
+
+    p = sub.add_parser("trace", help="repeated table builds over a key stream")
+    source = p.add_mutually_exclusive_group(required=True)  # --input or --synthetic
+    source.add_argument("--input", metavar="PATH")
+    p.add_argument("--input-format", choices=("hex-lines", "binary-u64-le"), default="hex-lines")
+    p.add_argument("--keep-duplicates", action="store_true")
+    p.set_defaults(d=2, seed=0)
+
+    p = sub.add_parser("concentration", help="empirical deviation fraction vs. the tail bound")
+    p.add_argument("--one-sided", action="store_true")
+    p.set_defaults(seed=0)
+
+    for command, flags in _NUMERIC.items():
+        p = sub.choices[command]
+        for name, kind in flags.items():
+            # trace's --synthetic is the alternative to --input
+            group = source if (command, name) == ("trace", "synthetic") else p
+            group.add_argument(f"--{name}", type=kind)
+        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument(
+            "--sweep",
+            metavar="PARAM=START:STOP:STEP",
+            default=None,
+            help="repeat the command over a numeric grid, one output row per point",
+        )
+    return parser
+
+
+def _model_flags(args: argparse.Namespace) -> dict:
+    """Require the model's own flag and refuse the subcommand's other model
+    flags; returns the model's flag and its value, if it has one."""
+    own = _MODEL_FLAG[args.model]
+    if own is not None and getattr(args, own) is None:
+        raise ValueError(f"--{own} is required here")
+    for name in _NUMERIC[args.subcommand]:
+        if name != own and name in _MODEL_FLAG.values() and getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply to model {args.model!r}")
     return {} if own is None else {own: getattr(args, own)}
 
 
@@ -262,38 +203,31 @@ def _snap(args: argparse.Namespace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (parameters, results)
+# subcommand handlers; each returns (parameters, results) and raises
+# ValueError on bad input
 
 
 def _handle_exact(args: argparse.Namespace) -> tuple[dict, dict]:
-    _require(args, "n", "m")
     if args.round:
         _snap(args)
-    model = args.model
-    params: dict = {"model": model, "n": args.n, "m": args.m, **_model_flags(args, "a", "p", "beta", "d")}
-    try:
-        if model == "bound-d":
-            mu, truncated_at = matching_upper_bound_d(args.n, args.m, args.d), None
-        else:
-            # the other exact model names are the ModelParams variants
-            res = evaluate(ModelParams(args.n, args.m, model, a=args.a, p=args.p, beta=args.beta))
-            mu, truncated_at = res.mu, res.truncated_at
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    flags = _model_flags(args)
+    if args.model == "bound-d":
+        mu, truncated_at = matching_upper_bound_d(args.n, args.m, args.d), None
+    else:
+        # the other exact model names are the ModelParams variants
+        res = evaluate(ModelParams(args.n, args.m, args.model, **flags))
+        mu, truncated_at = res.mu, res.truncated_at
     results = {
         "mu": mu,
         "stash_expected": args.n - mu,
         "mu_over_n": mu / args.n if args.n else 0.0,
         "truncated_at": truncated_at,
     }
-    return params, results
+    return {"model": args.model, "n": args.n, "m": args.m, **flags}, results
 
 
 def _handle_asymptotic(args: argparse.Namespace) -> tuple[dict, dict]:
-    _require(args, "alpha")
-    model = args.model
-    flags = _model_flags(args, "a", "p", "beta")
-    params: dict = {"model": model, "alpha": args.alpha, **flags}
+    flags = _model_flags(args)
     # built per call, so that a function swapped into this module's
     # namespace (a tracing wrapper, say) is the one called
     limit = {
@@ -301,33 +235,21 @@ def _handle_asymptotic(args: argparse.Namespace) -> tuple[dict, dict]:
         "mixed": gamma_mixed,
         "mixed-rand": gamma_mixed_rand,
         "partitioned": gamma_partitioned,
-    }[model]
-    try:
-        res = limit(args.alpha, *flags.values())
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    }[args.model]
+    res = limit(args.alpha, *flags.values())
     results: dict = {"gamma": res.gamma, "closed_form": res.closed_form_used}
-    if model == "partitioned":
+    if args.model == "partitioned":
         # null without a branch pair, or for a component beyond the float range
         t1, t2 = res.branch_data or (math.inf, math.inf)
         results["t1"] = t1 if math.isfinite(t1) else None
         results["t2"] = t2 if math.isfinite(t2) else None
-    return params, results
+    return {"model": args.model, "alpha": args.alpha, **flags}, results
 
 
 def _handle_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
-    _require(args, "n", "m", "trials")
-    flags = _model_flags(args, "a", "p", "beta", "d")
-    try:
-        # simulate's model names are the ModelParams variants
-        mp = ModelParams(args.n, args.m, args.model, a=args.a, p=args.p, beta=args.beta, d=args.d)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
-        stats = estimate_mu(mp, args.trials, RngSeed(args.seed))
-    except ValueError as exc:  # trials < 1, or a partition that leaves a bank empty
-        raise UsageError(str(exc)) from exc
-    params: dict = {"model": args.model, "n": args.n, "m": args.m, "trials": args.trials, **flags}
+    flags = _model_flags(args)
+    # simulate's model names are the ModelParams variants
+    stats = estimate_mu(ModelParams(args.n, args.m, args.model, **flags), args.trials, RngSeed(args.seed))
     results = {
         "mean": stats.mean,
         "std_dev": stats.std_dev,
@@ -336,61 +258,32 @@ def _handle_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
         "std_error": stats.std_error,
         "mean_over_n": stats.mean / args.n if args.n else 0.0,
     }
-    return params, results
+    return {"model": args.model, "n": args.n, "m": args.m, "trials": args.trials, **flags}, results
 
 
 def _handle_stash_size(args: argparse.Namespace) -> tuple[dict, dict]:
-    _require(args, "n", "m", "epsilon")
-    try:
-        real = stash_size_for_epsilon(args.n, args.m, args.epsilon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    params = {"n": args.n, "m": args.m, "epsilon": args.epsilon}
-    return params, {"stash_real": real, "stash_slots": math.ceil(real)}
+    real = stash_size_for_epsilon(args.n, args.m, args.epsilon)
+    return {"n": args.n, "m": args.m, "epsilon": args.epsilon}, {"stash_real": real, "stash_slots": math.ceil(real)}
 
 
 def _handle_trace(args: argparse.Namespace) -> tuple[dict, dict]:
-    if args.repeats < 1:
-        raise UsageError("--repeats must be >= 1")
-    if args.m < 1:
-        raise UsageError("--m must be >= 1")
-    if args.d < 2:
-        raise UsageError("--d must be >= 2")
     if args.synthetic is not None:
-        if args.synthetic < 0:
-            raise UsageError("--synthetic must be >= 0")
         stream = synthetic_stream(args.synthetic, args.seed)
         source = "synthetic"
     else:
         stream = read_keys(args.input, args.input_format, dedup=not args.keep_duplicates)
         if args.keep_duplicates:
-            stream = KeyStream(
-                keys=tuple(disambiguate_duplicates(list(stream.keys))),
-                source=stream.source,
-                dedup_applied=True,
-            )
+            stream = KeyStream(tuple(disambiguate_duplicates(stream.keys)), stream.source)
         source = args.input
+    params: dict = {"source": source, "m": args.m, "d": args.d, "repeats": args.repeats}
     boundary = None
     if args.beta is not None:
-        if args.d != 2:
-            raise UsageError("--beta requires d = 2")
+        # checked before beta*m is formed, which a huge beta overflows
         if not 0.0 <= args.beta <= 1.0:
-            raise UsageError("beta must be in [0, 1]")
-        try:
-            boundary = require_integral(args.beta * args.m, "beta*m")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        if not 0 < boundary < args.m:
-            raise UsageError("beta must leave both banks non-empty")
-    report = run_trace_experiment(stream, args.m, args.d, args.repeats, args.seed, boundary)
-    params: dict = {
-        "source": source,
-        "m": args.m,
-        "d": args.d,
-        "repeats": args.repeats,
-    }
-    if args.beta is not None:
+            raise ValueError("beta must be in [0, 1]")
+        boundary = require_integral(args.beta * args.m, "beta*m")
         params["beta"] = args.beta
+    report = run_trace_experiment(stream, args.m, args.d, args.repeats, args.seed, boundary)
     results = {
         "n": report.n,
         "overflow_mean": report.overflow_mean,
@@ -402,24 +295,11 @@ def _handle_trace(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _handle_concentration(args: argparse.Namespace) -> tuple[dict, dict]:
-    _require(args, "n", "m", "lam")
-    try:
-        empirical, bound = concentration_experiment(
-            ModelParams.fixed2(args.n, args.m),
-            args.trials,
-            args.lam,
-            RngSeed(args.seed),
-            one_sided=args.one_sided,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    params = {
-        "n": args.n,
-        "m": args.m,
-        "lambda": args.lam,
-        "trials": args.trials,
-        "one_sided": args.one_sided,
-    }
+    lam = getattr(args, "lambda")
+    empirical, bound = concentration_experiment(
+        ModelParams.fixed2(args.n, args.m), args.trials, lam, RngSeed(args.seed), one_sided=args.one_sided
+    )
+    params = {"n": args.n, "m": args.m, "lambda": lam, "trials": args.trials, "one_sided": args.one_sided}
     return params, {"empirical_fraction": empirical, "bound": bound}
 
 
@@ -434,83 +314,71 @@ _HANDLERS = {
 
 
 # ---------------------------------------------------------------------------
-# sweep machinery
+# sweeps and the entry point
 
 
-def _parse_sweep(spec: str, subcommand: str) -> tuple[str, list[float]]:
+def _points(args: argparse.Namespace) -> Iterator[argparse.Namespace]:
+    """``args`` itself or, with --sweep, one copy of it per grid point,
+    made as the grid is walked rather than all up front."""
+    if not args.sweep:
+        yield args
+        return
+    spec = args.sweep
+    name, _, grid = spec.partition("=")
     try:
-        name, _, grid = spec.partition("=")
-        start_s, stop_s, step_s = grid.split(":")
-        start, stop, step = (_finite_float(v) for v in (start_s, stop_s, step_s))
+        start, stop, step = (_finite_float(v) for v in grid.split(":"))
     except (ValueError, argparse.ArgumentTypeError):
-        raise UsageError(f"bad --sweep spec {spec!r}; expected PARAM=START:STOP:STEP") from None
-    name = _SWEEP_ALIASES.get(name, name)
-    allowed = _SWEEPABLE.get(subcommand, {})
-    if name not in allowed:
-        raise UsageError(
-            f"cannot sweep {name!r} in {subcommand!r}; choose from {sorted(allowed)}"
-        )
+        raise ValueError(f"bad --sweep spec {spec!r}; expected PARAM=START:STOP:STEP") from None
+    flags = _NUMERIC[args.subcommand]
+    if name not in flags:
+        raise ValueError(f"cannot sweep {name!r} in {args.subcommand!r}; choose from {sorted(flags)}")
     if step <= 0 or stop < start:
-        raise UsageError("sweep needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    values = [start + k * step for k in range(count)]
-    if allowed[name] is int:
-        for v in values:
-            if abs(v - round(v)) > 1e-9:
-                raise UsageError(f"sweep value {v} for integer parameter {name!r}")
-    return name, values
-
-
-def _seed_of(args: argparse.Namespace) -> Optional[int]:
-    return getattr(args, "seed", None)
+        raise ValueError("sweep needs step > 0 and stop >= start")
+    last = (stop - start) / step + 1e-9
+    if not math.isfinite(last):
+        raise ValueError(f"--sweep {spec!r} has more points than can be counted")
+    for k in range(math.floor(last) + 1):
+        value = start + k * step
+        if flags[name] is int:
+            if abs(value - round(value)) > 1e-9:
+                raise ValueError(f"sweep value {value} for integer parameter {name!r}")
+            value = round(value)
+        # each point gets its own copy: handlers may rewrite it (--round)
+        point = argparse.Namespace(**vars(args))
+        setattr(point, name, value)
+        yield point
 
 
 def run(argv: Sequence[str]) -> int:
-    """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
+    """Execute one CLI invocation; returns the process exit code: 0, 2 for
+    bad input (any ValueError, or a flag argparse refuses), 1 for any other
+    failure."""
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
 
-    handler = _HANDLERS[args.subcommand]
+    command = args.subcommand
     try:
-        records: list[OutputRecord] = []
-        if args.sweep:
-            name, values = _parse_sweep(args.sweep, args.subcommand)
-            caster = _SWEEPABLE[args.subcommand][name]
-            for value in values:
-                # each point gets its own copy: handlers may rewrite it (--round)
-                point = argparse.Namespace(**vars(args))
-                setattr(point, name, caster(round(value)) if caster is int else value)
-                parameters, results = handler(point)
-                records.append(_make_record(point, parameters, results))
-        else:
-            parameters, results = handler(args)
-            records.append(_make_record(args, parameters, results))
-        fmt = args.format or ("csv" if args.sweep else "json")
-        _emit(records, fmt, sys.stdout)
-        return 0
-    except UsageError as exc:
+        records = []
+        for point in _points(args):
+            for name in _REQUIRED[command]:
+                if getattr(point, name) is None:
+                    raise ValueError(f"--{name} is required here")
+            parameters, results = _HANDLERS[command](point)
+            metadata: dict = {"version": __version__}
+            if getattr(point, "seed", None) is not None:
+                metadata["seed"] = point.seed
+            records.append({"command": command, "parameters": parameters, "results": results, "metadata": metadata})
+        sys.stdout.write(_render(records, args.format or ("csv" if args.sweep else "json")))
+    except ValueError as exc:  # bad input: flags, key file, model parameters
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures: I/O, solver, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _make_record(args: argparse.Namespace, parameters: dict, results: dict) -> OutputRecord:
-    metadata: dict = {"version": __version__}
-    seed = _seed_of(args)
-    if seed is not None:
-        metadata["seed"] = seed
-    return OutputRecord(
-        command=args.subcommand,
-        parameters=parameters,
-        results=results,
-        metadata=metadata,
-    )
+    return 0
 
 
 def main() -> None:

@@ -111,7 +111,10 @@ class ModelParams:
         if self.variant != "mixed-det":
             raise ValueError("two_choice_count applies to mixed-det only")
         assert self.a is not None
-        return require_integral((self.a - 1.0) * self.n, "(a-1)*n")
+        # derived from a*n, the value __post_init__ checked: the integrality
+        # tolerance scales with the value, so the smaller (a-1)*n can fail
+        # where a*n passed
+        return require_integral(self.a * self.n, "a*n") - self.n
 
     @property
     def one_choice_count(self) -> int:

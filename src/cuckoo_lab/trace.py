@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .cuckoo import new_table
 from .hashing import wang_mix64
@@ -40,7 +40,6 @@ class KeyStream:
 
     keys: tuple[int, ...]
     source: str
-    dedup_applied: bool = False
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -83,11 +82,9 @@ def read_keys(path: Union[str, os.PathLike], format: str = "hex-lines", *, dedup
         keys = _read_binary_u64(path)
     else:
         raise ValueError(f"unknown key format {format!r}")
-    dedup_applied = False
     if dedup:
         keys = _dedup_keep_first(keys)
-        dedup_applied = True
-    return KeyStream(keys=tuple(keys), source=os.fspath(path), dedup_applied=dedup_applied)
+    return KeyStream(keys=tuple(keys), source=os.fspath(path))
 
 
 def _read_hex_lines(path: Union[str, os.PathLike]) -> list[int]:
@@ -125,16 +122,28 @@ def _dedup_keep_first(keys: list[int]) -> list[int]:
     return out
 
 
-def disambiguate_duplicates(keys: list[int]) -> list[int]:
+def disambiguate_duplicates(keys: Sequence[int]) -> list[int]:
     """Keep duplicate keys distinct instead of dropping them: the c-th
     repeat of a key (c >= 1) is XORed with the mix of its occurrence
-    counter.  First occurrences pass through unchanged."""
+    counter.  First occurrences pass through unchanged.  A counter whose
+    mixed key is already in the stream, or was already given to an earlier
+    repeat, is skipped, so the output keys are pairwise distinct."""
+    taken = set(keys)
     counts: dict[int, int] = {}
     out = []
     for k in keys:
         c = counts.get(k, 0)
+        if c == 0:
+            counts[k] = 1
+            out.append(k)
+            continue
+        mixed = (k ^ wang_mix64(c)) & _MASK64
+        while mixed in taken:
+            c += 1
+            mixed = (k ^ wang_mix64(c)) & _MASK64
         counts[k] = c + 1
-        out.append(k if c == 0 else (k ^ wang_mix64(c)) & _MASK64)
+        taken.add(mixed)
+        out.append(mixed)
     return out
 
 
@@ -148,7 +157,7 @@ def synthetic_stream(count: int, seed: int) -> KeyStream:
         raise ValueError("count must be >= 0")
     rng = RngSeed(seed, stream=_KEY_STREAM_OFFSET).derive(0)
     keys = tuple(rng.next_u64() for _ in range(count))
-    return KeyStream(keys=keys, source=f"synthetic(count={count}, seed={seed})", dedup_applied=True)
+    return KeyStream(keys=keys, source=f"synthetic(count={count}, seed={seed})")
 
 
 def _seeds_for_repeat(base_seed: int, repeat: int, d: int) -> tuple[int, ...]:
@@ -196,7 +205,7 @@ def run_trace_experiment(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     keys = stream.keys
-    if not stream.dedup_applied and len(set(keys)) != len(keys):
+    if len(set(keys)) != len(keys):
         raise ValueError(
             "key stream contains duplicates; dedup or disambiguate_duplicates first"
         )

@@ -5,7 +5,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from cuckoo_lab.cli import _json_value, run
 from cuckoo_lab.exact import expected_matching_d2, expected_matching_mixed_det, stash_size_for_epsilon
 from cuckoo_lab.simulate import RngSeed, estimate_mu
 from cuckoo_lab.exact import ModelParams
+from cuckoo_lab.hashing import wang_mix64
 
 
 def _run(capsys, *argv):
@@ -149,6 +153,19 @@ def test_trace_keep_duplicates(tmp_path, capsys):
     assert _json(out)["results"]["n"] == 3
 
 
+def test_trace_keep_duplicates_with_colliding_stream(tmp_path, capsys):
+    # the second 5 disambiguates to 5 ^ wang_mix64(1), which is the third key
+    assert 5 ^ wang_mix64(1) == 0x5BCA7C69B794F8CB
+    path = tmp_path / "collide.hex"
+    path.write_text("5\n5\n5bca7c69b794f8cb\n")
+    code, out, err = _run(
+        capsys, "trace", "--input", str(path), "--m", "16", "--repeats", "1",
+        "--seed", "1", "--keep-duplicates",
+    )
+    assert code == 0, err
+    assert _json(out)["results"]["n"] == 3
+
+
 def test_concentration(capsys):
     code, out, _ = _run(
         capsys,
@@ -200,6 +217,41 @@ def test_round_sweep_rows_match_standalone_runs(capsys):
         code, out, err = _run(capsys, *flags, "--n", row["n"], "--format", "csv")
         assert code == 0, err
         assert list(csv.DictReader(io.StringIO(out))) == [row]
+
+
+@pytest.mark.parametrize(
+    "flags, sweep",
+    [
+        (("simulate", "--n", "20", "--m", "20", "--model", "d2"), "trials=1:3:1"),
+        (("simulate", "--n", "20", "--m", "20", "--model", "d2", "--trials", "3"), "seed=1:3:1"),
+        (("trace", "--synthetic", "100", "--repeats", "1"), "m=100:300:100"),
+        (("trace", "--synthetic", "100", "--m", "100"), "repeats=1:3:1"),
+        (("trace", "--synthetic", "100", "--m", "100", "--repeats", "1"), "seed=1:2:1"),
+        (("trace", "--synthetic", "100", "--m", "100", "--repeats", "1"), "beta=0.2:0.4:0.1"),
+        (("concentration", "--n", "10", "--m", "10", "--lambda", "1"), "trials=100:101:1"),
+    ],
+)
+def test_sweep_of_any_numeric_flag_matches_standalone_runs(capsys, flags, sweep):
+    # a required flag that the sweep sets need not also be given
+    code, out, err = _run(capsys, *flags, "--sweep", sweep)
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    name = sweep.split("=")[0]
+    assert len({row[name] for row in rows}) == len(rows) > 1
+    for row in rows:
+        code, out, err = _run(capsys, *flags, f"--{name}", row[name], "--format", "csv")
+        assert code == 0, err
+        assert list(csv.DictReader(io.StringIO(out))) == [row]
+
+
+def test_mixed_det_accepts_what_it_constructs(capsys):
+    # a*n passes the integrality check, while (a-1)*n = 1e-8 would not
+    runs = [
+        _run(capsys, "exact", "--model", "mixed-det", "--n", "1000", "--m", "1000", "--a", a)
+        for a in ("1.00000000001", "1")
+    ]
+    assert [code for code, _, _ in runs] == [0, 0], runs
+    assert _json(runs[0][1])["results"]["mu"] == _json(runs[1][1])["results"]["mu"]
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (0, 3)])
@@ -295,6 +347,10 @@ def test_argument_errors_exit_2(capsys):
         ("trace", "--synthetic", "1", "--m", "50", "--repeats", "1", "--beta", "1e308"),
         ("exact", "--model", "partitioned", "--n", "50", "--m", "2", "--beta", "1e308", "--round"),
         ("exact", "--model", "mixed-det", "--n", "50", "--m", "2", "--a", "1e308", "--round"),
+        # grids whose point count overflows a float
+        ("asymptotic", "--model", "d2", "--sweep", "alpha=1:1e308:1e-300"),
+        ("asymptotic", "--model", "d2", "--sweep", "alpha=-1e308:1e308:1"),
+        ("exact", "--model", "d2", "--m", "10", "--sweep", "n=1:3:1e-320"),
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv)
@@ -367,3 +423,58 @@ def test_sweep_json_array(capsys):
     assert [r["parameters"]["n"] for r in records] == [10, 20, 30]
     for r in records:
         assert r["results"]["mu"] == expected_matching_d2(r["parameters"]["n"], 50).mu
+
+
+# stdout of the CLI, byte for byte, as it was before the CLI's flags,
+# errors and records were each stated in one place
+_PINNED = [
+    ('exact --n 2 --m 2 --model d2',
+     '{"command": "exact", "parameters": {"model": "d2", "n": 2, "m": 2}, "results": {"mu": 1.875, "stash_expected": 0.125, "mu_over_n": 0.9375, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
+    ('exact --n 30 --m 40 --model mixed-det --a 1.5 --format csv',
+     'command,model,n,m,a,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-det,30,40,1.5,24.982789246279907,5.017210753720093,0.83275964154266358,,0.1.0\n'),
+    ('exact --n 4 --m 10 --model partitioned --beta 0.33 --round',
+     '{"command": "exact", "parameters": {"model": "partitioned", "n": 4, "m": 10, "beta": 0.29999999999999999}, "results": {"mu": 3.9885541518194607, "stash_expected": 0.011445848180539286, "mu_over_n": 0.99713853795486518, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
+    ('exact --n 50 --m 50 --model bound-d --d 3',
+     '{"command": "exact", "parameters": {"model": "bound-d", "n": 50, "m": 50, "d": 3}, "results": {"mu": 47.574507094181214, "stash_expected": 2.4254929058187855, "mu_over_n": 0.95149014188362424, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
+    ('exact --m 50 --model mixed-rand --p 0.3 --sweep n=10:30:10',
+     'command,model,n,m,p,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-rand,10,50,0.29999999999999999,9.5258807651299264,0.47411923487007357,0.9525880765129926,,0.1.0\nexact,mixed-rand,20,50,0.29999999999999999,17.877023129516388,2.1229768704836118,0.89385115647581936,,0.1.0\nexact,mixed-rand,30,50,0.29999999999999999,24.924177762171514,5.0758222378284863,0.83080592540571707,,0.1.0\n'),
+    ('asymptotic --alpha 1 --model partitioned --beta 0.3',
+     '{"command": "asymptotic", "parameters": {"model": "partitioned", "alpha": 1, "beta": 0.29999999999999999}, "results": {"gamma": 0.80720885480486348, "closed_form": false, "t1": 0.12613112418768965, "t2": 0.90622514440048818}, "metadata": {"version": "0.1.0"}}\n'),
+    ('asymptotic --model partitioned --alpha 1e-10 --beta 5e-324',
+     '{"command": "asymptotic", "parameters": {"model": "partitioned", "alpha": 1e-10, "beta": 4.9406564584124654e-324}, "results": {"gamma": 0.99999999995, "closed_form": false, "t1": 0, "t2": null}, "metadata": {"version": "0.1.0"}}\n'),
+    ('asymptotic --model mixed --a 1.5 --sweep alpha=0.5:1.5:0.5 --format json',
+     '[{"command": "asymptotic", "parameters": {"model": "mixed", "alpha": 0.5, "a": 1.5}, "results": {"gamma": 0.90369986859498075, "closed_form": false}, "metadata": {"version": "0.1.0"}},\n {"command": "asymptotic", "parameters": {"model": "mixed", "alpha": 1, "a": 1.5}, "results": {"gamma": 0.74380476742325063, "closed_form": false}, "metadata": {"version": "0.1.0"}},\n {"command": "asymptotic", "parameters": {"model": "mixed", "alpha": 1.5, "a": 1.5}, "results": {"gamma": 0.58971919240168369, "closed_form": false}, "metadata": {"version": "0.1.0"}}]\n'),
+    ('simulate --n 70 --m 70 --model fixed-d --d 3 --trials 5 --seed 11',
+     '{"command": "simulate", "parameters": {"model": "fixed-d", "n": 70, "m": 70, "trials": 5, "d": 3}, "results": {"mean": 67, "std_dev": 0.70710678118654757, "min": 66, "max": 68, "std_error": 0.31622776601683794, "mean_over_n": 0.95714285714285718}, "metadata": {"version": "0.1.0", "seed": 11}}\n'),
+    ('simulate --n 40 --m 40 --model partitioned --beta 0.5 --trials 5 --seed 2 --format csv',
+     'command,model,n,m,trials,beta,mean,std_dev,min,max,std_error,mean_over_n,version,seed\nsimulate,partitioned,40,40,5,0.5,33.799999999999997,1.3038404810405297,32,35,0.58309518948452999,0.84499999999999997,0.1.0,2\n'),
+    ('stash-size --n 100 --m 100 --epsilon 0.01',
+     '{"command": "stash-size", "parameters": {"n": 100, "m": 100, "epsilon": 0.01}, "results": {"stash_real": 46.376131878215503, "stash_slots": 47}, "metadata": {"version": "0.1.0"}}\n'),
+    ('trace --synthetic 300 --m 300 --repeats 2 --seed 5 --beta 0.5',
+     '{"command": "trace", "parameters": {"source": "synthetic", "m": 300, "d": 2, "repeats": 2, "beta": 0.5}, "results": {"n": 300, "overflow_mean": 0.16, "overflow_min": 0.14333333333333334, "overflow_max": 0.17666666666666667, "inserted_mean": 0.83999999999999997}, "metadata": {"version": "0.1.0", "seed": 5}}\n'),
+    ('concentration --n 20 --m 20 --lambda 1 --trials 100 --seed 2 --one-sided --format csv',
+     'command,n,m,lambda,trials,one_sided,empirical_fraction,bound,version,seed\nconcentration,20,20,1,100,true,0,0.60653065971263342,0.1.0,2\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _PINNED)
+def test_cli_stdout_is_pinned(capsys, argv, expected):
+    code, out, err = _run(capsys, *argv.split())
+    assert code == 0, err
+    assert out == expected
+
+
+def test_module_entry_point_exit_codes():
+    env = dict(os.environ, PYTHONPATH=str(Path(exact.__file__).parents[1]))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cuckoo_lab.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    ok = cli("exact", "--n", "2", "--m", "2", "--model", "d2")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["results"]["mu"] == 1.875
+    bad = cli("exact", "--n", "2", "--m", "2", "--model", "nope")
+    assert bad.returncode == 2
+    assert "invalid choice" in bad.stderr

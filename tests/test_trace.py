@@ -93,7 +93,6 @@ def test_read_hex_lines(tmp_path):
     path.write_text("ff\n#c\n10\n")
     stream = read_keys(path)
     assert stream.keys == (255, 16)
-    assert not stream.dedup_applied
 
 
 def test_read_hex_lines_rejects_garbage(tmp_path):
@@ -130,7 +129,6 @@ def test_read_keys_dedup_keeps_first(tmp_path):
     path.write_text("a\nb\na\nc\nb\n")
     stream = read_keys(path, dedup=True)
     assert stream.keys == (10, 11, 12)
-    assert stream.dedup_applied
 
 
 def test_disambiguate_duplicates():
@@ -140,6 +138,11 @@ def test_disambiguate_duplicates():
     assert out[1] == 5 ^ wang_mix64(1)
     assert out[3] == 5 ^ wang_mix64(2)
     assert len(set(out)) == 4
+    # a counter whose mixed key is already in the stream is skipped
+    taken = 5 ^ wang_mix64(1)
+    out = disambiguate_duplicates([5, 5, taken, 5])
+    assert out[:3] == [5, 5 ^ wang_mix64(2), taken]
+    assert out[3] == 5 ^ wang_mix64(3)
 
 
 def test_synthetic_stream_distinct_and_deterministic():
@@ -147,7 +150,6 @@ def test_synthetic_stream_distinct_and_deterministic():
     b = synthetic_stream(50_000, 7)
     assert a.keys == b.keys
     assert len(set(a.keys)) == 50_000
-    assert a.dedup_applied
     assert synthetic_stream(100, 8).keys != a.keys[:100]
 
 
@@ -172,7 +174,7 @@ def test_trace_experiment_fractions_sum_to_one():
 
 
 def test_trace_experiment_rejects_duplicates():
-    stream = KeyStream(keys=(1, 2, 1), source="inline", dedup_applied=False)
+    stream = KeyStream(keys=(1, 2, 1), source="inline")
     with pytest.raises(ValueError, match="duplicates"):
         run_trace_experiment(stream, 10, 2, 1, 0)
 

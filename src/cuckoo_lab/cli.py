@@ -267,6 +267,9 @@ def _handle_stash_size(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _handle_trace(args: argparse.Namespace) -> tuple[dict, dict]:
+    if args.synthetic is not None and args.input is not None:
+        # argparse refuses both flags; a --sweep over synthetic sets it later
+        raise ValueError("--input and --synthetic (here set by --sweep) are exclusive key sources")
     if args.synthetic is not None:
         stream = synthetic_stream(args.synthetic, args.seed)
         source = "synthetic"

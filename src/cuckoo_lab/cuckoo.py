@@ -1,7 +1,9 @@
 """An executable cuckoo hash table with an unbounded stash.
 
 Insertion runs a breadth-first augmenting-path search over the occupancy
-graph instead of the classic random-walk kick-out.  That makes the table
+graph instead of the classic random-walk kick-out: the package's one
+matching kernel, :func:`cuckoo_lab.matching.augment`, which
+``max_matching`` runs too.  That makes the table
 an online maximum-matching machine: a key is stashed only when no
 augmenting path exists, so for any d the number of placed keys equals
 the maximum matching size of the bipartite graph induced by all stored
@@ -23,11 +25,11 @@ insertion order, so re-insertion attempts never rehash.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .hashing import bin_choices
+from .matching import augment
 
 
 class DuplicateKeyError(ValueError):
@@ -111,8 +113,8 @@ class CuckooTable:
         if key in self._where:
             raise DuplicateKeyError(f"key {key} already stored")
         choices = self.bin_choices(key)
-        bin_index = self._place_by_augmenting(choices)
-        if bin_index is None:
+        chain = augment(self._bins, self._dead, choices)
+        if chain is None:
             self._stash[key] = choices
             self._where[key] = _STASH
             self.stats.stashed = len(self._stash)
@@ -121,66 +123,19 @@ class CuckooTable:
             if self.stash_limit is not None and self.stats.stashed > self.stash_limit:
                 self.stats.stash_limit_exceeded = True
             return None
-        self._set_bin(bin_index, key, choices)
-        self.stats.placed += 1
-        return bin_index
-
-    def _place_by_augmenting(self, choices: Sequence[int]) -> Optional[int]:
-        """BFS over the occupancy graph for a chain of displacements that
-        frees one of ``choices``; performs the chain and returns the freed
-        bin, or None when every reachable bin stays full.  Dead bins are
-        skipped; a failed search marks every bin it visited dead."""
-        bins = self._bins
-        dead = self._dead
-        roots: list[int] = []
-        seen = set()
-        for b in choices:
-            if b in seen or b in dead:
-                continue
-            if bins[b] is None:
-                return b
-            seen.add(b)
-            roots.append(b)
-
-        parent: dict[int, int] = {}
-        queue = deque(roots)
-        empty = None
-        while queue:
-            b = queue.popleft()
-            occupant = bins[b]
-            assert occupant is not None
-            for nb in occupant[1]:
-                if nb in seen or nb in dead:
-                    continue
-                seen.add(nb)
-                parent[nb] = b
-                if bins[nb] is None:
-                    empty = nb
-                    break
-                queue.append(nb)
-            if empty is not None:
-                break
-        if empty is None:
-            dead |= seen
-            return None
-
-        # walk back to the root, shifting occupants one hop forward
-        chain = [empty]
-        while chain[-1] in parent:
-            chain.append(parent[chain[-1]])
-        chain.reverse()  # root .. empty
-        for src, dst in zip(reversed(chain[:-1]), reversed(chain[1:])):
-            moved = bins[src]
-            assert moved is not None
-            bins[dst] = moved
-            self._where[moved[0]] = dst
-            self.stats.displacements += 1
-        bins[chain[0]] = None
+        self._settle(chain, key, choices)
         return chain[0]
 
-    def _set_bin(self, bin_index: int, key: int, choices: tuple[int, ...]) -> None:
-        self._bins[bin_index] = (key, choices)
-        self._where[key] = bin_index
+    def _settle(self, chain: list[int], key: int, choices: tuple[int, ...]) -> None:
+        """Record a chain that :func:`~cuckoo_lab.matching.augment` shifted:
+        where each displaced key went, and ``key`` in the freed bin."""
+        bins, where = self._bins, self._where
+        for b in chain[1:]:
+            where[bins[b][0]] = b
+        self.stats.displacements += len(chain) - 1
+        bins[chain[0]] = (key, choices)
+        where[key] = chain[0]
+        self.stats.placed += 1
 
     def remove(self, key: int) -> bool:
         """Delete a key from its bin or the stash.
@@ -208,12 +163,12 @@ class CuckooTable:
         self.stats.placed -= 1
         if loc in self._dead:
             self._dead.clear()
+        bins, dead = self._bins, self._dead
         for stashed_key, choices in self._stash.items():
-            bin_index = self._place_by_augmenting(choices)
-            if bin_index is not None:
+            chain = augment(bins, dead, choices)
+            if chain is not None:
                 del self._stash[stashed_key]
-                self._set_bin(bin_index, stashed_key, choices)
-                self.stats.placed += 1
+                self._settle(chain, stashed_key, choices)
                 break
         self.stats.stashed = len(self._stash)
         return True

@@ -2,8 +2,11 @@
 components, and the structural checks that tie matching sizes to component
 shapes.
 
-Left vertices model hashed elements, right vertices model bins.  Every
-operation here is a pure function of an immutable :class:`BipartiteGraph`.
+Left vertices model hashed elements, right vertices model bins.  One
+augmenting-path search, :func:`augment`, is the matching kernel: the
+cuckoo table places every key with it, and :func:`max_matching` runs it
+over a graph's keys.  Every other operation here is a pure function of an
+immutable :class:`BipartiteGraph`.
 """
 
 from __future__ import annotations
@@ -57,87 +60,79 @@ class ComponentSummary:
     is_deficit: bool
 
 
-def max_matching(graph: BipartiteGraph) -> tuple[int, tuple[Optional[int], ...]]:
-    """Maximum-cardinality matching via Hopcroft-Karp.
+def augment(bins: list, dead: set[int], choices: Sequence[int]) -> Optional[list[int]]:
+    """Free one of ``choices`` by a chain of displacements: the one
+    augmenting-path search of the package, run by the cuckoo table on every
+    insert and by :func:`max_matching` once per key.
 
-    Parallel edges are collapsed; adjacency is scanned in ascending index
-    order so the returned matched set is deterministic.
+    ``bins[b]`` is None or an ``(item, item_choices)`` pair; ``dead`` holds
+    occupied bins from which no chain reaches an empty bin.  A breadth-first
+    search over the occupants' choices, skipping dead bins and stopping at
+    the first empty bin, finds the shortest chain.  It shifts each occupant
+    along the chain one hop towards the empty bin and returns the chain,
+    root first: ``bins[chain[0]]`` is then None, to be filled by the
+    caller, and ``bins[chain[i]]`` (i >= 1) holds what moved there.  When
+    no chain exists it adds every bin it visited to ``dead`` and returns
+    None.  The dead set is closed under the occupants' choices, so a
+    successful search never passes through a dead bin and never changes
+    one; only emptying a dead bin can revive dead bins.
+    """
+    roots = []
+    for b in choices:
+        if bins[b] is None:
+            return [b]
+        if b not in dead:
+            roots.append(b)  # a repeated root expands to nothing new
+    if not roots:
+        return None
+    seen = set(choices)  # a dead root in it is skipped and stays dead either way
+    queue = deque(roots)
+    parent: dict[int, int] = {}
+    while queue:
+        b = queue.popleft()
+        for nb in bins[b][1]:
+            if nb in seen or nb in dead:
+                continue
+            seen.add(nb)
+            parent[nb] = b
+            if bins[nb] is None:
+                chain = [nb]
+                while nb in parent:
+                    nb = parent[nb]
+                    chain.append(nb)
+                chain.reverse()
+                for i in range(len(chain) - 1, 0, -1):
+                    bins[chain[i]] = bins[chain[i - 1]]
+                bins[chain[0]] = None
+                return chain
+            queue.append(nb)
+    dead |= seen
+    return None
+
+
+def max_matching(graph: BipartiteGraph) -> tuple[int, tuple[Optional[int], ...]]:
+    """Maximum-cardinality matching, by inserting keys 0..n-1 into m
+    unit bins with :func:`augment`, as the cuckoo table does.
+
+    A key that finds no augmenting path when it arrives never gains one
+    later (Kuhn's argument), and no bin is ever emptied, so the dead set
+    only grows.  The matched set is read off the bins and is a pure
+    function of the graph.
 
     Returns the matching size and, per left vertex, its matched right
     vertex (or None).
     """
-    adj = [sorted(set(row)) for row in graph.choices]
-    match_l, match_r = _hopcroft_karp(adj, graph.n, graph.m)
-    size = sum(1 for v in match_l if v >= 0)
-    matched = tuple(v if v >= 0 else None for v in match_l)
-    return size, matched
-
-
-def _hopcroft_karp(adj: Sequence[Sequence[int]], n: int, m: int) -> tuple[list[int], list[int]]:
-    INF = float("inf")
-    match_l = [-1] * n
-    match_r = [-1] * m
-    dist = [0.0] * n
-
-    while True:
-        # BFS phase: layer left vertices by alternating distance from the
-        # free ones; `found` is the length of the shortest augmenting path.
-        queue: deque[int] = deque()
-        for u in range(n):
-            if match_l[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = INF
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            if du >= found:
-                continue
-            for v in adj[u]:
-                w = match_r[v]
-                if w < 0:
-                    if found == INF:
-                        found = du + 1
-                elif dist[w] == INF:
-                    dist[w] = du + 1
-                    queue.append(w)
-        if found == INF:
-            return match_l, match_r
-
-        # DFS phase: augment along vertex-disjoint shortest paths, taking
-        # the lowest-index branch first.  Iterative so path length is not
-        # limited by the interpreter recursion cap.
-        for u0 in range(n):
-            if match_l[u0] >= 0:
-                continue
-            # frame: (left vertex, remaining adjacency iterator, right
-            # vertex through which the frame was entered)
-            stack = [(u0, iter(adj[u0]), -1)]
-            while stack:
-                u, edges, _ = stack[-1]
-                descended = False
-                for v in edges:
-                    w = match_r[v]
-                    if w < 0:
-                        if dist[u] + 1 == found:
-                            # flip the alternating path recorded in the stack
-                            us = [f[0] for f in stack]
-                            vs = [f[2] for f in stack[1:]] + [v]
-                            for uu, vv in zip(us, vs):
-                                match_l[uu] = vv
-                                match_r[vv] = uu
-                            stack.clear()
-                            descended = True
-                            break
-                    elif dist[w] == dist[u] + 1:
-                        stack.append((w, iter(adj[w]), v))
-                        descended = True
-                        break
-                if not descended:
-                    dist[u] = INF
-                    stack.pop()
+    bins: list = [None] * graph.m
+    dead: set[int] = set()
+    for u, row in enumerate(graph.choices):
+        chain = augment(bins, dead, row)
+        if chain is not None:
+            bins[chain[0]] = (u, row)
+    matched: list[Optional[int]] = [None] * graph.n
+    for b, slot in enumerate(bins):
+        if slot is not None:
+            matched[slot[0]] = b
+    return graph.n - matched.count(None), tuple(matched)
 
 
 def _find(parent: list[int], x: int) -> int:

@@ -62,6 +62,29 @@ class SplitMix64:
             if v < threshold:
                 return v % bound
 
+    def draws(self, bound: int, count: int) -> list[int]:
+        """The values of ``count`` successive ``below(bound)`` calls, in
+        order, with the state left where they would leave it: one loop
+        with the threshold worked out once, :func:`mix64` inlined and the
+        state kept in a local.  A single draw is cheaper through
+        ``below``."""
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        threshold = (1 << 64) - ((1 << 64) % bound)
+        state = self.state
+        out = [0] * count
+        for i in range(count):
+            while True:
+                state = (state + _GOLDEN) & _MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                z ^= z >> 31
+                if z < threshold:
+                    break
+            out[i] = z % bound
+        self.state = state
+        return out
+
     def bernoulli(self, threshold: int) -> bool:
         """True with probability threshold / 2^64."""
         return self.next_u64() < threshold
@@ -103,16 +126,12 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
     variant = params.variant
 
     if variant == "d2":
-        choices = tuple((rng.below(m), rng.below(m)) for _ in range(n))
+        flat = rng.draws(m, 2 * n)
+        choices = tuple(zip(flat[::2], flat[1::2]))
     elif variant == "mixed-det":
         d1 = params.one_choice_count
-        rows = []
-        for u in range(n):
-            if u < d1:
-                rows.append((rng.below(m),))
-            else:
-                rows.append((rng.below(m), rng.below(m)))
-        choices = tuple(rows)
+        flat = rng.draws(m, 2 * n - d1)
+        choices = tuple((v,) for v in flat[:d1]) + tuple(zip(flat[d1::2], flat[d1 + 1 :: 2]))
     elif variant == "mixed-rand":
         assert params.p is not None
         threshold = probability_threshold(params.p)
@@ -132,7 +151,8 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
     elif variant == "fixed-d":
         assert params.d is not None
         d = params.d
-        choices = tuple(tuple(rng.below(m) for _ in range(d)) for _ in range(n))
+        flat = iter(rng.draws(m, d * n))
+        choices = tuple(zip(*[flat] * d))
     else:
         raise ValueError(f"unknown variant {variant!r}")
 

@@ -89,18 +89,25 @@ def read_keys(path: Union[str, os.PathLike], format: str = "hex-lines", *, dedup
 
 def _read_hex_lines(path: Union[str, os.PathLike]) -> list[int]:
     keys = []
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            token = line[2:] if line[:2].lower() == "0x" else line
-            if not token or len(token) > 16:
-                raise KeyFormatError(f"{path}:{lineno}: bad hex token {line!r}")
-            try:
-                keys.append(int(token, 16))
-            except ValueError:
-                raise KeyFormatError(f"{path}:{lineno}: bad hex token {line!r}") from None
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    # bytes.splitlines splits at \n, \r and \r\n, as text mode would
+    for lineno, raw in enumerate(blob.splitlines(), start=1):
+        try:
+            line = raw.decode("ascii").strip()
+        except UnicodeDecodeError:
+            raise KeyFormatError(
+                f"{path}:{lineno}: not ASCII text (is it a binary-u64-le file?)"
+            ) from None
+        if not line or line.startswith("#"):
+            continue
+        token = line[2:] if line[:2].lower() == "0x" else line
+        if not token or len(token) > 16:
+            raise KeyFormatError(f"{path}:{lineno}: bad hex token {line!r}")
+        try:
+            keys.append(int(token, 16))
+        except ValueError:
+            raise KeyFormatError(f"{path}:{lineno}: bad hex token {line!r}") from None
     return keys
 
 

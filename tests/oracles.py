@@ -2,7 +2,9 @@
 
 Nothing in here calls into cuckoo_lab: expectations are enumerated over
 complete choice spaces with exact rational arithmetic, matchings are found
-by backtracking, and connected-structure counts come from direct
+by backtracking on small graphs and by Hopcroft-Karp on large ones (the
+reference for the package's one augmenting search), and
+connected-structure counts come from direct
 enumeration (plus an exhaustive-decomposition recursion for the two sizes
 where direct enumeration is too large).  The two-bank limit is bisected in
 50-digit decimal arithmetic.  The cuckoo table is kept in its plain form,
@@ -17,9 +19,11 @@ import collections
 import decimal
 import itertools
 import math
+from collections import deque
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 
 class DSU:
@@ -391,6 +395,87 @@ def partitioned_series_full(n: int, m1: int, m2: int, *, truncate: bool = True):
                 tiny_run = 0
     mu = min(max(m - math.fsum(terms), 0.0), float(min(n, m)))
     return mu, tuple(terms), truncated_at
+
+
+# ---------------------------------------------------------------------------
+# maximum matching at realistic sizes
+
+
+def hopcroft_karp_matching(choices, m) -> tuple[int, tuple]:
+    """Maximum matching by Hopcroft-Karp, scanning each key's distinct
+    choices in ascending order: the matching size and, per key, its bin
+    or None."""
+    adj = [sorted(set(row)) for row in choices]
+    match_l, _ = hopcroft_karp(adj, len(choices), m)
+    matched = tuple(v if v >= 0 else None for v in match_l)
+    return sum(v is not None for v in matched), matched
+
+
+def hopcroft_karp(adj: Sequence[Sequence[int]], n: int, m: int) -> tuple[list[int], list[int]]:
+    INF = float("inf")
+    match_l = [-1] * n
+    match_r = [-1] * m
+    dist = [0.0] * n
+
+    while True:
+        # BFS phase: layer left vertices by alternating distance from the
+        # free ones; `found` is the length of the shortest augmenting path.
+        queue: deque[int] = deque()
+        for u in range(n):
+            if match_l[u] < 0:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = INF
+        while queue:
+            u = queue.popleft()
+            du = dist[u]
+            if du >= found:
+                continue
+            for v in adj[u]:
+                w = match_r[v]
+                if w < 0:
+                    if found == INF:
+                        found = du + 1
+                elif dist[w] == INF:
+                    dist[w] = du + 1
+                    queue.append(w)
+        if found == INF:
+            return match_l, match_r
+
+        # DFS phase: augment along vertex-disjoint shortest paths, taking
+        # the lowest-index branch first.  Iterative so path length is not
+        # limited by the interpreter recursion cap.
+        for u0 in range(n):
+            if match_l[u0] >= 0:
+                continue
+            # frame: (left vertex, remaining adjacency iterator, right
+            # vertex through which the frame was entered)
+            stack = [(u0, iter(adj[u0]), -1)]
+            while stack:
+                u, edges, _ = stack[-1]
+                descended = False
+                for v in edges:
+                    w = match_r[v]
+                    if w < 0:
+                        if dist[u] + 1 == found:
+                            # flip the alternating path recorded in the stack
+                            us = [f[0] for f in stack]
+                            vs = [f[2] for f in stack[1:]] + [v]
+                            for uu, vv in zip(us, vs):
+                                match_l[uu] = vv
+                                match_r[vv] = uu
+                            stack.clear()
+                            descended = True
+                            break
+                    elif dist[w] == dist[u] + 1:
+                        stack.append((w, iter(adj[w]), v))
+                        descended = True
+                        break
+                if not descended:
+                    dist[u] = INF
+                    stack.pop()
 
 
 # ---------------------------------------------------------------------------

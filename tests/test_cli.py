@@ -320,8 +320,12 @@ def test_cli_reaches_traced_exact_functions(capsys, monkeypatch, argv, expected)
     assert calls == expected
 
 
-def test_argument_errors_exit_2(capsys):
+def test_argument_errors_exit_2(capsys, tmp_path):
+    keys = tmp_path / "keys.hex"
+    keys.write_text("1\n2\n")
     cases = [
+        # --sweep sets --synthetic beside --input, which argparse cannot see
+        ("trace", "--input", str(keys), "--m", "10", "--repeats", "1", "--sweep", "synthetic=10:20:10"),
         ("exact", "--n", "2", "--m", "2", "--model", "mixed-det"),  # missing --a
         ("exact", "--n", "2", "--m", "2", "--model", "d2", "--beta", "0.5"),  # stray flag
         ("exact", "--n", "2", "--m", "2", "--model", "nope"),  # bad choice (argparse)
@@ -355,6 +359,14 @@ def test_argument_errors_exit_2(capsys):
     for argv in cases:
         code, _, err = _run(capsys, *argv)
         assert code == 2, (argv, err)
+
+
+def test_trace_binary_file_read_as_hex_lines_exits_2(capsys, tmp_path):
+    path = tmp_path / "keys.bin"
+    path.write_bytes(b"".join(k.to_bytes(8, "little") for k in (1 << 63, 5)))
+    code, out, err = _run(capsys, "trace", "--input", str(path), "--m", "10", "--repeats", "1")
+    assert code == 2 and out == ""
+    assert f"{path}:1: not ASCII text" in err
 
 
 def test_asymptotic_partitioned_at_large_alpha(capsys):

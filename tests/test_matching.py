@@ -5,6 +5,7 @@ import zlib
 
 import pytest
 
+from cuckoo_lab import matching
 from cuckoo_lab.exact import ModelParams
 from cuckoo_lab.matching import (
     BipartiteGraph,
@@ -64,6 +65,41 @@ def test_max_matching_against_brute_force():
         g = _graph(n, m, choices)
         expected = oracles.brute_max_matching(choices, m)
         assert max_matching(g)[0] == expected
+
+
+def _hk_cases():
+    seed = RngSeed(0x4B4152)
+    for d in (3, 4):
+        for alpha in (0.5, 0.9, 1.0, 1.2):
+            yield ModelParams.fixed_d(round(alpha * 2000), 2000, d), seed
+    yield ModelParams.fixed2(1000, 1000), seed
+    yield ModelParams.mixed_rand(1000, 1000, 0.5), seed
+    yield ModelParams.partitioned(1000, 1000, 0.3), seed
+
+
+def test_max_matching_against_hopcroft_karp():
+    for params, seed in _hk_cases():
+        for t in range(2):
+            g = gen_graph(params, seed.derive(t))
+            size, matched = max_matching(g)
+            assert size == oracles.hopcroft_karp_matching(g.choices, g.m)[0], (params, t)
+            used = [v for v in matched if v is not None]
+            assert len(used) == len(set(used)) == size
+            assert all(v is None or v in row for v, row in zip(matched, g.choices))
+
+
+def test_components_independent_of_the_maximum_matching(monkeypatch):
+    # components() reads per-component counts off one maximum matching;
+    # the oracle's matching, another maximum one, gives the same summaries
+    rng = random.Random(41)
+    graphs = []
+    for _ in range(400):
+        n = rng.randint(0, 40)
+        m = rng.randint(1, 40)
+        graphs.append(_graph(n, m, [[rng.randrange(m) for _ in range(rng.randint(0, 4))] for _ in range(n)]))
+    ours = [components(g) for g in graphs]
+    monkeypatch.setattr(matching, "max_matching", lambda g: oracles.hopcroft_karp_matching(g.choices, g.m))
+    assert [components(g) for g in graphs] == ours
 
 
 def test_graph_validation():

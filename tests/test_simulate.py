@@ -1,5 +1,6 @@
 """Seeded generation, Monte-Carlo statistics, and the concentration check."""
 
+import hashlib
 import math
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -55,6 +56,27 @@ def test_below_range_and_determinism():
         rng.below(0)
 
 
+def _below_one_by_one(rng, bound):
+    """Rejection sampling from next_u64, one output at a time."""
+    threshold = (1 << 64) - (1 << 64) % bound
+    while True:
+        v = rng.next_u64()
+        if v < threshold:
+            return v % bound
+
+
+@pytest.mark.parametrize("bound", [1, 7, 2000, (1 << 63) + 1, (1 << 64) - 1])
+def test_draws_equal_rejection_one_by_one(bound):
+    # bound = 2^63 + 1 rejects about half the raw outputs
+    rng, ref = SplitMix64(31), SplitMix64(31)
+    assert rng.draws(bound, 5_000) == [_below_one_by_one(ref, bound) for _ in range(5_000)]
+    assert rng.state == ref.state
+    assert rng.below(bound) == _below_one_by_one(ref, bound) and rng.state == ref.state
+    assert rng.draws(bound, 0) == [] and rng.state == ref.state
+    with pytest.raises(ValueError):
+        rng.draws(0, 1)
+
+
 def test_probability_threshold_edges():
     assert probability_threshold(0.0) == 0
     assert probability_threshold(1.0) == 1 << 64
@@ -107,6 +129,33 @@ def test_gen_graph_mixed_rand_binomial_count():
     assert abs(two_choice - 5_000) <= 4 * sigma
 
 
+# sha256 of repr(choices) and the final generator state of one draw per
+# variant, pinned from the draw-by-draw generator (one below() call per
+# choice): a moved draw changes the digest or the state
+_GRAPH_GOLDEN = {
+    "d2": ("4ca5d79b0853e49fdef313ae08da460841a0e0b188a162d3c81b0af043da0dfe", 0xFD796147859BA21C),
+    "mixed-det": ("cbe42b90c3dc6cb4fed84613a3321397a78f494b4936beeff49bab38e81b3623", 0xF91FA2FAE8214918),
+    "mixed-rand": ("a6c853b9b3ca509c9c40bfed1dcdcfee4c188bef19ea24afc987cef2c4725986", 0x43B516CFB08EC591),
+    "partitioned": ("5513695c3f123e159a1fade3a8329fe6cfc7c487a8abab22ba71ad64d7601114", 0xFD796147859BA21C),
+    "fixed-d": ("9cabf42d3a37aa6cc5a5081d3a67a180a66bf53cfe2432eb887d1c4752b37b40", 0x62CDDE0C0905424),
+}
+_GRAPH_PARAMS = {
+    "d2": ModelParams.fixed2(1000, 1000),
+    "mixed-det": ModelParams.mixed_det(1000, 1000, 1.5),
+    "mixed-rand": ModelParams.mixed_rand(1000, 1000, 0.5),
+    "partitioned": ModelParams.partitioned(1000, 1000, 0.3),
+    "fixed-d": ModelParams.fixed_d(1000, 1000, 3),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_GRAPH_GOLDEN))
+def test_gen_graph_golden(variant):
+    rng = RngSeed(2024).derive(3)
+    g = gen_graph(_GRAPH_PARAMS[variant], rng)
+    digest = hashlib.sha256(repr(g.choices).encode()).hexdigest()
+    assert (digest, rng.state) == _GRAPH_GOLDEN[variant]
+
+
 def test_gen_graph_rejects_empty_bank():
     with pytest.raises(ValueError):
         gen_graph(ModelParams.partitioned(5, 3, 0.0), RngSeed(6).derive(0))
@@ -123,6 +172,24 @@ def test_estimate_mu_reproducible():
     assert a == b
     c = estimate_mu(params, 50, 123)  # bare int seed accepted
     assert a == c
+
+
+def test_estimate_mu_golden():
+    # pinned from the Hopcroft-Karp matching sizes and the draw-by-draw
+    # generator; a moved draw or matching size changes the repr
+    cases = [
+        (ModelParams.fixed_d(2000, 2000, 3), 4,
+         "SimStats(trials=4, mean=1885.0, std_dev=5.887840577551898, min=1879.0, max=1893.0, "
+         "std_error=2.943920288775949)"),
+        (ModelParams.fixed_d(2000, 2000, 4), 4,
+         "SimStats(trials=4, mean=1963.5, std_dev=3.872983346207417, min=1958.0, max=1967.0, "
+         "std_error=1.9364916731037085)"),
+        (ModelParams.fixed2(2000, 2000), 20,
+         "SimStats(trials=20, mean=1671.95, std_dev=13.578136450694705, min=1647.0, max=1692.0, "
+         "std_error=3.036163611152108)"),
+    ]
+    for params, trials, expected in cases:
+        assert repr(estimate_mu(params, trials, 7, threads=1)) == expected
 
 
 def test_estimate_mu_stats_shape():

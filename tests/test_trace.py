@@ -105,6 +105,21 @@ def test_read_hex_lines_rejects_garbage(tmp_path):
         read_keys(path)
 
 
+def test_read_hex_lines_line_endings(tmp_path):
+    path = tmp_path / "keys.hex"
+    path.write_bytes(b"ff\r10\r\n20\n\n0x30")
+    assert read_keys(path).keys == (255, 16, 32, 48)
+
+
+def test_read_hex_lines_rejects_binary_file(tmp_path):
+    # a packed binary-u64-le file: line 1 is empty, line 2 holds byte 0xff
+    path = tmp_path / "keys.bin"
+    path.write_bytes(b"".join(k.to_bytes(8, "little") for k in (0x0A, 0xFF, 0x1234)))
+    with pytest.raises(KeyFormatError, match=r"keys\.bin:2: not ASCII text"):
+        read_keys(path)
+    assert read_keys(path, "binary-u64-le").keys == (0x0A, 0xFF, 0x1234)
+
+
 def test_read_binary(tmp_path):
     path = tmp_path / "keys.bin"
     path.write_bytes((255).to_bytes(8, "little") + (16).to_bytes(8, "little"))

@@ -17,7 +17,6 @@ from .asymptotics import (
     gamma_mixed_rand,
     gamma_partitioned,
     lambert_w0,
-    lambert_w_m1,
     perfect_beta_interval,
 )
 from .cuckoo import CuckooTable, DuplicateKeyError, LoadStats, LookupResult, new_table
@@ -55,7 +54,6 @@ from .simulate import (
     gen_graph,
 )
 from .trace import (
-    KeyStream,
     TraceReport,
     disambiguate_duplicates,
     read_keys,
@@ -72,7 +70,6 @@ __all__ = [
     "CuckooTable",
     "DuplicateKeyError",
     "ExactResult",
-    "KeyStream",
     "LoadStats",
     "LookupResult",
     "ModelParams",
@@ -100,7 +97,6 @@ __all__ = [
     "gen_graph",
     "husimi_count",
     "lambert_w0",
-    "lambert_w_m1",
     "matching_upper_bound_d",
     "max_matching",
     "mu_via_deficit",

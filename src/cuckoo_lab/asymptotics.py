@@ -1,10 +1,10 @@
 """Large-system limits of the normalized expected maximum matching size.
 
-All results are expressed through the Lambert-W function (the inverse of
-x * e^x), implemented here from scratch: branch-specific initial guesses
-refined by Halley iteration.  The two-bank model needs an implicit solve
-instead, a monotone Newton iteration in one variable; see
-:func:`gamma_partitioned`.
+All results are expressed through the principal branch W0 of the
+Lambert-W function (the inverse of x * e^x), implemented here from
+scratch: initial guesses by region refined by Halley iteration.  The
+two-bank model needs an implicit solve instead, a monotone Newton
+iteration in one variable; see :func:`gamma_partitioned`.
 
 Branch-equation validation for the two-bank model
 -------------------------------------------------
@@ -61,7 +61,7 @@ class BranchSolveError(RuntimeError):
 
 
 def _halley(x: float, w: float) -> float:
-    # Solve w e^w = x starting from a branch-appropriate guess w.
+    # Solve w e^w = x starting from the guess w.
     for _ in range(_HALLEY_MAX_ITER):
         ew = exp(w)
         f = w * ew - x
@@ -109,25 +109,6 @@ def lambert_w0(x: float) -> float:
         l2 = log(l1)
         w = l1 - l2 + l2 / l1
     return _halley(x, max(w, -1.0))
-
-
-def lambert_w_m1(x: float) -> float:
-    """Lower real branch of Lambert W: the solution w <= -1 of w e^w = x,
-    defined on [-1/e, 0)."""
-    if not -_E_INV - _BRANCH_POINT_TOL <= x < 0.0:
-        raise ValueError(f"lambert_w_m1 domain is [-1/e, 0); got {x}")
-    if x <= -_E_INV:
-        return -1.0
-
-    if x < -0.25:
-        p = sqrt(max(0.0, 2.0 * (x / _E_INV + 1.0)))
-        w = -1.0 - p - p * p / 3.0 - 11.0 / 72.0 * p**3
-    else:
-        # asymptotic guess near 0-: w ~ ln(-x) - ln(-ln(-x))
-        l1 = log(-x)
-        l2 = log(-l1)
-        w = l1 - l2 + l2 / l1
-    return _halley(x, min(w, -1.0))
 
 
 # ---------------------------------------------------------------------------

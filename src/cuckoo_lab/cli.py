@@ -22,7 +22,7 @@ from . import __version__
 from .asymptotics import gamma_d2, gamma_mixed, gamma_mixed_rand, gamma_partitioned
 from .exact import ModelParams, evaluate, matching_upper_bound_d, require_integral, stash_size_for_epsilon
 from .simulate import RngSeed, concentration_experiment, estimate_mu
-from .trace import KeyStream, disambiguate_duplicates, read_keys, run_trace_experiment, synthetic_stream
+from .trace import disambiguate_duplicates, read_keys, run_trace_experiment, synthetic_stream
 
 
 def _num_repr(value: float) -> str:
@@ -271,12 +271,12 @@ def _handle_trace(args: argparse.Namespace) -> tuple[dict, dict]:
         # argparse refuses both flags; a --sweep over synthetic sets it later
         raise ValueError("--input and --synthetic (here set by --sweep) are exclusive key sources")
     if args.synthetic is not None:
-        stream = synthetic_stream(args.synthetic, args.seed)
+        keys = synthetic_stream(args.synthetic, args.seed)
         source = "synthetic"
     else:
-        stream = read_keys(args.input, args.input_format, dedup=not args.keep_duplicates)
-        if args.keep_duplicates:
-            stream = KeyStream(tuple(disambiguate_duplicates(stream.keys)), stream.source)
+        keys = read_keys(args.input, args.input_format)
+        # the model's keys are distinct: repeats are mixed apart or dropped
+        keys = tuple(disambiguate_duplicates(keys)) if args.keep_duplicates else tuple(dict.fromkeys(keys))
         source = args.input
     params: dict = {"source": source, "m": args.m, "d": args.d, "repeats": args.repeats}
     boundary = None
@@ -286,7 +286,7 @@ def _handle_trace(args: argparse.Namespace) -> tuple[dict, dict]:
             raise ValueError("beta must be in [0, 1]")
         boundary = require_integral(args.beta * args.m, "beta*m")
         params["beta"] = args.beta
-    report = run_trace_experiment(stream, args.m, args.d, args.repeats, args.seed, boundary)
+    report = run_trace_experiment(keys, args.m, args.d, args.repeats, args.seed, boundary)
     results = {
         "n": report.n,
         "overflow_mean": report.overflow_mean,

@@ -51,34 +51,26 @@ class TableStats:
     placed: int = 0
     stashed: int = 0
     displacements: int = 0
-    lookups: int = 0
     stash_peak: int = 0
-    stash_limit_exceeded: bool = False
 
 
 @dataclass(frozen=True)
 class LoadStats:
     placed: int
     stash_size: int
-    load_fraction: float
-    overflow_fraction: float
 
 
 @dataclass(eq=False)
 class CuckooTable:
-    """m unit-capacity bins, d hashed choices per key, append-ordered stash.
-
-    ``stash_limit`` is advisory: overflowing it only sets a flag in the
-    stats (the stash models a CAM whose overflow should be reported, not
-    dropped).  A table is single-writer; see the module docstring for the
-    placed-count/maximum-matching guarantee.
+    """m unit-capacity bins, d hashed choices per key, and an unbounded
+    stash in insertion order.  A table is single-writer; see the module
+    docstring for the placed-count/maximum-matching guarantee.
     """
 
     m: int
     d: int
     seeds: tuple[int, ...]
     partition_boundary: Optional[int] = None
-    stash_limit: Optional[int] = None
     stats: TableStats = field(default_factory=TableStats)
 
     def __post_init__(self) -> None:
@@ -120,8 +112,6 @@ class CuckooTable:
             self.stats.stashed = len(self._stash)
             if self.stats.stashed > self.stats.stash_peak:
                 self.stats.stash_peak = self.stats.stashed
-            if self.stash_limit is not None and self.stats.stashed > self.stash_limit:
-                self.stats.stash_limit_exceeded = True
             return None
         self._settle(chain, key, choices)
         return chain[0]
@@ -177,7 +167,6 @@ class CuckooTable:
 
     def lookup(self, key: int) -> LookupResult:
         """Probe the key's d bins, then the stash."""
-        self.stats.lookups += 1
         for b in self.bin_choices(key):
             slot = self._bins[b]
             if slot is not None and slot[0] == key:
@@ -187,15 +176,7 @@ class CuckooTable:
         return LookupResult(found=False)
 
     def load_stats(self) -> LoadStats:
-        placed = self.stats.placed
-        stash = len(self._stash)
-        stored = placed + stash
-        return LoadStats(
-            placed=placed,
-            stash_size=stash,
-            load_fraction=placed / self.m,
-            overflow_fraction=stash / stored if stored else 0.0,
-        )
+        return LoadStats(placed=self.stats.placed, stash_size=len(self._stash))
 
     # -- introspection used by tests and the trace harness -------------------
 
@@ -219,18 +200,6 @@ class CuckooTable:
         return key in self._where
 
 
-def new_table(
-    m: int,
-    d: int,
-    seeds: Sequence[int],
-    partition_boundary: Optional[int] = None,
-    stash_limit: Optional[int] = None,
-) -> CuckooTable:
+def new_table(m: int, d: int, seeds: Sequence[int], partition_boundary: Optional[int] = None) -> CuckooTable:
     """Construct an empty table; layout is fully determined by the seeds."""
-    return CuckooTable(
-        m=m,
-        d=d,
-        seeds=tuple(seeds),
-        partition_boundary=partition_boundary,
-        stash_limit=stash_limit,
-    )
+    return CuckooTable(m=m, d=d, seeds=tuple(seeds), partition_boundary=partition_boundary)

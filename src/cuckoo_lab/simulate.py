@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from math import sqrt
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .exact import ModelParams, evaluate, concentration_tail_bound
 from .matching import BipartiteGraph, max_matching, mu_via_deficit
@@ -180,25 +180,17 @@ def _matching_sizes(params: ModelParams, seed: RngSeed, lo: int, hi: int) -> lis
     return [max_matching(g)[0] if search else mu_via_deficit(g) for g in graphs]
 
 
-def effective_threads(threads: Optional[int] = None) -> int:
-    """Worker count: the explicit argument, else the CUCKOO_LAB_THREADS
-    environment variable, else 1.  The env var also acts as a cap, and
-    the CPU count caps both."""
-    env = os.environ.get(THREADS_ENV_VAR)
-    cap = None
-    if env is not None:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = None
-    if threads is None:
-        threads = cap if cap is not None else 1
-    elif cap is not None:
-        threads = min(threads, cap)
-    return max(1, min(threads, os.cpu_count() or 1))
+def effective_threads() -> int:
+    """Worker count: the CUCKOO_LAB_THREADS environment variable (1 when
+    unset), capped by the CPU count.  A value other than a positive
+    integer is a ValueError naming the variable."""
+    env = os.environ.get(THREADS_ENV_VAR, "1")
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer; got {env!r}")
+    return min(int(env), os.cpu_count() or 1)
 
 
-def fan_out(fn: Callable, count: int, args: tuple, threads: Optional[int] = None) -> list:
+def fan_out(fn: Callable, count: int, args: tuple) -> list:
     """Split indices [0, count) into one contiguous chunk per worker and
     return ``fn(*args, lo, hi)`` for each chunk, in index order.
 
@@ -206,7 +198,7 @@ def fan_out(fn: Callable, count: int, args: tuple, threads: Optional[int] = None
     more than one; if the pool cannot start or breaks, they run
     sequentially instead, giving the same results.
     """
-    workers = min(effective_threads(threads), count)
+    workers = min(effective_threads(), count)
     if workers <= 1:
         return [fn(*args, 0, count)]
     bounds = [count * k // workers for k in range(workers + 1)]
@@ -218,21 +210,13 @@ def fan_out(fn: Callable, count: int, args: tuple, threads: Optional[int] = None
         return [fn(*args, 0, count)]
 
 
-def _trial_sizes(
-    params: ModelParams, trials: int, seed: Union[int, RngSeed], threads: Optional[int]
-) -> list[int]:
+def _trial_sizes(params: ModelParams, trials: int, seed: Union[int, RngSeed]) -> list[int]:
     """Maximum matching sizes of trials [0, trials), in trial order."""
     rng_seed = seed if isinstance(seed, RngSeed) else RngSeed(seed)
-    return sum(fan_out(_matching_sizes, trials, (params, rng_seed), threads), [])
+    return sum(fan_out(_matching_sizes, trials, (params, rng_seed)), [])
 
 
-def estimate_mu(
-    params: ModelParams,
-    trials: int,
-    seed: Union[int, RngSeed],
-    *,
-    threads: Optional[int] = None,
-) -> SimStats:
+def estimate_mu(params: ModelParams, trials: int, seed: Union[int, RngSeed]) -> SimStats:
     """Monte-Carlo estimate of the expected maximum matching size.
 
     Bit-identical for a fixed (params, trials, seed) regardless of worker
@@ -241,7 +225,7 @@ def estimate_mu(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sizes = _trial_sizes(params, trials, seed, threads)
+    sizes = _trial_sizes(params, trials, seed)
     total = sum(sizes)
     total_sq = sum(size * size for size in sizes)
 
@@ -269,7 +253,6 @@ def concentration_experiment(
     seed: Union[int, RngSeed],
     *,
     one_sided: bool = False,
-    threads: Optional[int] = None,
 ) -> tuple[float, float]:
     """Measure how often the realized matching size strays more than
     lam * sqrt(n) from the exact expectation.
@@ -285,7 +268,7 @@ def concentration_experiment(
     mu_exact = evaluate(params).mu
     radius = lam * sqrt(params.n)
     exceed = 0
-    for size in _trial_sizes(params, trials, seed, threads):
+    for size in _trial_sizes(params, trials, seed):
         deviation = mu_exact - size if one_sided else abs(size - mu_exact)
         exceed += deviation > radius
 

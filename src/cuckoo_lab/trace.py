@@ -19,7 +19,6 @@ from .hashing import wang_mix64
 from .simulate import RngSeed, fan_out
 
 __all__ = [
-    "KeyStream",
     "TraceReport",
     "read_keys",
     "synthetic_stream",
@@ -35,22 +34,13 @@ _KEY_STREAM_OFFSET = 0x4B45595354524541
 
 
 @dataclass(frozen=True)
-class KeyStream:
-    """An ordered batch of 64-bit keys plus provenance."""
-
-    keys: tuple[int, ...]
-    source: str
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
-@dataclass(frozen=True)
 class TraceReport:
     """Aggregate of one repeated experiment.
 
-    Per repeat, inserted_fraction + overflow_fraction = 1; the min/mean/max
-    spread across repeats is the confidence band.
+    A repeat's overflow is the fraction of the n keys left in the stash;
+    ``overflow_min``/``overflow_mean``/``overflow_max`` spread it across
+    the repeats (the confidence band), and ``inserted_mean`` is
+    1 - ``overflow_mean``.
     """
 
     m: int
@@ -68,23 +58,18 @@ class KeyFormatError(ValueError):
     """Malformed key file content."""
 
 
-def read_keys(path: Union[str, os.PathLike], format: str = "hex-lines", *, dedup: bool = False) -> KeyStream:
-    """Load keys from a file.
+def read_keys(path: Union[str, os.PathLike], format: str = "hex-lines") -> tuple[int, ...]:
+    """Load keys from a file, in file order, repeats included.
 
     ``hex-lines``: one hex token (at most 16 digits) per line; blank lines
     and lines starting with '#' are skipped.  ``binary-u64-le``: packed
-    little-endian 8-byte records.  Optional deduplication keeps the first
-    occurrence of each key.
+    little-endian 8-byte records.
     """
     if format == "hex-lines":
-        keys = _read_hex_lines(path)
-    elif format == "binary-u64-le":
-        keys = _read_binary_u64(path)
-    else:
-        raise ValueError(f"unknown key format {format!r}")
-    if dedup:
-        keys = _dedup_keep_first(keys)
-    return KeyStream(keys=tuple(keys), source=os.fspath(path))
+        return tuple(_read_hex_lines(path))
+    if format == "binary-u64-le":
+        return tuple(_read_binary_u64(path))
+    raise ValueError(f"unknown key format {format!r}")
 
 
 def _read_hex_lines(path: Union[str, os.PathLike]) -> list[int]:
@@ -119,16 +104,6 @@ def _read_binary_u64(path: Union[str, os.PathLike]) -> list[int]:
     return [int.from_bytes(blob[i : i + 8], "little") for i in range(0, len(blob), 8)]
 
 
-def _dedup_keep_first(keys: list[int]) -> list[int]:
-    seen: set[int] = set()
-    out = []
-    for k in keys:
-        if k not in seen:
-            seen.add(k)
-            out.append(k)
-    return out
-
-
 def disambiguate_duplicates(keys: Sequence[int]) -> list[int]:
     """Keep duplicate keys distinct instead of dropping them: the c-th
     repeat of a key (c >= 1) is XORed with the mix of its occurrence
@@ -154,7 +129,18 @@ def disambiguate_duplicates(keys: Sequence[int]) -> list[int]:
     return out
 
 
-def synthetic_stream(count: int, seed: int) -> KeyStream:
+class _KeyTuple(tuple):
+    """A key tuple whose ``keys`` is the tuple itself, because
+    ``perfbench/baselines.py`` reads ``synthetic_stream(...).keys``."""
+
+    __slots__ = ()
+
+    @property
+    def keys(self) -> tuple[int, ...]:
+        return self
+
+
+def synthetic_stream(count: int, seed: int) -> tuple[int, ...]:
     """``count`` pairwise-distinct pseudo-random 64-bit keys.
 
     Drawn from one derived counter-generator stream, whose outputs are a
@@ -163,8 +149,7 @@ def synthetic_stream(count: int, seed: int) -> KeyStream:
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = RngSeed(seed, stream=_KEY_STREAM_OFFSET).derive(0)
-    keys = tuple(rng.next_u64() for _ in range(count))
-    return KeyStream(keys=keys, source=f"synthetic(count={count}, seed={seed})")
+    return _KeyTuple(rng.next_u64() for _ in range(count))
 
 
 def _seeds_for_repeat(base_seed: int, repeat: int, d: int) -> tuple[int, ...]:
@@ -193,14 +178,12 @@ def _run_repeats(
 
 
 def run_trace_experiment(
-    stream: KeyStream,
+    keys: tuple[int, ...],
     m: int,
     d: int,
     repeats: int,
     base_seed: int,
     partition_boundary: Optional[int] = None,
-    *,
-    threads: Optional[int] = None,
 ) -> TraceReport:
     """Insert the whole stream into a fresh table once per repeat, with
     hash seeds derived from (base_seed, repeat), and aggregate the
@@ -211,14 +194,11 @@ def run_trace_experiment(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    keys = stream.keys
     if len(set(keys)) != len(keys):
-        raise ValueError(
-            "key stream contains duplicates; dedup or disambiguate_duplicates first"
-        )
+        raise ValueError("key stream contains duplicates; drop them or disambiguate_duplicates first")
     n = len(keys)
 
-    chunks = fan_out(_run_repeats, repeats, (keys, m, d, base_seed, partition_boundary), threads)
+    chunks = fan_out(_run_repeats, repeats, (keys, m, d, base_seed, partition_boundary))
     outcomes = [o for chunk in chunks for o in chunk]
 
     seeds = tuple(o[0] for o in outcomes)

@@ -487,8 +487,7 @@ class ReferenceCuckooTable:
     breadth-first search from every stashed key, rehashing it, and the
     stash is a list.  ``choices_of`` maps a key to its bin choices, so the
     reference shares the hashing of the table it is compared against and
-    nothing else.  ``stats`` holds the same counters as ``TableStats`` of a
-    table without a stash limit.
+    nothing else.  ``stats`` holds the same counters as ``TableStats``.
     """
 
     def __init__(self, m, choices_of) -> None:
@@ -496,8 +495,7 @@ class ReferenceCuckooTable:
         self.bins = [None] * m  # (key, choices) or None
         self.stash: list = []
         self.where: dict = {}  # key -> bin, or -1 in the stash
-        self.stats = dict(placed=0, stashed=0, displacements=0, lookups=0,
-                          stash_peak=0, stash_limit_exceeded=False)
+        self.stats = dict(placed=0, stashed=0, displacements=0, stash_peak=0)
 
     def insert(self, key):
         if key in self.where:
@@ -574,7 +572,6 @@ class ReferenceCuckooTable:
 
     def lookup(self, key):
         """(found, in_stash, bin), probing the bins then the stash."""
-        self.stats["lookups"] += 1
         for b in self.choices_of(key):
             slot = self.bins[b]
             if slot is not None and slot[0] == key:

@@ -1,4 +1,4 @@
-"""Lambert-W branches and the limit matching fractions."""
+"""Lambert W0 and the limit matching fractions."""
 
 import math
 
@@ -13,7 +13,6 @@ from cuckoo_lab.asymptotics import (
     gamma_mixed_rand,
     gamma_partitioned,
     lambert_w0,
-    lambert_w_m1,
     perfect_beta_interval,
 )
 from cuckoo_lab.exact import (
@@ -34,25 +33,15 @@ def test_w0_known_points():
     assert lambert_w0(0.0) == 0.0
     assert lambert_w0(-math.exp(-1)) == -1.0
     assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-13)
-
-
-def test_wm1_known_points():
-    assert lambert_w_m1(-math.exp(-1)) == -1.0
-    assert lambert_w_m1(-2 * math.exp(-2)) == pytest.approx(-2.0, rel=1e-13)
-    w = lambert_w_m1(-0.1)
-    assert w <= -1.0
-    assert w * math.exp(w) == pytest.approx(-0.1, rel=1e-12)
+    # -2 e^-2 has the real roots -2 and about -0.406; W0 is the one >= -1
+    w = lambert_w0(-2 * math.exp(-2))
+    assert w >= -1.0
+    assert w * math.exp(w) == pytest.approx(-2 * math.exp(-2), rel=1e-12)
 
 
 def test_w0_domain_error():
     with pytest.raises(ValueError):
         lambert_w0(-math.exp(-1) - 1e-6)
-
-
-def test_wm1_domain_errors():
-    for x in (0.0, 0.5, -math.exp(-1) - 1e-6):
-        with pytest.raises(ValueError):
-            lambert_w_m1(x)
 
 
 def test_w0_identity_dense():
@@ -63,25 +52,11 @@ def test_w0_identity_dense():
         assert w == pytest.approx(x, rel=1e-12, abs=1e-13)
 
 
-def test_wm1_identity_dense():
-    for k in range(1201):
-        x = -20.0 + k * (19.0 / 1200)
-        arg = x * math.exp(x)
-        assert lambert_w_m1(arg) == pytest.approx(x, rel=1e-12)
-
-
 @given(st.floats(min_value=-0.367, max_value=100.0, allow_nan=False))
 def test_w0_against_scipy(x):
     mine = lambert_w0(x)
     reference = scipy_lambertw(x, 0).real
     assert mine == pytest.approx(reference, rel=1e-12, abs=1e-14)
-
-
-@given(st.floats(min_value=-0.367, max_value=-1e-12, allow_nan=False))
-def test_wm1_against_scipy(x):
-    mine = lambert_w_m1(x)
-    reference = scipy_lambertw(x, -1).real
-    assert mine == pytest.approx(reference, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,10 @@ def test_trace_keep_duplicates(tmp_path, capsys):
     )
     assert code == 0
     assert _json(out)["results"]["n"] == 3
+    # without the flag a repeated key is dropped
+    code, out, _ = _run(capsys, "trace", "--input", str(path), "--m", "16", "--repeats", "1", "--seed", "1")
+    assert code == 0
+    assert _json(out)["results"]["n"] == 2
 
 
 def test_trace_keep_duplicates_with_colliding_stream(tmp_path, capsys):
@@ -490,3 +494,36 @@ def test_module_entry_point_exit_codes():
     bad = cli("exact", "--n", "2", "--m", "2", "--model", "nope")
     assert bad.returncode == 2
     assert "invalid choice" in bad.stderr
+
+
+@pytest.mark.parametrize("value", ["junk", "0", "-3", "2x"])
+def test_bad_worker_count_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("CUCKOO_LAB_THREADS", value)
+    code, out, err = _run(capsys, "simulate", "--n", "20", "--m", "20", "--model", "d2", "--trials", "3")
+    assert code == 2
+    assert out == ""
+    assert "CUCKOO_LAB_THREADS" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "60", "--m", "60", "--model", "fixed-d", "--d", "3", "--trials", "8", "--seed", "4"),
+        ("trace", "--synthetic", "200", "--m", "200", "--repeats", "4", "--seed", "7"),
+    ],
+)
+def test_worker_count_leaves_stdout_unchanged(argv):
+    # the module entry point, run with the variable unset and set to 2 (on
+    # a one-CPU machine the CPU cap leaves one worker and starts no pool)
+    env = dict(os.environ, PYTHONPATH=str(Path(exact.__file__).parents[1]))
+    env.pop("CUCKOO_LAB_THREADS", None)
+
+    def stdout(**extra):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuckoo_lab.cli", *argv],
+            env={**env, **extra}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert stdout() == stdout(CUCKOO_LAB_THREADS="2")

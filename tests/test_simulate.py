@@ -189,7 +189,7 @@ def test_estimate_mu_golden():
          "std_error=3.036163611152108)"),
     ]
     for params, trials, expected in cases:
-        assert repr(estimate_mu(params, trials, 7, threads=1)) == expected
+        assert repr(estimate_mu(params, trials, 7)) == expected
 
 
 def test_estimate_mu_stats_shape():
@@ -246,30 +246,30 @@ def test_simulated_mean_matches_exact_at_thousand():
     assert abs(stats.mean - exact) <= 3 * stats.std_error
 
 
-def test_parallel_equals_sequential():
+def test_parallel_equals_sequential(monkeypatch):
     params = ModelParams.fixed2(80, 80)
-    seq = estimate_mu(params, 40, RngSeed(5), threads=1)
-    par = estimate_mu(params, 40, RngSeed(5), threads=2)
-    assert seq == par
+    monkeypatch.delenv("CUCKOO_LAB_THREADS", raising=False)
+    seq = estimate_mu(params, 40, RngSeed(5))
+    monkeypatch.setenv("CUCKOO_LAB_THREADS", "2")
+    assert estimate_mu(params, 40, RngSeed(5)) == seq
 
 
 def test_effective_threads_env_cap(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 16)
     monkeypatch.delenv("CUCKOO_LAB_THREADS", raising=False)
-    assert effective_threads(None) == 1
-    assert effective_threads(4) == 4
+    assert effective_threads() == 1
     monkeypatch.setenv("CUCKOO_LAB_THREADS", "2")
-    assert effective_threads(None) == 2
-    assert effective_threads(8) == 2
-    monkeypatch.setenv("CUCKOO_LAB_THREADS", "junk")
-    assert effective_threads(3) == 3
+    assert effective_threads() == 2
+    for bad in ("junk", "0", "-3", "2x", " 2", ""):
+        monkeypatch.setenv("CUCKOO_LAB_THREADS", bad)
+        with pytest.raises(ValueError, match="CUCKOO_LAB_THREADS"):
+            effective_threads()
 
 
 def test_effective_threads_cpu_cap(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("CUCKOO_LAB_THREADS", "64")
     assert effective_threads() == 2
-    assert effective_threads(8) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert effective_threads() == 1
 
@@ -294,8 +294,11 @@ def test_fan_out_falls_back_when_pool_breaks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", _BrokenPool)
     params = ModelParams.fixed2(30, 30)
-    assert estimate_mu(params, 12, RngSeed(3), threads=3) == estimate_mu(params, 12, RngSeed(3), threads=1)
-    assert fan_out(lambda lo, hi: (lo, hi), 12, (), threads=3) == [(0, 12)]
+    monkeypatch.delenv("CUCKOO_LAB_THREADS", raising=False)
+    sequential = estimate_mu(params, 12, RngSeed(3))
+    monkeypatch.setenv("CUCKOO_LAB_THREADS", "3")
+    assert estimate_mu(params, 12, RngSeed(3)) == sequential
+    assert fan_out(lambda lo, hi: (lo, hi), 12, ()) == [(0, 12)]
 
 
 # ---------------------------------------------------------------------------

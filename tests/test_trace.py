@@ -11,7 +11,6 @@ from cuckoo_lab.hashing import bin_choices, wang_mix64
 from cuckoo_lab.simulate import RngSeed, SplitMix64
 from cuckoo_lab.trace import (
     KeyFormatError,
-    KeyStream,
     disambiguate_duplicates,
     read_keys,
     run_trace_experiment,
@@ -90,9 +89,8 @@ def test_bin_choices_uniformity_chi_square():
 
 def test_read_hex_lines(tmp_path):
     path = tmp_path / "keys.hex"
-    path.write_text("ff\n#c\n10\n")
-    stream = read_keys(path)
-    assert stream.keys == (255, 16)
+    path.write_text("ff\n#c\n10\nff\n")
+    assert read_keys(path) == (255, 16, 255)  # repeats are kept
 
 
 def test_read_hex_lines_rejects_garbage(tmp_path):
@@ -108,7 +106,7 @@ def test_read_hex_lines_rejects_garbage(tmp_path):
 def test_read_hex_lines_line_endings(tmp_path):
     path = tmp_path / "keys.hex"
     path.write_bytes(b"ff\r10\r\n20\n\n0x30")
-    assert read_keys(path).keys == (255, 16, 32, 48)
+    assert read_keys(path) == (255, 16, 32, 48)
 
 
 def test_read_hex_lines_rejects_binary_file(tmp_path):
@@ -117,14 +115,13 @@ def test_read_hex_lines_rejects_binary_file(tmp_path):
     path.write_bytes(b"".join(k.to_bytes(8, "little") for k in (0x0A, 0xFF, 0x1234)))
     with pytest.raises(KeyFormatError, match=r"keys\.bin:2: not ASCII text"):
         read_keys(path)
-    assert read_keys(path, "binary-u64-le").keys == (0x0A, 0xFF, 0x1234)
+    assert read_keys(path, "binary-u64-le") == (0x0A, 0xFF, 0x1234)
 
 
 def test_read_binary(tmp_path):
     path = tmp_path / "keys.bin"
     path.write_bytes((255).to_bytes(8, "little") + (16).to_bytes(8, "little"))
-    stream = read_keys(path, "binary-u64-le")
-    assert stream.keys == (255, 16)
+    assert read_keys(path, "binary-u64-le") == (255, 16)
 
 
 def test_read_binary_rejects_truncation(tmp_path):
@@ -137,13 +134,6 @@ def test_read_binary_rejects_truncation(tmp_path):
 def test_read_keys_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         read_keys(tmp_path / "x", "utf-7")
-
-
-def test_read_keys_dedup_keeps_first(tmp_path):
-    path = tmp_path / "dup.hex"
-    path.write_text("a\nb\na\nc\nb\n")
-    stream = read_keys(path, dedup=True)
-    assert stream.keys == (10, 11, 12)
 
 
 def test_disambiguate_duplicates():
@@ -163,9 +153,9 @@ def test_disambiguate_duplicates():
 def test_synthetic_stream_distinct_and_deterministic():
     a = synthetic_stream(50_000, 7)
     b = synthetic_stream(50_000, 7)
-    assert a.keys == b.keys
-    assert len(set(a.keys)) == 50_000
-    assert synthetic_stream(100, 8).keys != a.keys[:100]
+    assert a == b
+    assert len(set(a)) == 50_000
+    assert synthetic_stream(100, 8) != a[:100]
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +179,16 @@ def test_trace_experiment_fractions_sum_to_one():
 
 
 def test_trace_experiment_rejects_duplicates():
-    stream = KeyStream(keys=(1, 2, 1), source="inline")
     with pytest.raises(ValueError, match="duplicates"):
-        run_trace_experiment(stream, 10, 2, 1, 0)
+        run_trace_experiment((1, 2, 1), 10, 2, 1, 0)
 
 
-def test_trace_experiment_parallel_equals_sequential():
-    stream = synthetic_stream(200, 5)
-    seq = run_trace_experiment(stream, 200, 2, 4, 7, threads=1)
-    par = run_trace_experiment(stream, 200, 2, 4, 7, threads=2)
-    assert seq == par
+def test_trace_experiment_parallel_equals_sequential(monkeypatch):
+    keys = synthetic_stream(200, 5)
+    monkeypatch.delenv("CUCKOO_LAB_THREADS", raising=False)
+    seq = run_trace_experiment(keys, 200, 2, 4, 7)
+    monkeypatch.setenv("CUCKOO_LAB_THREADS", "2")
+    assert run_trace_experiment(keys, 200, 2, 4, 7) == seq
 
 
 def test_trace_partitioned_mode():
@@ -216,7 +206,7 @@ def test_trace_mean_matches_exact_formula():
     stash_sizes = []
     for seeds in report.per_repeat_seeds:
         table = new_table(m, 2, seeds)
-        for key in stream.keys:
+        for key in stream:
             table.insert(key)
         stash_sizes.append(table.load_stats().stash_size)
     mean_stash = sum(stash_sizes) / repeats
@@ -238,7 +228,7 @@ def test_stash_capacity_from_sizing_rule_suffices():
     for r in range(repeats):
         rng = RngSeed(4242).derive(r)
         table = new_table(m, 2, (rng.next_u64(), rng.next_u64()))
-        for key in stream.keys:
+        for key in stream:
             table.insert(key)
         if table.load_stats().stash_size > capacity:
             breaches += 1

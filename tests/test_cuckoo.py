@@ -89,11 +89,16 @@ def test_third_key_on_two_bins_is_stashed():
     assert t.load_stats().placed == 2
     assert t.load_stats().stash_size == 1
     _check_equivalence(t)
-    # the stash is unbounded: every further key is kept
-    for k in (40, 50, 60):
-        assert t.insert(k) is None
-    assert t.load_stats() == LoadStats(placed=2, stash_size=4)
+
+
+def test_stash_limit_is_advisory():
+    # the stash has no cap: every key that finds no bin is kept
+    t = _table(m=2)
+    outcomes = [t.insert(k * 1000 + 17) for k in range(6)]
+    assert outcomes.count(None) == 4
+    assert t.load_stats() == LoadStats(placed=2, stash_size=4)  # nothing dropped
     assert t.stats.stash_peak == 4
+    _check_equivalence(t)
 
 
 def test_displacement_chain():

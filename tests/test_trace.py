@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.stats import chi2
 
+from cuckoo_lab import cli
 from cuckoo_lab.cuckoo import new_table
 from cuckoo_lab.exact import expected_matching_d2, stash_size_for_epsilon
 from cuckoo_lab.hashing import bin_choices, wang_mix64
@@ -134,6 +135,23 @@ def test_read_binary_rejects_truncation(tmp_path):
 def test_read_keys_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         read_keys(tmp_path / "x", "utf-7")
+
+
+def test_read_keys_dedup_keeps_first(tmp_path, monkeypatch):
+    # read_keys keeps repeats; the trace command drops them, keeping the
+    # first occurrence of each key in file order
+    path = tmp_path / "dup.hex"
+    path.write_text("a\nb\na\nc\nb\n")
+    assert read_keys(path) == (10, 11, 10, 12, 11)
+    seen = []
+
+    def capture(keys, *rest):
+        seen.append(keys)
+        return run_trace_experiment(keys, *rest)
+
+    monkeypatch.setattr(cli, "run_trace_experiment", capture)
+    assert cli.run(["trace", "--input", str(path), "--m", "8", "--repeats", "1"]) == 0
+    assert seen == [(10, 11, 12)]
 
 
 def test_disambiguate_duplicates():

@@ -36,7 +36,7 @@ from .exact import (
     tree_count_d2,
     tree_count_partitioned,
 )
-from .hashing import bin_choices, wang_mix64
+from .hashing import bin_choices, choice_function, wang_mix64
 from .matching import (
     BipartiteGraph,
     ComponentSummary,
@@ -79,6 +79,7 @@ __all__ = [
     "TraceReport",
     "assert_structure",
     "bin_choices",
+    "choice_function",
     "components",
     "concentration_experiment",
     "concentration_tail_bound",

@@ -20,7 +20,9 @@ and the pruned breadth-first search reaches the live bins in the order
 the full search would, through the same parents: it performs the same
 chain.  Only emptying a dead bin can revive dead bins, so that clears
 the whole set.  The stash keeps each key's cached choices in
-insertion order, so re-insertion attempts never rehash.
+insertion order, so re-insertion attempts never rehash.  A table builds
+its key-to-choices function once (:func:`cuckoo_lab.hashing.choice_function`),
+so insert and lookup hash a key without re-checking the table's shape.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .hashing import bin_choices
+from .hashing import choice_function
 from .matching import augment
 
 
@@ -44,6 +46,11 @@ class LookupResult:
     found: bool
     in_stash: bool = False
     bin: Optional[int] = None
+
+
+# the two answers that name no bin, shared by every lookup (they are frozen)
+_MISS = LookupResult(found=False)
+_IN_STASH = LookupResult(found=True, in_stash=True)
 
 
 @dataclass
@@ -74,17 +81,12 @@ class CuckooTable:
     stats: TableStats = field(default_factory=TableStats)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if len(self.seeds) != self.d:
             raise ValueError(f"need exactly {self.d} seeds")
-        if self.partition_boundary is not None:
-            if self.d != 2:
-                raise ValueError("partitioned tables use d = 2")
-            if not 0 < self.partition_boundary < self.m:
-                raise ValueError("partition boundary must split the bins")
+        # checks m and the partition boundary
+        self._choices = choice_function(self.seeds, self.m, self.d, self.partition_boundary)
         # bins hold (key, choices) so displacement chains never rehash
         self._bins: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * self.m
         # stashed key -> its choices, in stash (insertion) order
@@ -97,14 +99,14 @@ class CuckooTable:
     # -- write path ---------------------------------------------------------
 
     def bin_choices(self, key: int) -> tuple[int, ...]:
-        return bin_choices(key, self.seeds, self.m, self.d, self.partition_boundary)
+        return self._choices(key)
 
     def insert(self, key: int) -> Optional[int]:
         """Insert a key; returns its bin index, or None if it went to the
         stash.  Duplicate keys are rejected (set semantics)."""
         if key in self._where:
             raise DuplicateKeyError(f"key {key} already stored")
-        choices = self.bin_choices(key)
+        choices = self._choices(key)
         chain = augment(self._bins, self._dead, choices)
         if chain is None:
             self._stash[key] = choices
@@ -167,13 +169,12 @@ class CuckooTable:
 
     def lookup(self, key: int) -> LookupResult:
         """Probe the key's d bins, then the stash."""
-        for b in self.bin_choices(key):
-            slot = self._bins[b]
+        bins = self._bins
+        for b in self._choices(key):
+            slot = bins[b]
             if slot is not None and slot[0] == key:
                 return LookupResult(found=True, bin=b)
-        if key in self._stash:
-            return LookupResult(found=True, in_stash=True)
-        return LookupResult(found=False)
+        return _IN_STASH if key in self._stash else _MISS
 
     def load_stats(self) -> LoadStats:
         return LoadStats(placed=self.stats.placed, stash_size=len(self._stash))

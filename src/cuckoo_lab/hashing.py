@@ -7,7 +7,7 @@ implementations.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -25,13 +25,58 @@ def wang_mix64(x: int) -> int:
     return x
 
 
-def _reduce(value: int, lo: int, span: int) -> int:
-    # Map a mixed 64-bit value into [lo, lo + span) by rejection: re-mix
-    # while the value falls in the truncated residue of the 2^64 range.
-    threshold = (1 << 64) - ((1 << 64) % span)
-    while value >= threshold:
-        value = wang_mix64(value)
-    return lo + value % span
+def choice_function(
+    seeds: Sequence[int],
+    m: int,
+    d: int,
+    partition_boundary: Optional[int] = None,
+) -> Callable[[int], tuple[int, ...]]:
+    """The map from a key to its d candidate bins, with the arguments
+    checked and each choice's target range prepared once.
+
+    Choice i is wang_mix64(key XOR seeds[i]) reduced into its range
+    [lo, lo + span) without modulo bias: the mixed value is re-mixed while
+    it falls in the truncated residue [2^64 - 2^64 mod span, 2^64).  With a
+    partition boundary (d = 2 only), choice 0 lands in [0, boundary) and
+    choice 1 in [boundary, m).
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if len(seeds) < d:
+        raise ValueError(f"need {d} seeds, got {len(seeds)}")
+    if partition_boundary is None:
+        ranges = [(0, m)] * d
+    else:
+        if d != 2:
+            raise ValueError("partitioned tables use d = 2")
+        if not 0 < partition_boundary < m:
+            raise ValueError("partition boundary must split the bins")
+        ranges = [(0, partition_boundary), (partition_boundary, m - partition_boundary)]
+    plan = tuple(
+        (seed, lo, span, (1 << 64) - (1 << 64) % span)
+        for seed, (lo, span) in zip(seeds, ranges)
+    )
+
+    def choices(key: int) -> tuple[int, ...]:
+        out = []
+        for seed, lo, span, threshold in plan:
+            # wang_mix64 inlined, each shift-and-add step as one product;
+            # the first is reduced modulo 2^64, so key and seed act through
+            # their low 64 bits
+            x = key ^ seed
+            x = (x * 0x1FFFFF - 1) & _MASK64  # ~x + (x << 21)
+            x ^= x >> 24
+            x = (x * 265) & _MASK64  # x + (x << 3) + (x << 8)
+            x ^= x >> 14
+            x = (x * 21) & _MASK64  # x + (x << 2) + (x << 4)
+            x ^= x >> 28
+            x = (x * 0x80000001) & _MASK64  # x + (x << 31)
+            while x >= threshold:
+                x = wang_mix64(x)
+            out.append(lo + x % span)
+        return tuple(out)
+
+    return choices
 
 
 def bin_choices(
@@ -41,24 +86,6 @@ def bin_choices(
     d: int,
     partition_boundary: Optional[int] = None,
 ) -> tuple[int, ...]:
-    """The d candidate bins of a key: choice i is wang_mix64(key XOR
-    seeds[i]) reduced into the target range without modulo bias.
-
-    With a partition boundary (d = 2 only), choice 0 lands in
-    [0, boundary) and choice 1 in [boundary, m).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if len(seeds) < d:
-        raise ValueError(f"need {d} seeds, got {len(seeds)}")
-    key &= _MASK64
-    if partition_boundary is None:
-        return tuple(_reduce(wang_mix64(key ^ seeds[i]), 0, m) for i in range(d))
-    if d != 2:
-        raise ValueError("partitioned tables use d = 2")
-    if not 0 < partition_boundary < m:
-        raise ValueError("partition boundary must split the bins")
-    return (
-        _reduce(wang_mix64(key ^ seeds[0]), 0, partition_boundary),
-        _reduce(wang_mix64(key ^ seeds[1]), partition_boundary, m - partition_boundary),
-    )
+    """The d candidate bins of one key; see :func:`choice_function`, which
+    a caller hashing many keys with the same arguments should build once."""
+    return choice_function(seeds, m, d, partition_boundary)(key)

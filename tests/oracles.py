@@ -10,7 +10,8 @@ where direct enumeration is too large).  The two-bank limit is bisected in
 50-digit decimal arithmetic.  The cuckoo table is kept in its plain form,
 without search pruning, to compare layouts against, and the two-bank
 exact series as the full double sum, to compare its peak-walk summation
-against.
+against.  Bin choices are derived key by key from the pinned mix, as the
+reference for the package's precomputed choice function.
 """
 
 from __future__ import annotations
@@ -476,6 +477,46 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], n: int, m: int) -> tuple[list[in
                 if not descended:
                     dist[u] = INF
                     stack.pop()
+
+
+# ---------------------------------------------------------------------------
+# bin choices
+
+_MASK64 = (1 << 64) - 1
+
+
+def wang_mix64(x: int) -> int:
+    """Wang's 64-bit integer mix, every step reduced modulo 2^64."""
+    x &= _MASK64
+    x = (~x + (x << 21)) & _MASK64
+    x ^= x >> 24
+    x = (x + (x << 3) + (x << 8)) & _MASK64
+    x ^= x >> 14
+    x = (x + (x << 2) + (x << 4)) & _MASK64
+    x ^= x >> 28
+    x = (x + (x << 31)) & _MASK64
+    return x
+
+
+def _reduce(value: int, lo: int, span: int) -> int:
+    # re-mix while the value falls in the truncated residue of the 2^64 range
+    threshold = (1 << 64) - ((1 << 64) % span)
+    while value >= threshold:
+        value = wang_mix64(value)
+    return lo + value % span
+
+
+def reference_bin_choices(key, seeds, m, d, partition_boundary=None) -> tuple[int, ...]:
+    """Choice i is wang_mix64(key XOR seeds[i]) reduced into [0, m), or
+    with a boundary into [0, boundary) for choice 0 and [boundary, m) for
+    choice 1; the threshold is recomputed for every choice."""
+    key &= _MASK64
+    if partition_boundary is None:
+        return tuple(_reduce(wang_mix64(key ^ seeds[i]), 0, m) for i in range(d))
+    return (
+        _reduce(wang_mix64(key ^ seeds[0]), 0, partition_boundary),
+        _reduce(wang_mix64(key ^ seeds[1]), partition_boundary, m - partition_boundary),
+    )
 
 
 # ---------------------------------------------------------------------------

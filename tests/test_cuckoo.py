@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from cuckoo_lab.cuckoo import CuckooTable, DuplicateKeyError, LoadStats, new_table
+from cuckoo_lab.cuckoo import _IN_STASH, _MISS, CuckooTable, DuplicateKeyError, LoadStats, new_table
 from cuckoo_lab.matching import BipartiteGraph, max_matching
 from cuckoo_lab.simulate import SplitMix64
 
-from oracles import ReferenceCuckooTable
+from oracles import ReferenceCuckooTable, reference_bin_choices
 
 
 def _table(m=8, d=2, seed=1, boundary=None) -> CuckooTable:
@@ -63,6 +63,10 @@ def test_new_table_validation():
         _table(m=4, d=3, boundary=2)
     with pytest.raises(ValueError):
         _table(m=4, d=2, boundary=0)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        _table(m=0)
+    with pytest.raises(ValueError, match="partition boundary must split the bins"):
+        _table(m=4, d=2, boundary=4)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +264,33 @@ def test_remove_matches_reference_at_full_load(d, boundary):
             _check_dead_bins(t)
     assert saw_dead
     assert t.load_stats().stash_size > 0
+
+
+def test_shared_lookup_results_are_frozen_and_match_reference():
+    # a miss and an in-stash answer are shared instances, so they must be
+    # immutable; the reference hashes keys on its own, so bins agree too
+    for shared in (_MISS, _IN_STASH):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.found = not shared.found
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.bin = 0
+    assert (_MISS.found, _MISS.in_stash, _MISS.bin) == (False, False, None)
+    assert (_IN_STASH.found, _IN_STASH.in_stash, _IN_STASH.bin) == (True, True, None)
+    m = 300
+    t = _table(m=m, seed=5)
+    ref = ReferenceCuckooTable(m, lambda k: reference_bin_choices(k, t.seeds, m, 2))
+    rng = random.Random(77)
+    stored = [rng.getrandbits(64) for _ in range(m)]
+    for key in stored:
+        assert t.insert(key) == ref.insert(key)
+    answers = set()
+    for key in stored + [rng.getrandbits(64) for _ in range(m)]:
+        res = t.lookup(key)
+        assert (res.found, res.in_stash, res.bin) == ref.lookup(key)
+        if not res.found or res.in_stash:
+            assert res is (_IN_STASH if res.found else _MISS)
+        answers.add((res.found, res.in_stash))
+    assert len(answers) == 3  # bin, stash and miss answers all seen
 
 
 def test_no_key_loss_and_bin_validity():

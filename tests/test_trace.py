@@ -8,7 +8,7 @@ from scipy.stats import chi2
 from cuckoo_lab import cli
 from cuckoo_lab.cuckoo import new_table
 from cuckoo_lab.exact import expected_matching_d2, stash_size_for_epsilon
-from cuckoo_lab.hashing import bin_choices, wang_mix64
+from cuckoo_lab.hashing import bin_choices, choice_function, wang_mix64
 from cuckoo_lab.simulate import RngSeed, SplitMix64
 from cuckoo_lab.trace import (
     KeyFormatError,
@@ -17,6 +17,8 @@ from cuckoo_lab.trace import (
     run_trace_experiment,
     synthetic_stream,
 )
+
+from oracles import reference_bin_choices
 
 # frozen from an independent big-integer evaluation of the pinned bit sequence
 WANG_GOLDEN = {
@@ -65,10 +67,85 @@ def test_bin_choices_partition_mode():
     for key in range(500):
         lo, hi = bin_choices(key, seeds, 100, 2, partition_boundary=37)
         assert 0 <= lo < 37 <= hi < 100
-    with pytest.raises(ValueError):
-        bin_choices(1, seeds, 100, 3, partition_boundary=37)
-    with pytest.raises(ValueError):
-        bin_choices(1, seeds, 100, 2, partition_boundary=0)
+
+
+_SEEDS2 = (0x1234_5678, 0x9ABC_DEF0)
+_GOLDEN_KEYS = (0, 1, 0xDEADBEEF, 2**64 - 1, 0x0123456789ABCDEF)
+
+# name -> ((seeds, m, d, boundary), bin_choices of each golden key), frozen
+# from the per-choice implementation before the choice function replaced it
+BIN_CHOICES_GOLDEN = {
+    "m1": ((_SEEDS2, 1, 2, None), [(0x0, 0x0)] * 5),
+    "m3": ((_SEEDS2, 3, 2, None), [(0x2, 0x0), (0x1, 0x2), (0x2, 0x1), (0x0, 0x0), (0x0, 0x2)]),
+    "m2000": ((_SEEDS2, 2000, 2, None), [
+        (0x69F, 0x6DD), (0x297, 0x2BD), (0x64D, 0x1C9), (0x2B0, 0xFA), (0x29E, 0x128),
+    ]),
+    # a span of 2^63 + 1 re-mixes about half of all values
+    "m2^63+1": ((_SEEDS2, 2**63 + 1, 2, None), [
+        (0x6139930AD0807A90, 0x7A5855450052CDCD),
+        (0x210C8E875F28FD17, 0x6427E42BFF53D02D),
+        (0x764BBE27600E9D88, 0x6123CB71BE817D1A),
+        (0x5683763D0FA52EB0, 0x2A151954C5B1D430),
+        (0x7DF5551019B1B9E8, 0x0585D70B3F23359D),
+    ]),
+    "d3": (((11, 22, 33), 2000, 3, None), [
+        (0x1C4, 0x20, 0xD3), (0x655, 0x49E, 0x650), (0x4CC, 0x5A2, 0x13A),
+        (0x60, 0x4AD, 0x6BD), (0x2F7, 0x5FD, 0x1A8),
+    ]),
+    "d4": (((11, 22, 33, 44), 1000, 4, None), [
+        (0x1C4, 0x20, 0xD3, 0x135), (0x26D, 0xB6, 0x268, 0xB4), (0xE4, 0x1BA, 0x13A, 0x3B5),
+        (0x60, 0xC5, 0x2D5, 0x56), (0x2F7, 0x215, 0x1A8, 0x246),
+    ]),
+    "two-bank": ((_SEEDS2, 2000, 2, 700), [
+        (0x127, 0x421), (0x1CF, 0x44D), (0xD, 0x359), (0x120, 0x3B6), (0x46, 0x4AC),
+    ]),
+    # seeds outside [0, 2^64) act through their low 64 bits
+    "wide-seeds": (((-1, 2**64 + 7), 2000, 2, None), [
+        (0x444, 0x393), (0x1CA, 0x382), (0x6CB, 0x9F), (0x6C0, 0x2B4), (0x7BC, 0x315),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(BIN_CHOICES_GOLDEN))
+def test_bin_choices_golden_values(name):
+    shape, expected = BIN_CHOICES_GOLDEN[name]
+    assert [bin_choices(k, *shape) for k in _GOLDEN_KEYS] == expected
+    choices = choice_function(*shape)
+    assert [choices(k) for k in _GOLDEN_KEYS] == expected
+    assert choices(-1) == expected[3]  # keys act through their low 64 bits
+
+
+def test_golden_span_forces_remix():
+    threshold = (1 << 64) - (1 << 64) % (2**63 + 1)
+    remixed = [wang_mix64(k ^ s) >= threshold for k in _GOLDEN_KEYS for s in _SEEDS2]
+    assert 0 < sum(remixed) < len(remixed)
+
+
+@pytest.mark.parametrize("name", list(BIN_CHOICES_GOLDEN))
+def test_choice_function_matches_reference(name):
+    shape, _ = BIN_CHOICES_GOLDEN[name]
+    choices = choice_function(*shape)
+    rng = SplitMix64(4242)
+    for _ in range(10_000):
+        key = rng.next_u64()
+        assert choices(key) == reference_bin_choices(key, *shape)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((1, 2), 0, 2), "m must be >= 1"),
+        (((1,), 10, 2), "need 2 seeds, got 1"),
+        (((1, 2, 3), 10, 3, 4), "partitioned tables use d = 2"),
+        (((1, 2), 10, 2, 0), "partition boundary must split the bins"),
+        (((1, 2), 10, 2, 10), "partition boundary must split the bins"),
+    ],
+)
+def test_choice_function_rejects_bad_shapes(args, message):
+    with pytest.raises(ValueError, match=message):
+        choice_function(*args)
+    with pytest.raises(ValueError, match=message):
+        bin_choices(1, *args)
 
 
 def test_bin_choices_uniformity_chi_square():
@@ -77,8 +154,9 @@ def test_bin_choices_uniformity_chi_square():
     counts = [0] * m
     rng = SplitMix64(2)
     samples = 1_000_000
+    choices = choice_function(seeds, m, 2)
     for _ in range(samples):
-        counts[bin_choices(rng.next_u64(), seeds, m, 2)[0]] += 1
+        counts[choices(rng.next_u64())[0]] += 1
     expected = samples / m
     statistic = sum((c - expected) ** 2 / expected for c in counts)
     assert statistic < chi2.ppf(0.999, m - 1)

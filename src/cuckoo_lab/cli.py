@@ -2,9 +2,10 @@
 
 Every capability is a subcommand producing one machine-readable record
 (JSON by default) or, with ``--sweep PARAM=start:stop:step``, one record
-per grid point (CSV by default, ready for plotting).  Numbers are printed
-with 17 significant digits in both formats, so the two serializations give
-value-identical data.
+per grid point (CSV by default, ready for plotting).  Floats are printed in
+their shortest round-trip form in both formats (an integral float as
+``67.0``), so each reads back to the same double and the two serializations
+give value-identical data.
 """
 
 from __future__ import annotations
@@ -25,47 +26,12 @@ from .simulate import RngSeed, concentration_experiment, estimate_mu
 from .trace import disambiguate_duplicates, read_keys, run_trace_experiment, synthetic_stream
 
 
-def _num_repr(value: float) -> str:
-    return format(value, ".17g")
-
-
-def _json_value(value: object) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{value} has no JSON representation")
-        return _num_repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {value!r}")
-
-
-def _csv_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _num_repr(value)
-    return str(value)
-
-
 def _render(records: list[dict], fmt: str) -> str:
-    """The records as one JSON value, or as CSV with one column per field."""
+    """The records as one JSON value, or as CSV with one column per field.
+    A non-finite float has no JSON form and raises ValueError."""
     if fmt == "json":
-        if len(records) == 1:
-            return _json_value(records[0]) + "\n"
-        return "[" + ",\n ".join(_json_value(r) for r in records) + "]\n"
+        text = ",\n ".join(json.dumps(r, allow_nan=False) for r in records)
+        return (text if len(records) == 1 else "[" + text + "]") + "\n"
     rows = [{"command": r["command"], **r["parameters"], **r["results"], **r["metadata"]} for r in records]
     header = list(rows[0])
     buf = io.StringIO()
@@ -74,7 +40,7 @@ def _render(records: list[dict], fmt: str) -> str:
     for row in rows:
         if list(row) != header:
             raise RuntimeError("inconsistent sweep columns")
-        writer.writerow([_csv_cell(v) for v in row.values()])
+        writer.writerow([("true" if v else "false") if isinstance(v, bool) else v for v in row.values()])
     return buf.getvalue()
 
 
@@ -211,17 +177,17 @@ def _handle_exact(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.round:
         _snap(args)
     flags = _model_flags(args)
-    if args.model == "bound-d":
-        mu, truncated_at = matching_upper_bound_d(args.n, args.m, args.d), None
-    else:
-        # the other exact model names are the ModelParams variants
-        res = evaluate(ModelParams(args.n, args.m, args.model, **flags))
-        mu, truncated_at = res.mu, res.truncated_at
+    # the other exact model names are the ModelParams variants
+    res = (
+        matching_upper_bound_d(args.n, args.m, args.d)
+        if args.model == "bound-d"
+        else evaluate(ModelParams(args.n, args.m, args.model, **flags))
+    )
     results = {
-        "mu": mu,
-        "stash_expected": args.n - mu,
-        "mu_over_n": mu / args.n if args.n else 0.0,
-        "truncated_at": truncated_at,
+        "mu": res.mu,
+        "stash_expected": res.stash_expected,
+        "mu_over_n": res.mu / args.n if args.n else 0.0,
+        "truncated_at": res.truncated_at,
     }
     return {"model": args.model, "n": args.n, "m": args.m, **flags}, results
 

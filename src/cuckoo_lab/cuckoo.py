@@ -78,7 +78,7 @@ class CuckooTable:
     d: int
     seeds: tuple[int, ...]
     partition_boundary: Optional[int] = None
-    stats: TableStats = field(default_factory=TableStats)
+    stats: TableStats = field(init=False, default_factory=TableStats)
 
     def __post_init__(self) -> None:
         if self.d < 2:

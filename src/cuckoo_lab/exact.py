@@ -477,9 +477,10 @@ def _sum_from_peak(log_term, lo: int, hi: int, start: int) -> tuple[list[float],
     return row, i
 
 
-def matching_upper_bound_d(n: int, m: int, d: int, *, truncate: bool = True) -> float:
+def matching_upper_bound_d(n: int, m: int, d: int, *, truncate: bool = True) -> ExactResult:
     """Upper bound on the expected maximum matching size when every element
-    draws d >= 2 uniform bins (with repetition).
+    draws d >= 2 uniform bins (with repetition); the bound is the result's
+    ``mu``.
 
     Counts only the tree components with q = (d-1)s + 1 right vertices,
     each stranding q - s bins; other unmatched bins are ignored, so the
@@ -488,7 +489,7 @@ def matching_upper_bound_d(n: int, m: int, d: int, *, truncate: bool = True) -> 
     :func:`expected_matching_d2` exactly.
     """
     ModelParams.fixed_d(n, m, d)
-    return _series(n, m, _deficit_rows(n, m, d, n, 1.0), truncate).mu
+    return _series(n, m, _deficit_rows(n, m, d, n, 1.0), truncate)
 
 
 def evaluate(params: ModelParams, *, truncate: bool = True) -> ExactResult:

@@ -85,10 +85,6 @@ class SplitMix64:
         self.state = state
         return out
 
-    def bernoulli(self, threshold: int) -> bool:
-        """True with probability threshold / 2^64."""
-        return self.next_u64() < threshold
-
 
 @dataclass(frozen=True)
 class RngSeed:
@@ -137,7 +133,8 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
         threshold = probability_threshold(params.p)
         rows = []
         for _ in range(n):
-            if rng.bernoulli(threshold):
+            # two choices with probability threshold / 2^64
+            if rng.next_u64() < threshold:
                 rows.append((rng.below(m), rng.below(m)))
             else:
                 rows.append((rng.below(m),))

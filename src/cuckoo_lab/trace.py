@@ -148,13 +148,12 @@ def synthetic_stream(count: int, seed: int) -> tuple[int, ...]:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    rng = RngSeed(seed, stream=_KEY_STREAM_OFFSET).derive(0)
-    return _KeyTuple(rng.next_u64() for _ in range(count))
+    # below 2^64 nothing is rejected: the draws are the raw 64-bit words
+    return _KeyTuple(RngSeed(seed, stream=_KEY_STREAM_OFFSET).derive(0).draws(1 << 64, count))
 
 
 def _seeds_for_repeat(base_seed: int, repeat: int, d: int) -> tuple[int, ...]:
-    rng = RngSeed(base_seed).derive(repeat)
-    return tuple(rng.next_u64() for _ in range(d))
+    return tuple(RngSeed(base_seed).derive(repeat).draws(1 << 64, d))
 
 
 def _run_repeats(

@@ -64,14 +64,14 @@ def test_criterion_04_upper_bound_d2_identity():
     ]
     for n, m in grid:
         mu = expected_matching_d2(n, m).mu
-        bound = matching_upper_bound_d(n, m, 2)
+        bound = matching_upper_bound_d(n, m, 2).mu
         assert abs(bound - mu) <= 1e-10 * max(abs(mu), 1.0), (n, m)
     _passed(4, "d=2 reduction identity of the d-choice upper bound")
 
 
 def test_criterion_05_multi_choice_bound_and_simulation():
-    bound3 = matching_upper_bound_d(100, 100, 3) / 100
-    bound4 = matching_upper_bound_d(100, 100, 4) / 100
+    bound3 = matching_upper_bound_d(100, 100, 3).mu / 100
+    bound4 = matching_upper_bound_d(100, 100, 4).mu / 100
     assert abs(bound3 - 0.9508) <= 5e-4
     assert abs(bound4 - 0.9820) <= 5e-4
     sim3 = estimate_mu(ModelParams.fixed_d(100, 100, 3), 10_000, RngSeed(531)).mean / 100

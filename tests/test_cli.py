@@ -1,6 +1,7 @@
 """CLI surface: grammar, output formats, exit codes, determinism."""
 
 import collections
+import contextlib
 import csv
 import io
 import json
@@ -8,14 +9,21 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cuckoo_lab import __version__, exact
+from cuckoo_lab import __version__, cli, exact
 from cuckoo_lab.asymptotics import gamma_d2
-from cuckoo_lab.cli import _json_value, run
-from cuckoo_lab.exact import expected_matching_d2, expected_matching_mixed_det, stash_size_for_epsilon
+from cuckoo_lab.cli import _MODEL_FLAG, _NUMERIC, _REQUIRED, _render, run
+from cuckoo_lab.exact import (
+    expected_matching_d2,
+    expected_matching_mixed_det,
+    matching_upper_bound_d,
+    stash_size_for_epsilon,
+)
 from cuckoo_lab.simulate import RngSeed, estimate_mu
 from cuckoo_lab.exact import ModelParams
 from cuckoo_lab.hashing import wang_mix64
@@ -45,6 +53,14 @@ def test_exact_matches_library_exactly(capsys):
     code, out, _ = _run(capsys, "exact", "--n", "123", "--m", "177", "--model", "d2")
     assert code == 0
     assert _json(out)["results"]["mu"] == expected_matching_d2(123, 177).mu
+
+
+def test_exact_bound_d_reports_where_its_series_stopped(capsys):
+    code, out, err = _run(capsys, "exact", "--n", "10000", "--m", "10000", "--model", "bound-d", "--d", "3")
+    assert code == 0, err
+    bound = matching_upper_bound_d(10_000, 10_000, 3)
+    assert _json(out)["results"]["mu"] == bound.mu
+    assert _json(out)["results"]["truncated_at"] == bound.truncated_at == 61
 
 
 def test_asymptotic_d2_example(capsys):
@@ -407,10 +423,27 @@ def test_asymptotic_at_huge_alpha(capsys, model_flags):
     assert _json(out)["results"]["gamma"] == pytest.approx(1e-308, rel=1e-12, abs=0)
 
 
-def test_json_refuses_non_finite_floats():
+def test_json_refuses_non_finite_floats(capsys, monkeypatch):
     for value in (math.nan, math.inf, -math.inf):
+        record = {"command": "asymptotic", "parameters": {}, "results": {"gamma": value}, "metadata": {}}
         with pytest.raises(ValueError):
-            _json_value({"x": value})
+            _render([record], "json")
+    # the command exits 2 and prints nothing
+    monkeypatch.setattr(cli, "gamma_d2", lambda alpha: types.SimpleNamespace(gamma=math.nan, closed_form_used=True))
+    assert _run(capsys, "asymptotic", "--alpha", "1", "--model", "d2")[:2] == (2, "")
+
+
+def test_float_fields_print_as_floats(capsys):
+    # an integral float prints as 67.0, not as the JSON integer 67
+    argv = ("simulate", "--n", "70", "--m", "70", "--model", "fixed-d", "--d", "3", "--trials", "5", "--seed", "11")
+    results = _json(_run(capsys, *argv)[1])["results"]
+    assert [results[k] for k in ("mean", "min", "max")] == [67.0, 66.0, 68.0]
+    assert {type(results[k]) for k in ("mean", "min", "max")} == {float}
+    rec = _json(_run(capsys, "asymptotic", "--alpha", "1", "--model", "d2")[1])
+    assert type(rec["parameters"]["alpha"]) is float
+    rec = _json(_run(capsys, "asymptotic", "--model", "partitioned", "--alpha", "1e-10", "--beta", "5e-324")[1])
+    assert rec["parameters"]["beta"] == 5e-324
+    assert type(rec["results"]["t1"]) is float
 
 
 def test_runtime_errors_exit_1(capsys):
@@ -441,35 +474,35 @@ def test_sweep_json_array(capsys):
         assert r["results"]["mu"] == expected_matching_d2(r["parameters"]["n"], 50).mu
 
 
-# stdout of the CLI, byte for byte, as it was before the CLI's flags,
-# errors and records were each stated in one place
+# stdout of the CLI, byte for byte: the layout of the records and each
+# float in its shortest round-trip form
 _PINNED = [
     ('exact --n 2 --m 2 --model d2',
      '{"command": "exact", "parameters": {"model": "d2", "n": 2, "m": 2}, "results": {"mu": 1.875, "stash_expected": 0.125, "mu_over_n": 0.9375, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
     ('exact --n 30 --m 40 --model mixed-det --a 1.5 --format csv',
-     'command,model,n,m,a,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-det,30,40,1.5,24.982789246279907,5.017210753720093,0.83275964154266358,,0.1.0\n'),
+     'command,model,n,m,a,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-det,30,40,1.5,24.982789246279907,5.017210753720093,0.8327596415426636,,0.1.0\n'),
     ('exact --n 4 --m 10 --model partitioned --beta 0.33 --round',
-     '{"command": "exact", "parameters": {"model": "partitioned", "n": 4, "m": 10, "beta": 0.29999999999999999}, "results": {"mu": 3.9885541518194607, "stash_expected": 0.011445848180539286, "mu_over_n": 0.99713853795486518, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
+     '{"command": "exact", "parameters": {"model": "partitioned", "n": 4, "m": 10, "beta": 0.3}, "results": {"mu": 3.9885541518194607, "stash_expected": 0.011445848180539286, "mu_over_n": 0.9971385379548652, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
     ('exact --n 50 --m 50 --model bound-d --d 3',
-     '{"command": "exact", "parameters": {"model": "bound-d", "n": 50, "m": 50, "d": 3}, "results": {"mu": 47.574507094181214, "stash_expected": 2.4254929058187855, "mu_over_n": 0.95149014188362424, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
+     '{"command": "exact", "parameters": {"model": "bound-d", "n": 50, "m": 50, "d": 3}, "results": {"mu": 47.574507094181214, "stash_expected": 2.4254929058187855, "mu_over_n": 0.9514901418836242, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
     ('exact --m 50 --model mixed-rand --p 0.3 --sweep n=10:30:10',
-     'command,model,n,m,p,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-rand,10,50,0.29999999999999999,9.5258807651299264,0.47411923487007357,0.9525880765129926,,0.1.0\nexact,mixed-rand,20,50,0.29999999999999999,17.877023129516388,2.1229768704836118,0.89385115647581936,,0.1.0\nexact,mixed-rand,30,50,0.29999999999999999,24.924177762171514,5.0758222378284863,0.83080592540571707,,0.1.0\n'),
+     'command,model,n,m,p,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-rand,10,50,0.3,9.525880765129926,0.47411923487007357,0.9525880765129926,,0.1.0\nexact,mixed-rand,20,50,0.3,17.877023129516388,2.122976870483612,0.8938511564758194,,0.1.0\nexact,mixed-rand,30,50,0.3,24.924177762171514,5.075822237828486,0.8308059254057171,,0.1.0\n'),
     ('asymptotic --alpha 1 --model partitioned --beta 0.3',
-     '{"command": "asymptotic", "parameters": {"model": "partitioned", "alpha": 1, "beta": 0.29999999999999999}, "results": {"gamma": 0.80720885480486348, "closed_form": false, "t1": 0.12613112418768965, "t2": 0.90622514440048818}, "metadata": {"version": "0.1.0"}}\n'),
+     '{"command": "asymptotic", "parameters": {"model": "partitioned", "alpha": 1.0, "beta": 0.3}, "results": {"gamma": 0.8072088548048635, "closed_form": false, "t1": 0.12613112418768965, "t2": 0.9062251444004882}, "metadata": {"version": "0.1.0"}}\n'),
     ('asymptotic --model partitioned --alpha 1e-10 --beta 5e-324',
-     '{"command": "asymptotic", "parameters": {"model": "partitioned", "alpha": 1e-10, "beta": 4.9406564584124654e-324}, "results": {"gamma": 0.99999999995, "closed_form": false, "t1": 0, "t2": null}, "metadata": {"version": "0.1.0"}}\n'),
+     '{"command": "asymptotic", "parameters": {"model": "partitioned", "alpha": 1e-10, "beta": 5e-324}, "results": {"gamma": 0.99999999995, "closed_form": false, "t1": 0.0, "t2": null}, "metadata": {"version": "0.1.0"}}\n'),
     ('asymptotic --model mixed --a 1.5 --sweep alpha=0.5:1.5:0.5 --format json',
-     '[{"command": "asymptotic", "parameters": {"model": "mixed", "alpha": 0.5, "a": 1.5}, "results": {"gamma": 0.90369986859498075, "closed_form": false}, "metadata": {"version": "0.1.0"}},\n {"command": "asymptotic", "parameters": {"model": "mixed", "alpha": 1, "a": 1.5}, "results": {"gamma": 0.74380476742325063, "closed_form": false}, "metadata": {"version": "0.1.0"}},\n {"command": "asymptotic", "parameters": {"model": "mixed", "alpha": 1.5, "a": 1.5}, "results": {"gamma": 0.58971919240168369, "closed_form": false}, "metadata": {"version": "0.1.0"}}]\n'),
+     '[{"command": "asymptotic", "parameters": {"model": "mixed", "alpha": 0.5, "a": 1.5}, "results": {"gamma": 0.9036998685949807, "closed_form": false}, "metadata": {"version": "0.1.0"}},\n {"command": "asymptotic", "parameters": {"model": "mixed", "alpha": 1.0, "a": 1.5}, "results": {"gamma": 0.7438047674232506, "closed_form": false}, "metadata": {"version": "0.1.0"}},\n {"command": "asymptotic", "parameters": {"model": "mixed", "alpha": 1.5, "a": 1.5}, "results": {"gamma": 0.5897191924016837, "closed_form": false}, "metadata": {"version": "0.1.0"}}]\n'),
     ('simulate --n 70 --m 70 --model fixed-d --d 3 --trials 5 --seed 11',
-     '{"command": "simulate", "parameters": {"model": "fixed-d", "n": 70, "m": 70, "trials": 5, "d": 3}, "results": {"mean": 67, "std_dev": 0.70710678118654757, "min": 66, "max": 68, "std_error": 0.31622776601683794, "mean_over_n": 0.95714285714285718}, "metadata": {"version": "0.1.0", "seed": 11}}\n'),
+     '{"command": "simulate", "parameters": {"model": "fixed-d", "n": 70, "m": 70, "trials": 5, "d": 3}, "results": {"mean": 67.0, "std_dev": 0.7071067811865476, "min": 66.0, "max": 68.0, "std_error": 0.31622776601683794, "mean_over_n": 0.9571428571428572}, "metadata": {"version": "0.1.0", "seed": 11}}\n'),
     ('simulate --n 40 --m 40 --model partitioned --beta 0.5 --trials 5 --seed 2 --format csv',
-     'command,model,n,m,trials,beta,mean,std_dev,min,max,std_error,mean_over_n,version,seed\nsimulate,partitioned,40,40,5,0.5,33.799999999999997,1.3038404810405297,32,35,0.58309518948452999,0.84499999999999997,0.1.0,2\n'),
+     'command,model,n,m,trials,beta,mean,std_dev,min,max,std_error,mean_over_n,version,seed\nsimulate,partitioned,40,40,5,0.5,33.8,1.3038404810405297,32.0,35.0,0.58309518948453,0.845,0.1.0,2\n'),
     ('stash-size --n 100 --m 100 --epsilon 0.01',
-     '{"command": "stash-size", "parameters": {"n": 100, "m": 100, "epsilon": 0.01}, "results": {"stash_real": 46.376131878215503, "stash_slots": 47}, "metadata": {"version": "0.1.0"}}\n'),
+     '{"command": "stash-size", "parameters": {"n": 100, "m": 100, "epsilon": 0.01}, "results": {"stash_real": 46.3761318782155, "stash_slots": 47}, "metadata": {"version": "0.1.0"}}\n'),
     ('trace --synthetic 300 --m 300 --repeats 2 --seed 5 --beta 0.5',
-     '{"command": "trace", "parameters": {"source": "synthetic", "m": 300, "d": 2, "repeats": 2, "beta": 0.5}, "results": {"n": 300, "overflow_mean": 0.16, "overflow_min": 0.14333333333333334, "overflow_max": 0.17666666666666667, "inserted_mean": 0.83999999999999997}, "metadata": {"version": "0.1.0", "seed": 5}}\n'),
+     '{"command": "trace", "parameters": {"source": "synthetic", "m": 300, "d": 2, "repeats": 2, "beta": 0.5}, "results": {"n": 300, "overflow_mean": 0.16, "overflow_min": 0.14333333333333334, "overflow_max": 0.17666666666666667, "inserted_mean": 0.84}, "metadata": {"version": "0.1.0", "seed": 5}}\n'),
     ('concentration --n 20 --m 20 --lambda 1 --trials 100 --seed 2 --one-sided --format csv',
-     'command,n,m,lambda,trials,one_sided,empirical_fraction,bound,version,seed\nconcentration,20,20,1,100,true,0,0.60653065971263342,0.1.0,2\n'),
+     'command,n,m,lambda,trials,one_sided,empirical_fraction,bound,version,seed\nconcentration,20,20,1.0,100,true,0.0,0.6065306597126334,0.1.0,2\n'),
 ]
 
 
@@ -478,6 +511,39 @@ def test_cli_stdout_is_pinned(capsys, argv, expected):
     code, out, err = _run(capsys, *argv.split())
     assert code == 0, err
     assert out == expected
+
+
+def _csv_cell_value(cell: str, like: object) -> object:
+    """A CSV cell read as the type of the JSON value ``like``."""
+    if like is None:
+        return None if cell == "" else cell
+    if isinstance(like, bool):
+        return {"true": True, "false": False}.get(cell, cell)
+    if isinstance(like, str):
+        return cell
+    return json.loads(cell)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _PINNED])
+def test_csv_cells_read_back_to_json_values(capsys, argv):
+    words = argv.split()
+    if "--format" in words:
+        del words[words.index("--format") : words.index("--format") + 2]
+    code, json_out, err = _run(capsys, *words, "--format", "json")
+    assert code == 0, err
+    code, csv_out, err = _run(capsys, *words, "--format", "csv")
+    assert code == 0, err
+    records = json.loads(json_out, parse_constant=_reject_constant)
+    records = records if isinstance(records, list) else [records]
+    rows = list(csv.reader(io.StringIO(csv_out)))
+    assert len(rows) == len(records) + 1
+    for rec, row in zip(records, rows[1:]):
+        flat = {"command": rec["command"], **rec["parameters"], **rec["results"], **rec["metadata"]}
+        assert rows[0] == list(flat)
+        for cell, value in zip(row, flat.values()):
+            got = _csv_cell_value(cell, value)
+            # repr tells 67 from 67.0 and tells every pair of distinct doubles apart
+            assert (type(got), repr(got)) == (type(value), repr(value)), (cell, value)
 
 
 def test_module_entry_point_exit_codes():
@@ -527,3 +593,106 @@ def test_worker_count_leaves_stdout_unchanged(argv):
         return proc.stdout
 
     assert stdout() == stdout(CUCKOO_LAB_THREADS="2")
+
+
+# The argv fuzz draws each numeric flag from the edges of its range and
+# beyond; counts stay small enough that a sweep keeps n, m <= 1000.
+_FUZZ_REALS = (0.0, 5e-324, 1 - 1e-16, 1e308, -1.0, 0.3, 0.5, 1.0, 1.5, 2.0)
+_FUZZ_INTS = {
+    "n": (-1, 0, 1, 2, 7, 100, 998),
+    "m": (-1, 0, 1, 2, 7, 100, 998),
+    "synthetic": (-1, 0, 1, 7, 100, 998),
+    "d": (0, 1, 2, 3, 5),
+    "trials": (0, 1, 2, 18),
+    "repeats": (0, 1, 3),
+    "seed": (-1, 0, 7, 2**64 - 1, 2**64),
+}
+_FUZZ_MODELS = {
+    "exact": ("d2", "mixed-det", "mixed-rand", "partitioned", "bound-d"),
+    "asymptotic": ("d2", "mixed", "mixed-rand", "partitioned"),
+    "simulate": ("d2", "mixed-det", "mixed-rand", "partitioned", "fixed-d"),
+}
+_FUZZ_SWITCHES = {
+    "exact": ("--round",),
+    "trace": ("--keep-duplicates", "--input-format=binary-u64-le"),
+    "concentration": ("--one-sided",),
+}
+
+
+def _fuzz_values(command: str, name: str) -> tuple:
+    if _NUMERIC[command][name] is int:
+        # concentration needs at least 100 trials; n and m stay <= 20 there
+        if command == "concentration":
+            return {"trials": (0, 18, 100), "n": (0, 1, 20), "m": (0, 1, 20)}.get(name, _FUZZ_INTS[name])
+        return _FUZZ_INTS[name]
+    return _FUZZ_REALS
+
+
+@pytest.fixture(scope="module")
+def fuzz_key_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "keys.hex"
+    path.write_text("".join(f"{k:x}\n" for k in (1, 2, 2, 3, 0xFFFFFFFFFFFFFFFF)))
+    return str(path)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_fuzzed_argv_exits_0_with_strict_output_or_2(fuzz_key_file, data):
+    command = data.draw(st.sampled_from(sorted(_NUMERIC)), label="command")
+    argv = [command]
+    own = None
+    if command in _FUZZ_MODELS:
+        model = data.draw(st.sampled_from(_FUZZ_MODELS[command]), label="model")
+        argv += ["--model", model]
+        own = _MODEL_FLAG[model]
+    # mostly valid argv: the flags a run needs are usually given, the
+    # flags of other models seldom, and the rest half the time
+    for name in _NUMERIC[command]:
+        if name in _REQUIRED[command] or name == own or (command, name) == ("trace", "synthetic"):
+            odds = 7
+        elif name in _MODEL_FLAG.values():
+            odds = 1
+        else:
+            odds = 4
+        if data.draw(st.integers(0, 7), label=f"give --{name}") < odds:
+            argv += [f"--{name}", repr(data.draw(st.sampled_from(_fuzz_values(command, name)), label=name))]
+    if command == "trace" and data.draw(st.integers(0, 3), label="give --input") == 0:
+        argv += ["--input", fuzz_key_file]
+    for switch in _FUZZ_SWITCHES.get(command, ()):
+        if data.draw(st.booleans(), label=switch):
+            argv.append(switch)
+    points = 1
+    if data.draw(st.booleans(), label="sweep"):
+        applicable = [name for name in _NUMERIC[command] if name == own or name not in _MODEL_FLAG.values()]
+        name = data.draw(st.sampled_from(applicable), label="swept")
+        start = float(data.draw(st.sampled_from(_fuzz_values(command, name)), label="start"))
+        # mostly steps that make a grid; 0 and -0.5 make none
+        step = data.draw(st.sampled_from((1.0, 1.0, 0.5, 0.5, 5e-324, 0.0, -0.5)), label="step")
+        stop = start + data.draw(st.integers(0, 2), label="points - 1") * step
+        argv += ["--sweep", f"{name}={start!r}:{stop!r}:{step!r}"]
+        # the grid the CLI walks; it exits 2 on an empty or uncountable one
+        last = (stop - start) / step + 1e-9 if step > 0 else math.nan
+        points = math.floor(last) + 1 if math.isfinite(last) else 0
+    fmt = data.draw(st.sampled_from((None, "json", "csv")), label="format")
+    if fmt:
+        argv += ["--format", fmt]
+
+    # capsys is not reset between examples; capture each run apart
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert out == "" and err.startswith(("error: ", "usage: ")), (argv, out, err)
+        return
+    if (fmt or ("csv" if "--sweep" in argv else "json")) == "json":
+        records = json.loads(out, parse_constant=_reject_constant)
+        assert isinstance(records, list) == (points > 1), (argv, out)
+        assert len(records if isinstance(records, list) else [records]) == points, (argv, out)
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == points + 1, (argv, out)
+        assert {len(row) for row in rows} == {len(rows[0])}, (argv, out)
+        for cell in (cell for row in rows[1:] for cell in row):
+            assert cell.lower().lstrip("+-") not in ("nan", "inf", "infinity"), (argv, out)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cuckoo_lab.cuckoo import _IN_STASH, _MISS, CuckooTable, DuplicateKeyError, LoadStats, new_table
+from cuckoo_lab.cuckoo import _IN_STASH, _MISS, CuckooTable, DuplicateKeyError, LoadStats, TableStats, new_table
 from cuckoo_lab.matching import BipartiteGraph, max_matching
 from cuckoo_lab.simulate import SplitMix64
 
@@ -67,6 +67,9 @@ def test_new_table_validation():
         _table(m=0)
     with pytest.raises(ValueError, match="partition boundary must split the bins"):
         _table(m=4, d=2, boundary=4)
+    # the counters start at zero: a caller cannot hand over filled ones
+    with pytest.raises(TypeError):
+        CuckooTable(m=4, d=2, seeds=(1, 2), stats=TableStats())
 
 
 # ---------------------------------------------------------------------------

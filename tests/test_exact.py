@@ -300,7 +300,7 @@ def test_series_golden_values(n):
     got = (
         expected_matching_d2(n, m).mu.hex(),
         expected_matching_mixed_det(n, m, 1.5).mu.hex(),
-        matching_upper_bound_d(n, m, 3).hex(),
+        matching_upper_bound_d(n, m, 3).mu.hex(),
         stash_size_for_epsilon(n, m, 1e-6).hex(),
     )
     assert got == GOLDEN_MU_HEX[n]
@@ -412,12 +412,12 @@ def test_partitioned_rows_are_log_concave(n, m1, m2):
 def test_upper_bound_reduces_to_d2():
     for n, m in [(2, 2), (30, 40), (137, 251)]:
         mu = expected_matching_d2(n, m).mu
-        bound = matching_upper_bound_d(n, m, 2)
+        bound = matching_upper_bound_d(n, m, 2).mu
         assert bound == pytest.approx(mu, rel=1e-10)
 
 
 def test_upper_bound_capped_by_n():
-    assert matching_upper_bound_d(3, 1000, 4) <= 3.0
+    assert matching_upper_bound_d(3, 1000, 4).mu <= 3.0
 
 
 def test_upper_bound_rejects_d1():

@@ -8,8 +8,6 @@ an online maximum-matching machine: a key is stashed only when no
 augmenting path exists, so for any d the number of placed keys equals
 the maximum matching size of the bipartite graph induced by all stored
 keys' bin choices, instance by instance, not just in expectation.
-Deletions restore that invariant by giving the stashed keys, in stash
-order, re-insertion attempts until one succeeds.
 
 Searches are pruned by a set of dead bins: occupied bins from which no
 displacement chain reaches an empty bin.  Every bin a failed search
@@ -18,11 +16,34 @@ choices" (a dead bin's occupant can only move into dead bins), so a
 successful search never passes through a dead bin and never changes one,
 and the pruned breadth-first search reaches the live bins in the order
 the full search would, through the same parents: it performs the same
-chain.  Only emptying a dead bin can revive dead bins, so that clears
-the whole set.  The stash keeps each key's cached choices in
-insertion order, so re-insertion attempts never rehash.  A table builds
-its key-to-choices function once (:func:`cuckoo_lab.hashing.choice_function`),
-so insert and lookup hash a key without re-checking the table's shape.
+chain.  Two invariants make deletions cheap:
+
+(a) every choice of every stashed key is a dead bin (its failed search
+    marked them), and
+(b) the dead set is never cleared: a deletion takes out only the dead
+    bins it revives.
+
+Deleting a placed key from a live bin leaves the dead set closed, and by
+(a) no stashed key can reach that bin, so nothing else is done.
+Deleting one from a dead bin walks backwards from the emptied bin
+through the dead bins whose occupants choose a bin already reached: the
+reach, exactly the dead bins with a chain to the emptied bin.  The
+stashed keys with a choice in the reach are the only ones with an
+augmenting path, so the earliest of them in stash order is the key a
+re-insertion loop over the stash would promote; its search, pruned by
+the rest of the dead set, finds the chain the full search would.  After
+a promotion every bin of the reach again holds a key whose choices are
+all dead, so the reach is dead again; with no promotion it comes back to
+life.  The walk reads an index from each bin to the stashed keys and
+dead-bin occupants that choose it.  The first deletion that empties a
+dead bin builds it, so insert-only use never pays for it; after that an
+insert only notes the bins its failed search marks dead, and the next
+such deletion takes them and the newly stashed keys in.
+
+The stash keeps each key's cached choices in insertion order, so
+promotions never rehash.  A table builds its key-to-choices function
+once (:func:`cuckoo_lab.hashing.choice_function`), so insert and lookup
+hash a key without re-checking the table's shape.
 """
 
 from __future__ import annotations
@@ -36,9 +57,6 @@ from .matching import augment
 
 class DuplicateKeyError(ValueError):
     """Raised when inserting a key the table already stores."""
-
-
-_STASH = -1  # location marker in the key index
 
 
 @dataclass(frozen=True)
@@ -91,10 +109,20 @@ class CuckooTable:
         self._bins: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * self.m
         # stashed key -> its choices, in stash (insertion) order
         self._stash: dict[int, tuple[int, ...]] = {}
+        # key -> its bin, or ~t for the t-th key stashed: negative, and
+        # larger for a key stashed earlier
         self._where: dict[int, int] = {}
+        self._tickets = 0
         # occupied bins from which no displacement chain reaches an empty
         # bin; closed under the occupant's choices (module docstring)
         self._dead: set[int] = set()
+        # bin -> the stashed keys and dead-bin occupants choosing it, built
+        # by the first remove that empties a dead bin and brought up to date
+        # by every later one; until then the bins marked dead wait in
+        # _marked, and the keys stashed hold tickets from _indexed on
+        self._choosers: Optional[list[tuple[int, ...]]] = None
+        self._marked: Optional[list[int]] = None
+        self._indexed = 0
 
     # -- write path ---------------------------------------------------------
 
@@ -107,10 +135,11 @@ class CuckooTable:
         if key in self._where:
             raise DuplicateKeyError(f"key {key} already stored")
         choices = self._choices(key)
-        chain = augment(self._bins, self._dead, choices)
+        chain = augment(self._bins, self._dead, choices, self._marked)
         if chain is None:
             self._stash[key] = choices
-            self._where[key] = _STASH
+            self._where[key] = ~self._tickets
+            self._tickets += 1
             self.stats.stashed = len(self._stash)
             if self.stats.stashed > self.stats.stash_peak:
                 self.stats.stash_peak = self.stats.stashed
@@ -134,36 +163,92 @@ class CuckooTable:
 
         Removing a stashed key changes no bin, so no stashed key gains a
         chain to an empty bin and nothing else is done.  Removing a placed
-        key empties its bin; if that bin was dead the dead set is cleared,
-        otherwise no dead bin can reach it and the set stays valid.  Then
-        the stashed keys get augmenting re-insertion attempts, in stash
-        order, from their cached choices.  Every augmenting path ends at
-        the emptied bin, so at most one attempt can succeed and the loop
-        stops there; that restores the placed-count/maximum-matching
-        invariant.  The dead set only prunes bins no chain could use, so
-        the promoted key and its chain are those a search without it would
-        find; a stashed key whose choices are all dead fails in O(d).
+        key from a live bin is O(1): by invariant (a) of the module
+        docstring no stashed key can reach that bin.  Removing one from a
+        dead bin walks backwards from it to its reach, the dead bins with
+        a chain to it, and promotes the stashed key that a re-insertion
+        loop over the whole stash would: the earliest in stash order with
+        a choice in the reach.  Its search runs from its cached choices,
+        pruned by the dead bins outside the reach, and ends at the emptied
+        bin; that restores the placed-count/maximum-matching invariant.
+        The cost is in proportion to the reach, not to the stash.
         """
         loc = self._where.pop(key, None)
         if loc is None:
             return False
-        if loc == _STASH:
-            del self._stash[key]
+        if loc < 0:
+            choices = self._stash.pop(key)
+            if ~loc < self._indexed:
+                self._unchoose(key, choices)
             self.stats.stashed = len(self._stash)
             return True
-        self._bins[loc] = None
-        self.stats.placed -= 1
+        bins = self._bins
         if loc in self._dead:
-            self._dead.clear()
-        bins, dead = self._bins, self._dead
-        for stashed_key, choices in self._stash.items():
-            chain = augment(bins, dead, choices)
-            if chain is not None:
-                del self._stash[stashed_key]
-                self._settle(chain, stashed_key, choices)
-                break
-        self.stats.stashed = len(self._stash)
+            # the update may take in loc's occupant, so it runs first
+            self._update_choosers()
+            self._unchoose(*bins[loc])
+            bins[loc] = None
+            self._refill(loc)
+        else:
+            bins[loc] = None
+        self.stats.placed -= 1
         return True
+
+    def _refill(self, loc: int) -> None:
+        """Fill the emptied dead bin ``loc`` from the stash, or revive the
+        dead bins whose only way to an empty bin leads through it."""
+        bins, where, choosers, dead = self._bins, self._where, self._choosers, self._dead
+        reach, todo = {loc}, [loc]
+        first, top = None, ~self._tickets  # below every stashed key's ~ticket
+        while todo:
+            for k in choosers[todo.pop()]:
+                b = where[k]
+                if b >= 0:
+                    if b not in reach:
+                        reach.add(b)
+                        todo.append(b)
+                elif b > top:
+                    first, top = k, b
+        dead -= reach
+        if first is None:
+            reach.discard(loc)
+            for b in reach:
+                self._unchoose(*bins[b])
+            return
+        choices = self._stash.pop(first)
+        # the stashed key has a choice in the reach, and the reach leads only to loc
+        chain = augment(bins, dead, choices)
+        dead |= reach
+        self._settle(chain, first, choices)
+        self.stats.stashed = len(self._stash)
+
+    def _update_choosers(self) -> None:
+        """Bring the index up to date: take in the occupants of the bins
+        marked dead and the keys stashed since the last update."""
+        if self._choosers is None:
+            self._choosers = [()] * self.m
+            self._marked = list(self._dead)
+        bins, stash, where = self._bins, self._stash, self._where
+        for b in self._marked:
+            self._choose(*bins[b])
+        self._marked.clear()
+        for key in reversed(stash):  # stash order is ticket order
+            if ~where[key] < self._indexed:
+                break
+            self._choose(key, stash[key])
+        self._indexed = self._tickets
+
+    def _choose(self, key: int, choices: tuple[int, ...]) -> None:
+        choosers = self._choosers
+        for c in choices:
+            choosers[c] += (key,)
+
+    def _unchoose(self, key: int, choices: tuple[int, ...]) -> None:
+        choosers = self._choosers
+        for c in choices:
+            keys = choosers[c]
+            i = keys.index(key)
+            choosers[c] = keys[:i] + keys[i + 1 :]
 
     # -- read path ----------------------------------------------------------
 
@@ -192,7 +277,7 @@ class CuckooTable:
 
     def bin_of(self, key: int) -> Optional[int]:
         loc = self._where.get(key)
-        return None if loc is None or loc == _STASH else loc
+        return None if loc is None or loc < 0 else loc
 
     def __len__(self) -> int:
         return len(self._where)

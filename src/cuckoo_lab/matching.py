@@ -60,7 +60,9 @@ class ComponentSummary:
     is_deficit: bool
 
 
-def augment(bins: list, dead: set[int], choices: Sequence[int]) -> Optional[list[int]]:
+def augment(
+    bins: list, dead: set[int], choices: Sequence[int], marked: Optional[list[int]] = None
+) -> Optional[list[int]]:
     """Free one of ``choices`` by a chain of displacements: the one
     augmenting-path search of the package, run by the cuckoo table on every
     insert and by :func:`max_matching` once per key.
@@ -72,9 +74,10 @@ def augment(bins: list, dead: set[int], choices: Sequence[int]) -> Optional[list
     along the chain one hop towards the empty bin and returns the chain,
     root first: ``bins[chain[0]]`` is then None, to be filled by the
     caller, and ``bins[chain[i]]`` (i >= 1) holds what moved there.  When
-    no chain exists it adds every bin it visited to ``dead`` and returns
-    None.  The dead set is closed under the occupants' choices, so a
-    successful search never passes through a dead bin and never changes
+    no chain exists it adds every bin it visited to ``dead``, appends them
+    to ``marked`` when one is given (none of them was dead before), and
+    returns None.  The dead set is closed under the occupants' choices, so
+    a successful search never passes through a dead bin and never changes
     one; only emptying a dead bin can revive dead bins.
     """
     roots = []
@@ -85,7 +88,7 @@ def augment(bins: list, dead: set[int], choices: Sequence[int]) -> Optional[list
             roots.append(b)  # a repeated root expands to nothing new
     if not roots:
         return None
-    seen = set(choices)  # a dead root in it is skipped and stays dead either way
+    seen = set(roots)  # holds no dead bin: the search skips those
     queue = deque(roots)
     parent: dict[int, int] = {}
     while queue:
@@ -107,6 +110,8 @@ def augment(bins: list, dead: set[int], choices: Sequence[int]) -> Optional[list
                 return chain
             queue.append(nb)
     dead |= seen
+    if marked is not None:
+        marked.extend(seen)
     return None
 
 

@@ -506,7 +506,7 @@ _PINNED = [
 ]
 
 
-@pytest.mark.parametrize("argv, expected", _PINNED)
+@pytest.mark.parametrize("argv, expected", _PINNED, ids=[argv for argv, _ in _PINNED])
 def test_cli_stdout_is_pinned(capsys, argv, expected):
     code, out, err = _run(capsys, *argv.split())
     assert code == 0, err

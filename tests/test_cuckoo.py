@@ -4,12 +4,15 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from cuckoo_lab import cuckoo
 from cuckoo_lab.cuckoo import _IN_STASH, _MISS, CuckooTable, DuplicateKeyError, LoadStats, TableStats, new_table
-from cuckoo_lab.matching import BipartiteGraph, max_matching
+from cuckoo_lab.matching import BipartiteGraph, augment, max_matching
 from cuckoo_lab.simulate import SplitMix64
 
-from oracles import ReferenceCuckooTable, reference_bin_choices
+from oracles import ReferenceCuckooTable, hopcroft_karp_matching, reference_bin_choices
 
 
 def _table(m=8, d=2, seed=1, boundary=None) -> CuckooTable:
@@ -258,9 +261,7 @@ def test_remove_matches_reference_at_full_load(d, boundary):
             key = rng.getrandbits(64)
             assert t.insert(key) == ref.insert(key)
             live.append(key)
-        assert t._bins == ref.bins
-        assert t.stash_keys() == tuple(ref.stash)
-        assert dataclasses.asdict(t.stats) == ref.stats
+        _check_matches_reference(t, ref)
         saw_dead = saw_dead or bool(t._dead)
         if step % 250 == 249:
             _check_equivalence(t)
@@ -345,3 +346,167 @@ def test_partitioned_table_respects_banks():
         assert b in (lo, hi)
         assert 0 <= lo < 4 <= hi < 10
     _check_equivalence(t)
+
+
+# ---------------------------------------------------------------------------
+# removes in proportion to what they free: the dead set, its invariants and
+# the index of choosers behind the backward walk
+
+
+def _check_remove_invariants(table: CuckooTable) -> None:
+    """Invariant (a) of the module docstring, a closed dead set of occupied
+    bins, and, once built, an index equal to its recomputation from the
+    dead bins and stashed keys it has taken in: all but those marked or
+    stashed since its last update."""
+    _check_dead_bins(table)
+    for choices in table._stash.values():
+        assert set(choices) <= table._dead
+    if table._choosers is None:
+        return
+    waiting = set(table._marked)
+    assert len(waiting) == len(table._marked) and waiting <= table._dead
+    owners = [table._bins[b] for b in table._dead - waiting]
+    owners += [(k, ch) for k, ch in table._stash.items() if ~table._where[k] < table._indexed]
+    expected = sorted((c, key) for key, choices in owners for c in choices)
+    assert sorted((c, key) for c, keys in enumerate(table._choosers) for key in keys) == expected
+
+
+def _check_matches_reference(table: CuckooTable, ref: ReferenceCuckooTable) -> None:
+    assert table._bins == ref.bins
+    assert table.stash_keys() == tuple(ref.stash)
+    assert dataclasses.asdict(table.stats) == ref.stats
+
+
+# d, the two-bank split as a share of m, and the largest m: at d = 3 and
+# m = 2000 one remove of the unpruned reference takes about 70 ms, since
+# every stashed key's search spans the giant component
+_SHAPES = {"d2": (2, None, 2000), "d3": (3, None, 400), "partitioned": (2, 0.4, 2000)}
+
+
+class TableAgainstReference(RuleBasedStateMachine):
+    """Inserts, removes and lookups on a table and on the unpruned
+    reference; after every step the layout, stash order and counters are
+    equal and the remove invariants hold, and every tenth step the placed
+    count is the Hopcroft-Karp matching size.  The table starts filled to a
+    load of up to 1.2 with as many as m = 2000 bins, and a fill step
+    refills it."""
+
+    @initialize(shape=st.sampled_from(sorted(_SHAPES)), size=st.sampled_from((8, 60, None)),
+                load=st.sampled_from((0.0, 0.5, 1.0, 1.2)), seed=st.integers(0, 2**32))
+    def make(self, shape, size, load, seed):
+        d, split, largest = _SHAPES[shape]
+        m = size or largest
+        self.table = _table(m=m, d=d, seed=seed, boundary=None if split is None else round(split * m))
+        self.ref = ReferenceCuckooTable(m, self.table.bin_choices)
+        self.live: list[int] = []
+        self.rng = random.Random(seed)
+        self.steps = 0
+        self.fill(load)
+
+    @rule(load=st.sampled_from((0.5, 1.0, 1.2)))
+    def fill(self, load):
+        while len(self.live) < load * self.table.m:
+            self.insert(self.rng.getrandbits(64))
+
+    @rule(key=st.integers(0, 2**64 - 1))
+    def insert(self, key):
+        if key in self.table:
+            return
+        assert self.table.insert(key) == self.ref.insert(key)
+        self.live.append(key)
+
+    @precondition(lambda self: self.live)
+    @rule(i=st.integers(0, 2**16))
+    def remove(self, i):
+        key = self.live.pop(i % len(self.live))
+        assert self.table.remove(key) and self.ref.remove(key)
+
+    @rule(key=st.integers(0, 2**64 - 1))
+    def remove_absent(self, key):
+        if key not in self.table:
+            assert not self.table.remove(key) and not self.ref.remove(key)
+
+    @precondition(lambda self: self.live)
+    @rule(i=st.integers(0, 2**16))
+    def lookup(self, i):
+        for key in (self.live[i % len(self.live)], self.rng.getrandbits(64)):
+            res = self.table.lookup(key)
+            assert (res.found, res.in_stash, res.bin) == self.ref.lookup(key)
+
+    @invariant()
+    def same_as_reference(self):
+        _check_matches_reference(self.table, self.ref)
+        _check_remove_invariants(self.table)
+        self.steps += 1
+        if self.steps % 10 == 0:
+            keys = self.table.stored_keys()
+            size, _ = hopcroft_karp_matching([self.table.bin_choices(k) for k in keys], self.table.m)
+            assert self.table.load_stats().placed == size
+
+
+TableAgainstReference.TestCase.settings = settings(max_examples=40, stateful_step_count=25)
+test_table_against_reference_state_machine = TableAgainstReference.TestCase
+
+
+@pytest.mark.parametrize("d, boundary", [(2, None), (3, None), (2, 300)], ids=["d2", "d3", "partitioned"])
+def test_drain_from_full_to_half_load_matches_reference(d, boundary):
+    # fill to load 1, then remove down to load 0.5: the reach of an emptied
+    # dead bin often holds no stashed key, so its bins come back to life
+    m = 600
+    rng = random.Random(4400 + d)
+    t = _table(m=m, d=d, seed=17 + d, boundary=boundary)
+    ref = ReferenceCuckooTable(m, t.bin_choices)
+    live = [rng.getrandbits(64) for _ in range(m)]
+    for key in live:
+        assert t.insert(key) == ref.insert(key)
+    _check_matches_reference(t, ref)
+    full_stash = len(t._stash)
+    promoted = revived = 0
+    while len(live) > m // 2:
+        key = live.pop(rng.randrange(len(live)))
+        from_dead = t.bin_of(key) in t._dead
+        dead, stash = len(t._dead), len(t._stash)
+        assert t.remove(key) and ref.remove(key)
+        _check_matches_reference(t, ref)
+        _check_remove_invariants(t)
+        if from_dead:
+            promoted += len(t._stash) < stash
+            # no promotion: the emptied bin and the rest of its reach revive
+            revived += len(t._dead) < dead - 1
+    _check_equivalence(t)
+    assert promoted and revived
+    assert t.load_stats().stash_size < full_stash
+
+
+def test_remove_searches_in_proportion_to_what_it_frees(monkeypatch):
+    # a remove from a live bin searches nothing; one from a dead bin runs at
+    # most one augmenting search, however large the stash
+    m = 2000
+    rng = random.Random(9)
+    t = _table(m=m, seed=21)
+    live = [rng.getrandbits(64) for _ in range(m)]
+    for key in live:
+        t.insert(key)
+    assert len(t._stash) > 250
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return augment(*args)
+
+    monkeypatch.setattr(cuckoo, "augment", counting)
+    outside = inside = 0
+    for key in [k for k in live if t.bin_of(k) is not None][:400]:
+        was_dead = t.bin_of(key) in t._dead
+        stash = len(t._stash)
+        del calls[:]
+        assert t.remove(key)
+        if was_dead:
+            inside += 1
+            assert len(calls) <= 1
+            assert len(calls) == stash - len(t._stash)
+        else:
+            outside += 1
+            assert calls == []
+            assert len(t._stash) == stash
+    assert outside > 50 and inside > 50

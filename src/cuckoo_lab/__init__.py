@@ -17,15 +17,12 @@ from .asymptotics import (
     gamma_mixed_rand,
     gamma_partitioned,
     lambert_w0,
-    perfect_beta_interval,
 )
 from .cuckoo import CuckooTable, DuplicateKeyError, LoadStats, LookupResult, new_table
 from .exact import (
     ExactResult,
     ModelParams,
     concentration_tail_bound,
-    connect_probability,
-    connect_probability_partitioned,
     expected_matching_d2,
     expected_matching_mixed_det,
     expected_matching_mixed_rand,
@@ -34,14 +31,10 @@ from .exact import (
     matching_upper_bound_d,
     stash_size_for_epsilon,
     tree_count_d2,
-    tree_count_partitioned,
 )
 from .hashing import bin_choices, choice_function, wang_mix64
 from .matching import (
     BipartiteGraph,
-    ComponentSummary,
-    assert_structure,
-    components,
     max_matching,
     mu_via_deficit,
 )
@@ -66,7 +59,6 @@ __all__ = [
     "AsymptoticResult",
     "BipartiteGraph",
     "BranchSolveError",
-    "ComponentSummary",
     "CuckooTable",
     "DuplicateKeyError",
     "ExactResult",
@@ -77,14 +69,10 @@ __all__ = [
     "SimStats",
     "SplitMix64",
     "TraceReport",
-    "assert_structure",
     "bin_choices",
     "choice_function",
-    "components",
     "concentration_experiment",
     "concentration_tail_bound",
-    "connect_probability",
-    "connect_probability_partitioned",
     "disambiguate_duplicates",
     "estimate_mu",
     "expected_matching_d2",
@@ -102,12 +90,10 @@ __all__ = [
     "max_matching",
     "mu_via_deficit",
     "new_table",
-    "perfect_beta_interval",
     "read_keys",
     "run_trace_experiment",
     "stash_size_for_epsilon",
     "synthetic_stream",
     "tree_count_d2",
-    "tree_count_partitioned",
     "wang_mix64",
 ]

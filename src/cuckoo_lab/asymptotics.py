@@ -87,8 +87,8 @@ def lambert_w0(x: float) -> float:
     defined for x >= -1/e.  Exact at the branch point and at zero."""
     if x == 0.0:
         return 0.0
-    if x < -_E_INV:
-        if x < -_E_INV - _BRANCH_POINT_TOL:
+    if not x >= -_E_INV:  # NaN included
+        if not x >= -_E_INV - _BRANCH_POINT_TOL:
             raise ValueError(f"lambert_w0 domain is [-1/e, inf); got {x}")
         return -1.0
     if x == -_E_INV:
@@ -122,7 +122,7 @@ def gamma_d2(alpha: float) -> AsymptoticResult:
     on the easy side of the branch point); beyond it,
     gamma = 1/alpha + W(-2a e^(-2a))/(2 alpha^2) + W^2(...)/(4 alpha^2).
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be > 0")
     if alpha <= 0.5:
         return AsymptoticResult(gamma=1.0, closed_form_used=True)
@@ -141,7 +141,7 @@ def gamma_mixed(alpha: float, a: float) -> AsymptoticResult:
     gamma = 1/alpha + w/(2 alpha^2 (a-1)) + w^2/(4 alpha^2 (a-1)); since
     w e^w is the W argument, 2 alpha (a-1) = -w e^y, and gamma becomes
     (1 - e^(-y) - (w/2) e^(-y))/alpha, whose two parts do not cancel."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be > 0")
     if not 1.0 <= a <= 2.0:
         raise ValueError("a must be in [1, 2]")
@@ -257,7 +257,7 @@ def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
     merge into a double root at which floats fix the pair only to about
     sqrt(machine epsilon), so t1 t2 may come out slightly above 1 there.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be > 0")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must be in [0, 1]")
@@ -281,19 +281,6 @@ def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
     else:
         t2, t1, gamma = _branch_pair(alpha, two, one)
     return AsymptoticResult(gamma=_clamp01(gamma), branch_data=(t1, t2))
-
-
-def perfect_beta_interval(alpha: float) -> Optional[tuple[float, float]]:
-    """Range of bank fractions for which the two-bank model still reaches
-    full utilization in the limit: beta(1-beta) >= alpha^2, non-empty only
-    for alpha <= 1/2.  Returns None when empty."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
-    disc = 1.0 - 4.0 * alpha * alpha
-    if disc < 0.0:
-        return None
-    half_width = sqrt(disc) / 2.0
-    return (0.5 - half_width, 0.5 + half_width)
 
 
 def _clamp01(value: float) -> float:

@@ -173,26 +173,6 @@ def tree_count_d2(s: int) -> float:
     return (s - 1) * log(s + 1) + lgamma(s + 1)
 
 
-def tree_count_partitioned(i: int, j: int) -> float:
-    """ln of the number of connected two-bank bipartite graphs with i up
-    bins, j down bins and i+j-1 left vertices, each with one edge into
-    every bank: i^(j-1) * j^(i-1) * (i+j-1)!.
-
-    The single-vertex shapes (1,0) and (0,1) count 1; shapes with an empty
-    bank and a remaining left vertex are impossible, so their count is 0
-    (returned as -inf in the log domain).
-    """
-    if i < 0 or j < 0:
-        raise ValueError("bank sizes must be >= 0")
-    if i == 0 and j == 0:
-        raise ValueError("at least one bank vertex required")
-    if (i, j) in ((1, 0), (0, 1)):
-        return 0.0
-    if i == 0 or j == 0:
-        return _NEG_INF
-    return (j - 1) * log(i) + (i - 1) * log(j) + lgamma(i + j)
-
-
 def husimi_count(s: int, d: int) -> float:
     """ln of the number of connected bipartite graphs with s left vertices
     of degree d and q = (d-1)*s + 1 right vertices.
@@ -223,23 +203,6 @@ def _log_connect(s: int, d: int) -> float:
         return s * log(2) + tree_count_d2(s) - 2 * s * log(s + 1)
     q = (d - 1) * s + 1
     return s * lgamma(d + 1) + husimi_count(s, d) - d * s * log(q)
-
-
-def connect_probability(s: int, d: int) -> float:
-    """Probability that the d uniform choices of s elements, confined to
-    the (d-1)s + 1 bins of a component, actually connect it."""
-    if s < 0 or d < 2:
-        raise ValueError("need s >= 0 and d >= 2")
-    return min(1.0, exp(_log_connect(s, d)))
-
-
-def connect_probability_partitioned(i: int, j: int) -> float:
-    """Probability that the up and down choices of i + j - 1 elements,
-    confined to i up bins and j down bins, actually connect them."""
-    lt = tree_count_partitioned(i, j)  # also rejects bad bank sizes
-    if i == 0 or j == 0:  # a single bin connects; an empty bank never does
-        return exp(lt)
-    return min(1.0, exp(lt - (i + j - 1) * (log(i) + log(j))))
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +352,10 @@ def _partitioned_rows(n: int, m1: int, m2: int) -> Iterator[float]:
     #   C(n,s) C(m1,i) C(m2,j) (1-i/m1)^(n-s) (1-j/m2)^(n-s) (i/m1)^s (j/m2)^s conn(i,j).
     # Its log adds table entries with the operations, in the order, of
     # evaluating each factor from scratch (log_binomial, then
-    # (n-s) log1p(-i/m1), s log(i/m1), and the log of conn as in
-    # connect_probability_partitioned), so every summand is the same
-    # double.  A log 0 entry set to 0 only meets a zero exponent (0^0 = 1).
+    # (n-s) log1p(-i/m1), s log(i/m1), and the log of conn as the closed
+    # form _log_connect_probability_partitioned in tests/oracles.py
+    # evaluates it), so every summand is the same double.  A log 0 entry
+    # set to 0 only meets a zero exponent (0^0 = 1).
     choose1, out1, in1, choose2, out2, in2 = [], [], [], [], [], []  # see _grow_bank
     log_k = [0.0, 0.0]  # log 0 set to 0, and log 1
     peak = 0
@@ -537,7 +501,7 @@ def concentration_tail_bound(lam: float, *, one_sided: bool = False) -> float:
     """Bound on the probability that a realization's matching size deviates
     from its expectation by more than lam * sqrt(n): 2 e^(-lam^2 / 2),
     halved for the one-sided event, clamped to 1."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be >= 0")
     factor = 1.0 if one_sided else 2.0
     return min(1.0, factor * exp(-lam * lam / 2.0))

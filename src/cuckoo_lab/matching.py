@@ -1,12 +1,13 @@
-"""Deterministic bipartite-graph kernel: maximum matching, connected
-components, and the structural checks that tie matching sizes to component
-shapes.
+"""Deterministic bipartite-graph kernel: the maximum matching size of a
+random graph, by augmenting paths or, when every key has at most two
+choices, by counting the trees of its cuckoo graph.
 
 Left vertices model hashed elements, right vertices model bins.  One
 augmenting-path search, :func:`augment`, is the matching kernel: the
 cuckoo table places every key with it, and :func:`max_matching` runs it
-over a graph's keys.  Every other operation here is a pure function of an
-immutable :class:`BipartiteGraph`.
+over a graph's keys.  :func:`mu_via_deficit` reaches the same size with
+one union-find and no search.  Both are pure functions of an immutable
+:class:`BipartiteGraph`.
 """
 
 from __future__ import annotations
@@ -41,23 +42,6 @@ class BipartiteGraph:
 
     def max_left_degree(self) -> int:
         return max((len(row) for row in self.choices), default=0)
-
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    """Shape of one connected component.
-
-    ``s`` and ``q`` count left and right vertices, ``edge_count`` includes
-    parallel-edge multiplicity, and ``is_deficit`` marks components with
-    ``q == (d-1)*s + 1`` (one spare bin per component when d = 2).
-    """
-
-    s: int
-    q: int
-    edge_count: int
-    is_tree: bool
-    local_matching: int
-    is_deficit: bool
 
 
 def augment(
@@ -147,59 +131,6 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def components(graph: BipartiteGraph) -> list[ComponentSummary]:
-    """Decompose the graph into connected components.
-
-    Components are read off the cuckoo graph, whose vertices are the bins
-    and whose edges (hyperedges when d > 2) are the keys: one union-find
-    over the bins joins each key's choices.  Each component yields one summary, isolated bins
-    (s=0, q=1) included, and each key with no choice is a component of its
-    own (s=1, q=0).  The local matching sizes are read off one global
-    maximum matching, which is also a maximum matching within each
-    component.  Deficit classification uses d = max(2, maximum left
-    degree).
-    """
-    m = graph.m
-    parent = list(range(m))
-    for row in graph.choices:
-        for v in row[1:]:
-            a, b = _find(parent, row[0]), _find(parent, v)
-            if a != b:
-                parent[b] = a
-
-    d_eff = max(2, graph.max_left_degree())
-    _, matched = max_matching(graph)
-
-    s_count = [0] * m
-    q_count = [0] * m
-    e_count = [0] * m
-    m_count = [0] * m
-    no_choice = 0
-    for u, row in enumerate(graph.choices):
-        if not row:
-            no_choice += 1
-            continue
-        r = _find(parent, row[0])
-        s_count[r] += 1
-        e_count[r] += len(row)
-        m_count[r] += matched[u] is not None
-    for v in range(m):
-        q_count[_find(parent, v)] += 1
-
-    shapes = [(s_count[r], q_count[r], e_count[r], m_count[r]) for r in range(m) if parent[r] == r]
-    return [
-        ComponentSummary(
-            s=s,
-            q=q,
-            edge_count=edges,
-            is_tree=edges == s + q - 1,
-            local_matching=local,
-            is_deficit=q == (d_eff - 1) * s + 1,
-        )
-        for s, q, edges, local in shapes + [(1, 0, 0, 0)] * no_choice
-    ]
-
-
 def mu_via_deficit(graph: BipartiteGraph) -> int:
     """Maximum matching size of a graph with left degrees <= 2, computed as
     the bin count minus the number of trees in the cuckoo graph.
@@ -230,37 +161,3 @@ def mu_via_deficit(graph: BipartiteGraph) -> int:
             saturated[a] = saturated[a] or saturated[b]
     return m - sum(1 for r in range(m) if parent[r] == r and not saturated[r])
 
-
-def assert_structure(summary: ComponentSummary, d: int) -> Optional[str]:
-    """Check one component against the structural rules its shape implies.
-
-    Returns None when everything holds, else the identifier of the first
-    violated rule.  ``d`` is the maximum left degree of the graph the
-    summary came from; for d = 2 the rules also cover vertices of degree 1
-    (the q == s + 1 edge-count check requires every left degree to be
-    exactly 2 there).
-    """
-    s, q = summary.s, summary.q
-    if d <= 2:
-        if q > s + 1:
-            return "lemma1"
-        if q == s + 1:
-            if not summary.is_tree:
-                return "lemma4"
-            if summary.local_matching != s:
-                return "lemma3"
-            if summary.edge_count != 2 * s:
-                return "lemma6"
-        else:  # q <= s
-            if summary.local_matching != q:
-                return "lemma2"
-    else:
-        top = (d - 1) * s + 1
-        if q > top:
-            return "lemma8"
-        if q == top:
-            if summary.local_matching != s:
-                return "lemma9"
-            if not summary.is_tree:
-                return "lemma10"
-    return None

@@ -260,7 +260,7 @@ def concentration_experiment(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful fraction")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be >= 0")
     mu_exact = evaluate(params).mu
     radius = lam * sqrt(params.n)

@@ -11,7 +11,9 @@ where direct enumeration is too large).  The two-bank limit is bisected in
 without search pruning, to compare layouts against, and the two-bank
 exact series as the full double sum, to compare its peak-walk summation
 against.  Bin choices are derived key by key from the pinned mix, as the
-reference for the package's precomputed choice function.
+reference for the package's precomputed choice function.  Component
+shapes are read off a union-find over the bins, taking the matching they
+count from the caller.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import deque
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class DSU:
@@ -396,6 +398,42 @@ def partitioned_series_full(n: int, m1: int, m2: int, *, truncate: bool = True):
                 tiny_run = 0
     mu = min(max(m - math.fsum(terms), 0.0), float(min(n, m)))
     return mu, tuple(terms), truncated_at
+
+
+# ---------------------------------------------------------------------------
+# component shapes of a sampled graph
+
+
+class Component(NamedTuple):
+    s: int  # keys
+    q: int  # bins
+    edges: int  # choices of its keys, repeats included
+    matched: int  # its keys that the given matching places
+
+
+def component_shapes(choices, m, matched) -> list[Component]:
+    """Shapes of the components of the cuckoo graph, whose vertices are the
+    m bins and whose (hyper)edges are the keys' choice lists, in order of
+    their smallest bin, then one (1, 0, 0, 0) per key with no choice.
+    ``matched`` gives each key's bin or None under a maximum matching of
+    the whole graph, whose restriction to a component is maximum there."""
+    dsu = DSU(m)
+    for row in choices:
+        for v in row[1:]:
+            dsu.union(row[0], v)
+    shapes: dict[int, list[int]] = {}
+    for v in range(m):
+        shapes.setdefault(dsu.find(v), [0, 0, 0, 0])[1] += 1
+    loose = []
+    for row, bin_ in zip(choices, matched):
+        if not row:
+            loose.append(Component(1, 0, 0, 0))
+            continue
+        shape = shapes[dsu.find(row[0])]
+        shape[0] += 1
+        shape[2] += len(row)
+        shape[3] += bin_ is not None
+    return [Component(*shape) for shape in shapes.values()] + loose
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from cuckoo_lab.exact import (
     husimi_count,
     matching_upper_bound_d,
     tree_count_d2,
-    tree_count_partitioned,
 )
 from cuckoo_lab.matching import BipartiteGraph, max_matching, mu_via_deficit
 from cuckoo_lab.simulate import RngSeed, concentration_experiment, estimate_mu, gen_graph
@@ -207,13 +206,16 @@ def test_criterion_12_tree_count_oracles():
         for j in range(7):
             if i + j == 0 or i + j > 6:
                 continue
+            # the closed form the two-bank series evaluates, tied to it bit
+            # for bit by test_exact.py::test_partitioned_matches_full_series
             count = oracles.count_connected_partitioned(i, j)
-            log_count = tree_count_partitioned(i, j)
+            log_connect = oracles._log_connect_probability_partitioned(i, j)
             if count == 0:
-                assert log_count == float("-inf")
+                assert log_connect == float("-inf")
             else:
-                assert round(math.exp(log_count)) == count
-                assert math.exp(log_count) == pytest.approx(count, rel=1e-12)
+                closed = math.exp(log_connect) * (i * j) ** (i + j - 1)
+                assert round(closed) == count
+                assert closed == pytest.approx(count, rel=1e-12)
 
     # every (s, d >= 3) with (d-1)s+1 <= 7, by direct enumeration
     for d in range(3, 8):

@@ -13,7 +13,6 @@ from cuckoo_lab.asymptotics import (
     gamma_mixed_rand,
     gamma_partitioned,
     lambert_w0,
-    perfect_beta_interval,
 )
 from cuckoo_lab.exact import (
     expected_matching_d2,
@@ -246,18 +245,6 @@ def test_gamma_partitioned_validation():
         gamma_partitioned(0.0, 0.5)
     with pytest.raises(ValueError):
         gamma_partitioned(1.0, -0.1)
-
-
-def test_perfect_beta_interval():
-    lo, hi = perfect_beta_interval(0.5)
-    assert lo == pytest.approx(0.5, abs=1e-12)
-    assert hi == pytest.approx(0.5, abs=1e-12)
-    lo, hi = perfect_beta_interval(0.4)
-    assert lo == pytest.approx(0.2, abs=1e-12)
-    assert hi == pytest.approx(0.8, abs=1e-12)
-    assert perfect_beta_interval(0.6) is None
-    with pytest.raises(ValueError):
-        perfect_beta_interval(0.0)
 
 
 def _swapped_variant_gamma(alpha: float, beta: float) -> float:

@@ -1,0 +1,61 @@
+"""What lies on each side of the package: the oracles stay independent of
+it, and the benchmark under perfbench/ finds every name it reads."""
+
+import ast
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
+def test_oracles_import_nothing_from_the_package():
+    # an oracle that calls the code it checks would agree with any fault in it
+    modules = list(_imported_modules(Path(__file__).parent / "oracles.py"))
+    assert modules  # the walk sees the imports that are there
+    assert [name for name in modules if name.split(".")[0] == "cuckoo_lab"] == []
+
+
+def _python(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    env.pop("CUCKOO_LAB_THREADS", None)
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_benchmark_finds_every_name_it_reads():
+    # the tracer wraps the entry point of every layer by name, and run.py
+    # reads three attributes besides the names it imports
+    done = _python(
+        "-c",
+        "from perfbench.tracing import Tracer\n"
+        "from cuckoo_lab import BipartiteGraph, CuckooTable, ExactResult\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tracer.uninstall()\n"
+        "assert callable(BipartiteGraph.max_left_degree) and callable(CuckooTable.load_stats)\n"
+        "assert 'terms' in ExactResult.__dataclass_fields__\n"
+    )
+    assert done.returncode == 0, done.stderr
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cuckoo_lab":
+                module = importlib.import_module(node.module)
+                missing = [a.name for a in node.names if not hasattr(module, a.name)
+                           and importlib.util.find_spec(f"{node.module}.{a.name}") is None]
+                assert missing == [], (path.name, missing)
+
+
+def test_benchmark_selftest_passes():
+    done = _python(str(ROOT / "perfbench" / "selftest.py"))
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

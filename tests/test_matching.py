@@ -1,19 +1,13 @@
-"""Matching kernel against brute force, plus the component structure rules."""
+"""Matching kernel against brute force, plus the paper's structure lemmas
+checked on the component shapes of sampled graphs."""
 
 import random
 import zlib
 
 import pytest
 
-from cuckoo_lab import matching
 from cuckoo_lab.exact import ModelParams
-from cuckoo_lab.matching import (
-    BipartiteGraph,
-    assert_structure,
-    components,
-    max_matching,
-    mu_via_deficit,
-)
+from cuckoo_lab.matching import BipartiteGraph, max_matching, mu_via_deficit
 from cuckoo_lab.simulate import RngSeed, gen_graph
 
 import oracles
@@ -21,6 +15,10 @@ import oracles
 
 def _graph(n, m, choices):
     return BipartiteGraph(n=n, m=m, choices=tuple(tuple(c) for c in choices))
+
+
+def _components(g):
+    return oracles.component_shapes(g.choices, g.m, max_matching(g)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +86,16 @@ def test_max_matching_against_hopcroft_karp():
             assert all(v is None or v in row for v, row in zip(matched, g.choices))
 
 
-def test_components_independent_of_the_maximum_matching(monkeypatch):
-    # components() reads per-component counts off one maximum matching;
-    # the oracle's matching, another maximum one, gives the same summaries
+def test_components_independent_of_the_maximum_matching():
+    # the shapes count the keys of one maximum matching in each component;
+    # the oracle's matching, another maximum one, gives the same shapes
     rng = random.Random(41)
-    graphs = []
     for _ in range(400):
         n = rng.randint(0, 40)
         m = rng.randint(1, 40)
-        graphs.append(_graph(n, m, [[rng.randrange(m) for _ in range(rng.randint(0, 4))] for _ in range(n)]))
-    ours = [components(g) for g in graphs]
-    monkeypatch.setattr(matching, "max_matching", lambda g: oracles.hopcroft_karp_matching(g.choices, g.m))
-    assert [components(g) for g in graphs] == ours
+        g = _graph(n, m, [[rng.randrange(m) for _ in range(rng.randint(0, 4))] for _ in range(n)])
+        hk = oracles.hopcroft_karp_matching(g.choices, g.m)[1]
+        assert oracles.component_shapes(g.choices, g.m, hk) == _components(g)
 
 
 def test_graph_validation():
@@ -110,36 +106,27 @@ def test_graph_validation():
 
 
 # ---------------------------------------------------------------------------
-# components
+# component shapes
 
 
 def test_components_single_path():
-    comps = components(_graph(1, 2, [[0, 1]]))
-    assert len(comps) == 1
-    c = comps[0]
-    assert (c.s, c.q, c.edge_count, c.is_tree, c.local_matching) == (1, 2, 2, True, 1)
-    assert c.is_deficit
+    assert _components(_graph(1, 2, [[0, 1]])) == [(1, 2, 2, 1)]  # a tree with one spare bin
 
 
 def test_components_parallel_edge_and_isolated_bins():
-    comps = components(_graph(1, 3, [[0, 0]]))
-    shapes = sorted((c.s, c.q, c.edge_count, c.is_tree, c.local_matching) for c in comps)
-    assert shapes == [(0, 1, 0, True, 0), (0, 1, 0, True, 0), (1, 1, 2, False, 1)]
+    assert sorted(_components(_graph(1, 3, [[0, 0]]))) == [(0, 1, 0, 0), (0, 1, 0, 0), (1, 1, 2, 1)]
 
 
 def test_components_empty_graph():
-    comps = components(_graph(0, 2, []))
-    assert [(c.s, c.q) for c in comps] == [(0, 1), (0, 1)]
-    assert all(c.is_deficit for c in comps)
+    assert _components(_graph(0, 2, [])) == [(0, 1, 0, 0), (0, 1, 0, 0)]
 
 
 def test_key_with_no_choice():
     g = _graph(2, 2, [[], [0]])
     assert mu_via_deficit(g) == max_matching(g)[0] == 1
-    comps = components(g)
-    shapes = sorted((c.s, c.q, c.edge_count, c.is_tree, c.local_matching, c.is_deficit) for c in comps)
-    assert shapes == [(0, 1, 0, True, 0, True), (1, 0, 0, True, 0, False), (1, 1, 1, True, 1, False)]
-    assert sum(c.local_matching for c in comps) == max_matching(g)[0]
+    comps = _components(g)
+    assert sorted(comps) == [(0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)]
+    assert sum(c.matched for c in comps) == max_matching(g)[0]
 
 
 def test_components_conservation():
@@ -151,11 +138,11 @@ def test_components_conservation():
             [rng.randrange(m) for _ in range(rng.randint(1, 2))] for _ in range(n)
         ]
         g = _graph(n, m, choices)
-        comps = components(g)
+        comps = _components(g)
         assert sum(c.s for c in comps) == n
         assert sum(c.q for c in comps) == m
-        assert sum(c.local_matching for c in comps) == max_matching(g)[0]
-        assert sum(c.edge_count for c in comps) == sum(len(r) for r in choices)
+        assert sum(c.matched for c in comps) == max_matching(g)[0]
+        assert sum(c.edges for c in comps) == sum(len(r) for r in choices)
 
 
 # ---------------------------------------------------------------------------
@@ -201,35 +188,45 @@ def test_deficit_component_is_tree_with_full_degrees():
     seed = RngSeed(31337)
     for t in range(200):
         g = gen_graph(ModelParams.fixed2(25, 25), seed.derive(t))
-        for c in components(g):
-            if c.is_deficit and c.s > 0:
-                assert c.is_tree
-                assert c.edge_count == 2 * c.s == c.s + c.q - 1
+        for c in _components(g):
+            if c.q == c.s + 1 and c.s > 0:
+                assert c.edges == 2 * c.s == c.s + c.q - 1
 
 
 # ---------------------------------------------------------------------------
-# structure rules
+# structure lemmas
+
+
+def _broken_lemma(c, d):
+    """The first structure lemma that component shape c breaks in a graph
+    whose keys have at most d choices, or None.
+
+    s keys reach at most (d-1)s + 1 bins (lemmas 1 and 8).  A component
+    that reaches that many is a tree that places all its keys (lemmas 3-4
+    and 9-10), and for d = 2 every key in it has two choices (lemma 6).
+    A two-choice component with fewer bins fills all of them (lemma 2).
+    """
+    s, q, edges, matched = c
+    top = (d - 1) * s + 1
+    tree = edges == s + q - 1
+    if d == 2:
+        rules = (("lemma1", q <= top), ("lemma4", q < top or tree), ("lemma3", q < top or matched == s),
+                 ("lemma6", q < top or edges == 2 * s), ("lemma2", q >= top or matched == q))
+    else:
+        rules = (("lemma8", q <= top), ("lemma9", q < top or matched == s), ("lemma10", q < top or tree))
+    return next((lemma for lemma, holds in rules if not holds), None)
 
 
 def test_assert_structure_examples():
-    from cuckoo_lab.matching import ComponentSummary
-
-    ok = ComponentSummary(s=3, q=4, edge_count=6, is_tree=True, local_matching=3, is_deficit=True)
-    assert assert_structure(ok, 2) is None
-    impossible = ComponentSummary(s=2, q=4, edge_count=4, is_tree=False, local_matching=2, is_deficit=False)
-    assert assert_structure(impossible, 2) == "lemma1"
-    star = ComponentSummary(s=1, q=3, edge_count=3, is_tree=True, local_matching=1, is_deficit=True)
-    assert assert_structure(star, 3) is None
-    bad_local = ComponentSummary(s=3, q=4, edge_count=6, is_tree=True, local_matching=2, is_deficit=True)
-    assert assert_structure(bad_local, 2) == "lemma3"
-    not_tree = ComponentSummary(s=3, q=4, edge_count=7, is_tree=False, local_matching=3, is_deficit=True)
-    assert assert_structure(not_tree, 2) == "lemma4"
-    degree_one = ComponentSummary(s=3, q=4, edge_count=5, is_tree=False, local_matching=3, is_deficit=True)
-    assert assert_structure(degree_one, 2) == "lemma4"
-    saturated = ComponentSummary(s=5, q=3, edge_count=10, is_tree=False, local_matching=2, is_deficit=False)
-    assert assert_structure(saturated, 2) == "lemma2"
-    too_many_bins = ComponentSummary(s=2, q=6, edge_count=6, is_tree=False, local_matching=2, is_deficit=False)
-    assert assert_structure(too_many_bins, 3) == "lemma8"
+    Shape = oracles.Component
+    assert _broken_lemma(Shape(s=3, q=4, edges=6, matched=3), 2) is None
+    assert _broken_lemma(Shape(s=2, q=4, edges=4, matched=2), 2) == "lemma1"  # too many bins
+    assert _broken_lemma(Shape(s=1, q=3, edges=3, matched=1), 3) is None  # a star
+    assert _broken_lemma(Shape(s=3, q=4, edges=6, matched=2), 2) == "lemma3"  # a key left out
+    assert _broken_lemma(Shape(s=3, q=4, edges=7, matched=3), 2) == "lemma4"  # not a tree
+    assert _broken_lemma(Shape(s=3, q=4, edges=5, matched=3), 2) == "lemma4"  # a key of degree one
+    assert _broken_lemma(Shape(s=5, q=3, edges=10, matched=2), 2) == "lemma2"  # a bin left empty
+    assert _broken_lemma(Shape(s=2, q=6, edges=6, matched=2), 3) == "lemma8"
 
 
 _VARIANTS = [
@@ -253,6 +250,6 @@ def test_structure_rules_hold_on_random_graphs(params):
     seed = RngSeed(0xC0FFEE ^ zlib.crc32(_case_id(params).encode()) & 0xFFFF)
     for t in range(10_000):
         g = gen_graph(params, seed.derive(t))
-        for c in components(g):
-            violation = assert_structure(c, d)
+        for c in _components(g):
+            violation = _broken_lemma(c, d)
             assert violation is None, (violation, c)

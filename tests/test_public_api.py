@@ -1,8 +1,66 @@
-"""The package's public names."""
+"""The package's public names, and their refusal of a NaN argument."""
 
 import collections
 
+import pytest
+
 import cuckoo_lab
+from cuckoo_lab import (
+    ModelParams,
+    concentration_experiment,
+    concentration_tail_bound,
+    gamma_d2,
+    gamma_mixed,
+    gamma_mixed_rand,
+    gamma_partitioned,
+    lambert_w0,
+)
+
+# Every export is listed here, so that adding or removing one is a
+# deliberate edit of this list.
+PUBLIC_NAMES = [
+    "AsymptoticResult",
+    "BipartiteGraph",
+    "BranchSolveError",
+    "CuckooTable",
+    "DuplicateKeyError",
+    "ExactResult",
+    "LoadStats",
+    "LookupResult",
+    "ModelParams",
+    "RngSeed",
+    "SimStats",
+    "SplitMix64",
+    "TraceReport",
+    "__version__",
+    "bin_choices",
+    "choice_function",
+    "concentration_experiment",
+    "concentration_tail_bound",
+    "disambiguate_duplicates",
+    "estimate_mu",
+    "expected_matching_d2",
+    "expected_matching_mixed_det",
+    "expected_matching_mixed_rand",
+    "expected_matching_partitioned",
+    "gamma_d2",
+    "gamma_mixed",
+    "gamma_mixed_rand",
+    "gamma_partitioned",
+    "gen_graph",
+    "husimi_count",
+    "lambert_w0",
+    "matching_upper_bound_d",
+    "max_matching",
+    "mu_via_deficit",
+    "new_table",
+    "read_keys",
+    "run_trace_experiment",
+    "stash_size_for_epsilon",
+    "synthetic_stream",
+    "tree_count_d2",
+    "wang_mix64",
+]
 
 
 def test_every_export_resolves_once():
@@ -10,3 +68,27 @@ def test_every_export_resolves_once():
     assert repeated == []
     missing = [name for name in cuckoo_lab.__all__ if not hasattr(cuckoo_lab, name)]
     assert missing == []
+
+
+def test_exports_are_exactly_the_public_names():
+    assert sorted(cuckoo_lab.__all__) == PUBLIC_NAMES
+
+
+_NAN = float("nan")
+_NAN_CALLS = [
+    (gamma_d2, (_NAN,)),
+    (gamma_mixed, (_NAN, 1.5)),
+    (gamma_mixed_rand, (_NAN, 0.5)),
+    (gamma_partitioned, (_NAN, 0.3)),
+    (lambert_w0, (_NAN,)),
+    (concentration_tail_bound, (_NAN,)),
+    (concentration_experiment, (ModelParams.fixed2(20, 20), 100, _NAN, 1)),
+]
+
+
+@pytest.mark.parametrize("call, args", _NAN_CALLS, ids=[call.__name__ for call, _ in _NAN_CALLS])
+def test_nan_argument_is_rejected(call, args):
+    # a NaN fails every comparison, so a check written as "x <= 0" lets it
+    # through; each check is written so that NaN fails it
+    with pytest.raises(ValueError):
+        call(*args)

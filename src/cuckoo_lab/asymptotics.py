@@ -84,9 +84,12 @@ def _halley(x: float, w: float) -> float:
 
 def lambert_w0(x: float) -> float:
     """Principal branch of Lambert W: the solution w >= -1 of w e^w = x,
-    defined for x >= -1/e.  Exact at the branch point and at zero."""
+    defined for x >= -1/e.  Exact at the branch point, at zero and at
+    inf."""
     if x == 0.0:
         return 0.0
+    if x == inf:
+        return inf
     if not x >= -_E_INV:  # NaN included
         if not x >= -_E_INV - _BRANCH_POINT_TOL:
             raise ValueError(f"lambert_w0 domain is [-1/e, inf); got {x}")
@@ -122,8 +125,8 @@ def gamma_d2(alpha: float) -> AsymptoticResult:
     on the easy side of the branch point); beyond it,
     gamma = 1/alpha + W(-2a e^(-2a))/(2 alpha^2) + W^2(...)/(4 alpha^2).
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be > 0")
+    if not 0.0 < alpha < inf:
+        raise ValueError(f"alpha must be finite and > 0; got {alpha}")
     if alpha <= 0.5:
         return AsymptoticResult(gamma=1.0, closed_form_used=True)
     w = lambert_w0(-2.0 * (alpha * exp(-2.0 * alpha)))
@@ -141,8 +144,8 @@ def gamma_mixed(alpha: float, a: float) -> AsymptoticResult:
     gamma = 1/alpha + w/(2 alpha^2 (a-1)) + w^2/(4 alpha^2 (a-1)); since
     w e^w is the W argument, 2 alpha (a-1) = -w e^y, and gamma becomes
     (1 - e^(-y) - (w/2) e^(-y))/alpha, whose two parts do not cancel."""
-    if not alpha > 0.0:
-        raise ValueError("alpha must be > 0")
+    if not 0.0 < alpha < inf:
+        raise ValueError(f"alpha must be finite and > 0; got {alpha}")
     if not 1.0 <= a <= 2.0:
         raise ValueError("a must be in [1, 2]")
     if a == 2.0:
@@ -257,8 +260,8 @@ def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
     merge into a double root at which floats fix the pair only to about
     sqrt(machine epsilon), so t1 t2 may come out slightly above 1 there.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be > 0")
+    if not 0.0 < alpha < inf:
+        raise ValueError(f"alpha must be finite and > 0; got {alpha}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must be in [0, 1]")
     if beta == 0.0 or beta == 1.0:

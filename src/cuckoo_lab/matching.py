@@ -124,13 +124,6 @@ def max_matching(graph: BipartiteGraph) -> tuple[int, tuple[Optional[int], ...]]
     return graph.n - matched.count(None), tuple(matched)
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Root of ``x`` in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
 def mu_via_deficit(graph: BipartiteGraph) -> int:
     """Maximum matching size of a graph with left degrees <= 2, computed as
     the bin count minus the number of trees in the cuckoo graph.
@@ -141,23 +134,36 @@ def mu_via_deficit(graph: BipartiteGraph) -> int:
     or a loop matches all its bins; a tree, an isolated bin included,
     leaves exactly one spare.  One union-find over the bins, with a
     per-root flag set by any cycle or loop, counts the trees in
-    near-linear time, with no matching search.
+    near-linear time, with no matching search: every bin starts as a
+    tree, and an edge removes one unless it joins two components that
+    already have a cycle.
     """
+    choices = graph.choices
+    if max(map(len, choices), default=0) > 2:
+        u = next(u for u, row in enumerate(choices) if len(row) > 2)
+        raise ValueError(f"left vertex {u} has degree {len(choices[u])} > 2")
     m = graph.m
     parent = list(range(m))
     saturated = [False] * m
-    for u, row in enumerate(graph.choices):
-        if len(row) > 2:
-            raise ValueError(f"left vertex {u} has degree {len(row)} > 2")
+    trees = m
+    for row in choices:
         if not row:
             continue
-        # a one-choice key has row[0] == row[-1]: a loop, like a repeated bin
-        a = _find(parent, row[0])
-        b = _find(parent, row[-1])
+        # a one-choice key has row[0] == row[-1]: a loop, like a repeated
+        # bin; both roots are found with path halving
+        a = row[0]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        b = row[-1]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a == b:
-            saturated[a] = True
+            if not saturated[a]:
+                saturated[a] = True
+                trees -= 1
         else:
             parent[b] = a
-            saturated[a] = saturated[a] or saturated[b]
-    return m - sum(1 for r in range(m) if parent[r] == r and not saturated[r])
-
+            if not (saturated[a] and saturated[b]):
+                saturated[a] = saturated[a] or saturated[b]
+                trees -= 1
+    return m - trees

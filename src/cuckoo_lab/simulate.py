@@ -6,14 +6,27 @@ platform.  Trials derive independent generator states from (seed, trial
 index) and may therefore run in parallel; aggregation works on exact
 integer sums, making every reported statistic independent of execution
 order.
+
+Words are mixed many at a time.  The output of the k-th step,
+mix64(state + k * gamma), depends only on k, so a block of successive words
+is computed in one pass: each word sits in its own 128-bit lane of a single
+Python integer, and every step of :func:`mix64` becomes a few big-integer
+operations over all lanes at once.  A lane holds a 64-bit word, so its
+product with a 64-bit constant stays below 2^128 and carries nothing into
+the next lane; masking with 2^64 - 1 in every lane clears the bits a shift
+brings in from the neighbouring lane.  The words equal those of the scalar
+:func:`mix64`, one by one.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import cache
 from math import sqrt
 from typing import Callable, Union
 
@@ -22,6 +35,9 @@ from .matching import BipartiteGraph, max_matching, mu_via_deficit
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# words mixed per pass, which bounds the integer holding them at 16 KiB
+_LANES = 1024
 
 THREADS_ENV_VAR = "CUCKOO_LAB_THREADS"
 
@@ -32,6 +48,24 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+@cache
+def _lane_constants() -> tuple[int, int, int]:
+    """(ones, low, ramp) over _LANES 128-bit lanes, lane k holding 1,
+    2^64 - 1 and (k + 1) * gamma mod 2^64.  Built on first use; a block of
+    fewer lanes takes their low lanes."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+    ramp = b"".join(((k * _GOLDEN) & _MASK64).to_bytes(16, "little") for k in range(1, _LANES + 1))
+    return ones, ones * _MASK64, int.from_bytes(ramp, "little")
+
+
+def _threshold(bound: int) -> int:
+    """Raw words at or above this are rejected when drawing below
+    ``bound``, so no residue of the 2^64 range is favored."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    return (1 << 64) - ((1 << 64) % bound)
 
 
 class SplitMix64:
@@ -52,38 +86,45 @@ class SplitMix64:
         return mix64(self.state)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), by rejection so no residue of the
-        2^64 range is favored."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        threshold = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            v = self.next_u64()
-            if v < threshold:
-                return v % bound
+        """Uniform integer in [0, bound), by rejection: one draw of
+        :meth:`draws`."""
+        return self.draws(bound, 1)[0]
 
     def draws(self, bound: int, count: int) -> list[int]:
-        """The values of ``count`` successive ``below(bound)`` calls, in
-        order, with the state left where they would leave it: one loop
-        with the threshold worked out once, :func:`mix64` inlined and the
-        state kept in a local.  A single draw is cheaper through
-        ``below``."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        threshold = (1 << 64) - ((1 << 64) % bound)
-        state = self.state
-        out = [0] * count
-        for i in range(count):
-            while True:
-                state = (state + _GOLDEN) & _MASK64
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                z ^= z >> 31
-                if z < threshold:
-                    break
-            out[i] = z % bound
-        self.state = state
+        """``count`` uniform integers in [0, bound), with the state left
+        after the last word used.
+
+        Words are mixed a block at a time, all lanes at once (see the
+        module docstring): at most _LANES of them and at most as many as
+        values are still missing, so no block reads past the last word
+        used.  A word at or above :func:`_threshold` is skipped, in order,
+        and the shortfall is drawn from the next block.  The values and
+        the final state are those of drawing word by word, however few
+        the values."""
+        threshold = _threshold(bound)
+        out: list[int] = []
+        while len(out) < count:
+            out += [v % bound for v in self._words(min(count - len(out), _LANES)) if v < threshold]
         return out
+
+    def _words(self, count: int) -> array:
+        """The next ``count`` raw words, count <= _LANES, mixed in one pass
+        over 128-bit lanes (see the module docstring)."""
+        ones, low, ramp = _lane_constants()
+        keep = (1 << (count << 7)) - 1
+        low &= keep
+        z = (self.state * (ones & keep) + (ramp & keep)) & low
+        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+        z ^= z >> 31
+        self.state = (self.state + count * _GOLDEN) & _MASK64
+        # a fixed byte order, swapped into the host's, keeps the words the
+        # same on every platform; each lane's high half holds bits shifted
+        # in from the next lane
+        words = array("Q", z.to_bytes(count << 4, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words[::2]
 
 
 @dataclass(frozen=True)
@@ -129,22 +170,46 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
         flat = rng.draws(m, 2 * n - d1)
         choices = tuple((v,) for v in flat[:d1]) + tuple(zip(flat[d1::2], flat[d1 + 1 :: 2]))
     elif variant == "mixed-rand":
+        # per key a raw coin word, two choices when it falls below
+        # coin_threshold (probability p) and one otherwise; each pass reads
+        # the fewest words the keys left can use, so none is read past the
+        # last one used
         assert params.p is not None
-        threshold = probability_threshold(params.p)
-        rows = []
-        for _ in range(n):
-            # two choices with probability threshold / 2^64
-            if rng.next_u64() < threshold:
-                rows.append((rng.below(m), rng.below(m)))
-            else:
-                rows.append((rng.below(m),))
+        coin_threshold = probability_threshold(params.p)
+        threshold = _threshold(m)
+        rows: list[tuple[int, ...]] = []
+        row: list[int] = []
+        want = 0  # choices the current key still needs; 0 before its coin
+        while len(rows) < n:
+            for w in rng._words(min(want + 2 * (n - len(rows) - (want > 0)), _LANES)):
+                if not want:
+                    want = 2 if w < coin_threshold else 1
+                elif w < threshold:
+                    row.append(w % m)
+                    want -= 1
+                    if not want:
+                        rows.append(tuple(row))
+                        row = []
         choices = tuple(rows)
     elif variant == "partitioned":
         m1 = params.up_bank_size
         m2 = m - m1
-        if n > 0 and (m1 < 1 or m2 < 1):
-            raise ValueError("partitioned sampling needs both banks non-empty")
-        choices = tuple((rng.below(m1), m1 + rng.below(m2)) for _ in range(n))
+        if m1 < 1 or m2 < 1:
+            if n > 0:
+                raise ValueError("partitioned sampling needs both banks non-empty")
+            return BipartiteGraph(n=0, m=m, choices=())
+        # the choices alternate between the banks, each word tested
+        # against the threshold of the bank whose choice is due
+        up, down = _threshold(m1), _threshold(m2)
+        flat: list[int] = []
+        while len(flat) < 2 * n:
+            for w in rng._words(min(2 * n - len(flat), _LANES)):
+                if len(flat) & 1:
+                    if w < down:
+                        flat.append(m1 + w % m2)
+                elif w < up:
+                    flat.append(w % m1)
+        choices = tuple(zip(flat[::2], flat[1::2]))
     elif variant == "fixed-d":
         assert params.d is not None
         d = params.d

@@ -11,9 +11,10 @@ where direct enumeration is too large).  The two-bank limit is bisected in
 without search pruning, to compare layouts against, and the two-bank
 exact series as the full double sum, to compare its peak-walk summation
 against.  Bin choices are derived key by key from the pinned mix, as the
-reference for the package's precomputed choice function.  Component
-shapes are read off a union-find over the bins, taking the matching they
-count from the caller.
+reference for the package's precomputed choice function, and seeded
+graphs word by word, one rejection loop per choice, as the reference for
+the package's block-mixed generator.  Component shapes are read off a
+union-find over the bins, taking the matching they count from the caller.
 """
 
 from __future__ import annotations
@@ -555,6 +556,59 @@ def reference_bin_choices(key, seeds, m, d, partition_boundary=None) -> tuple[in
         _reduce(wang_mix64(key ^ seeds[0]), 0, partition_boundary),
         _reduce(wang_mix64(key ^ seeds[1]), partition_boundary, m - partition_boundary),
     )
+
+
+# ---------------------------------------------------------------------------
+# seeded graphs, drawn word by word
+
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+class ReferenceSplitMix64:
+    """splitmix64 one word at a time, and each draw below a bound by its
+    own rejection loop."""
+
+    def __init__(self, state: int) -> None:
+        self.state = state & _MASK64
+
+    def next_u64(self) -> int:
+        self.state = z = (self.state + _SPLITMIX_GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def below(self, bound: int) -> int:
+        threshold = (1 << 64) - (1 << 64) % bound
+        while True:
+            v = self.next_u64()
+            if v < threshold:
+                return v % bound
+
+
+def reference_graph_choices(variant, n, m, state, *, d=2, one_choice=0, p=0.0, up_bank=0):
+    """(choices, final generator state) of one graph, one below() call per
+    choice in key order: d choices per key (d2, fixed-d); ``one_choice``
+    one-choice keys first, then two-choice keys (mixed-det); a raw coin
+    word per key, two choices when it is below round(p 2^64) and one
+    otherwise (mixed-rand); one choice in [0, up_bank) and one in
+    [up_bank, m) (partitioned)."""
+    rng = ReferenceSplitMix64(state)
+    if variant in ("d2", "fixed-d"):
+        rows = [tuple(rng.below(m) for _ in range(d)) for _ in range(n)]
+    elif variant == "mixed-det":
+        rows = [(rng.below(m),) for _ in range(one_choice)]
+        rows += [(rng.below(m), rng.below(m)) for _ in range(n - one_choice)]
+    elif variant == "mixed-rand":
+        coin = min(1 << 64, max(0, round(p * (1 << 64))))
+        rows = []
+        for _ in range(n):
+            two = rng.next_u64() < coin
+            rows.append(tuple(rng.below(m) for _ in range(1 + two)))
+    elif variant == "partitioned":
+        rows = [(rng.below(up_bank), up_bank + rng.below(m - up_bank)) for _ in range(n)]
+    else:
+        raise ValueError(variant)
+    return tuple(rows), rng.state
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,10 @@ def test_w0_domain_error():
         lambert_w0(-math.exp(-1) - 1e-6)
 
 
+def test_w0_at_infinity():
+    assert lambert_w0(math.inf) == math.inf
+
+
 def test_w0_identity_dense():
     for k in range(1201):
         x = -1.0 + k * (6.0 / 1200)
@@ -87,6 +91,24 @@ def test_gamma_d2_rejects_nonpositive_load():
 
 # ---------------------------------------------------------------------------
 # mixed-degree limits
+
+
+_INFINITE_ALPHA_CALLS = [
+    (gamma_d2, (math.inf,)),
+    (gamma_mixed, (math.inf, 1.5)),
+    (gamma_mixed_rand, (math.inf, 0.5)),
+    (gamma_partitioned, (math.inf, 0.3)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args", _INFINITE_ALPHA_CALLS, ids=[call.__name__ for call, _ in _INFINITE_ALPHA_CALLS]
+)
+def test_infinite_alpha_is_rejected_by_name(call, args):
+    # the error names the argument the caller passed, not an intermediate
+    # value such as the argument of W
+    with pytest.raises(ValueError, match="alpha"):
+        call(*args)
 
 
 def test_gamma_mixed_reductions():

@@ -158,6 +158,9 @@ def test_mu_via_deficit_examples():
 def test_mu_via_deficit_rejects_high_degree():
     with pytest.raises(ValueError):
         mu_via_deficit(_graph(1, 3, [[0, 1, 2]]))
+    # the error names the first key of degree > 2
+    with pytest.raises(ValueError, match=r"^left vertex 2 has degree 4 > 2$"):
+        mu_via_deficit(_graph(4, 3, [[0], [1, 2], [0, 1, 2, 2], [0, 1, 2]]))
 
 
 def test_mu_via_deficit_equals_matching_on_random_graphs():
@@ -165,8 +168,9 @@ def test_mu_via_deficit_equals_matching_on_random_graphs():
     for _ in range(800):
         n = rng.randint(0, 60)
         m = rng.randint(1, 60)
+        # keys with no choice, one choice, or two that may repeat a bin
         choices = [
-            [rng.randrange(m) for _ in range(rng.randint(1, 2))] for _ in range(n)
+            [rng.randrange(m) for _ in range(rng.randint(0, 2))] for _ in range(n)
         ]
         g = _graph(n, m, choices)
         assert mu_via_deficit(g) == max_matching(g)[0]

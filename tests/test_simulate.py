@@ -21,6 +21,8 @@ from cuckoo_lab.simulate import (
     probability_threshold,
 )
 
+import oracles
+
 # reference sequence of the 64-bit counter generator for seed 0
 SPLITMIX64_SEED0 = (
     0xE220A8397B1DCDAF,
@@ -56,25 +58,30 @@ def test_below_range_and_determinism():
         rng.below(0)
 
 
-def _below_one_by_one(rng, bound):
-    """Rejection sampling from next_u64, one output at a time."""
-    threshold = (1 << 64) - (1 << 64) % bound
-    while True:
-        v = rng.next_u64()
-        if v < threshold:
-            return v % bound
-
-
 @pytest.mark.parametrize("bound", [1, 7, 2000, (1 << 63) + 1, (1 << 64) - 1])
 def test_draws_equal_rejection_one_by_one(bound):
     # bound = 2^63 + 1 rejects about half the raw outputs
-    rng, ref = SplitMix64(31), SplitMix64(31)
-    assert rng.draws(bound, 5_000) == [_below_one_by_one(ref, bound) for _ in range(5_000)]
+    rng, ref = SplitMix64(31), oracles.ReferenceSplitMix64(31)
+    assert rng.draws(bound, 5_000) == [ref.below(bound) for _ in range(5_000)]
     assert rng.state == ref.state
-    assert rng.below(bound) == _below_one_by_one(ref, bound) and rng.state == ref.state
+    assert rng.below(bound) == ref.below(bound) and rng.state == ref.state
     assert rng.draws(bound, 0) == [] and rng.state == ref.state
     with pytest.raises(ValueError):
         rng.draws(0, 1)
+
+
+_BLOCK = simulate._LANES
+
+
+@pytest.mark.parametrize("bound", [7, (1 << 63) + 1, 1 << 64])
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_draws_across_block_edges_equal_reference(bound, count):
+    # at bound 2^63 + 1 about half the words are rejected, so the values
+    # of one block run on into the next
+    rng, ref = SplitMix64(0xC0FFEE), oracles.ReferenceSplitMix64(0xC0FFEE)
+    assert rng.draws(bound, count) == [ref.below(bound) for _ in range(count)]
+    assert rng.state == ref.state
+    assert rng.below(bound) == ref.below(bound) and rng.state == ref.state
 
 
 def test_probability_threshold_edges():
@@ -154,6 +161,31 @@ def test_gen_graph_golden(variant):
     g = gen_graph(_GRAPH_PARAMS[variant], rng)
     digest = hashlib.sha256(repr(g.choices).encode()).hexdigest()
     assert (digest, rng.state) == _GRAPH_GOLDEN[variant]
+
+
+# bin counts at which about half the raw words are rejected, each with the
+# reference generator's arguments; the partitioned model's up bank has 2^63
+# bins (nothing rejected) and its down bank 2^63 + 2 (about half rejected)
+_REJECTING = {
+    "d2": (ModelParams.fixed2(1500, (1 << 63) + 1), {}),
+    "mixed-det": (ModelParams.mixed_det(1500, (1 << 63) + 1, 1.5), {"one_choice": 750}),
+    "mixed-rand": (ModelParams.mixed_rand(1500, (1 << 63) + 1, 0.5), {"p": 0.5}),
+    "partitioned": (ModelParams.partitioned(1500, (1 << 64) + 2, 0.5), {"up_bank": 1 << 63}),
+    "fixed-d": (ModelParams.fixed_d(1000, (1 << 63) + 1, 3), {"d": 3}),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_REJECTING))
+def test_gen_graph_rejecting_half_the_words_equals_draw_by_draw(variant):
+    params, kwargs = _REJECTING[variant]
+    rng = RngSeed(2024).derive(5)
+    state = rng.state
+    g = gen_graph(params, rng)
+    expected = oracles.reference_graph_choices(variant, params.n, params.m, state, **kwargs)
+    assert (g.choices, rng.state) == expected
+    # the rejection path ran: far more words were read than choices made
+    words = (rng.state - state) * pow(oracles._SPLITMIX_GAMMA, -1, 1 << 64) % (1 << 64)
+    assert words > 1.4 * sum(map(len, g.choices))
 
 
 def test_gen_graph_rejects_empty_bank():

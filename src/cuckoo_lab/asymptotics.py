@@ -239,8 +239,8 @@ def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
     """Limit matching fraction for the two-bank model with bank fractions
     beta and 1 - beta.
 
-    The trivial partitions beta in {0, 1} behave like single-choice
-    hashing: gamma = (1 - e^(-alpha))/alpha.  When alpha^2 <= beta(1-beta)
+    The trivial partitions beta in {0, 1} are single-choice hashing,
+    :func:`gamma_mixed` at a = 1.  When alpha^2 <= beta(1-beta)
     the closed-form pair t1 = alpha/(1-beta), t2 = alpha/beta is
     admissible and gamma is exactly 1.  Otherwise the implicit pair
 
@@ -265,7 +265,7 @@ def gamma_partitioned(alpha: float, beta: float) -> AsymptoticResult:
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must be in [0, 1]")
     if beta == 0.0 or beta == 1.0:
-        return AsymptoticResult(gamma=_clamp01(-expm1(-alpha) / alpha), closed_form_used=True)
+        return gamma_mixed(alpha, 1.0)
     if alpha * alpha <= beta * (1.0 - beta):
         t1 = alpha / (1.0 - beta)
         t2 = alpha / beta

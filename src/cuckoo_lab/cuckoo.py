@@ -74,7 +74,6 @@ _IN_STASH = LookupResult(found=True, in_stash=True)
 @dataclass
 class TableStats:
     placed: int = 0
-    stashed: int = 0
     displacements: int = 0
     stash_peak: int = 0
 
@@ -140,9 +139,8 @@ class CuckooTable:
             self._stash[key] = choices
             self._where[key] = ~self._tickets
             self._tickets += 1
-            self.stats.stashed = len(self._stash)
-            if self.stats.stashed > self.stats.stash_peak:
-                self.stats.stash_peak = self.stats.stashed
+            if len(self._stash) > self.stats.stash_peak:
+                self.stats.stash_peak = len(self._stash)
             return None
         self._settle(chain, key, choices)
         return chain[0]
@@ -180,7 +178,6 @@ class CuckooTable:
             choices = self._stash.pop(key)
             if ~loc < self._indexed:
                 self._unchoose(key, choices)
-            self.stats.stashed = len(self._stash)
             return True
         bins = self._bins
         if loc in self._dead:
@@ -220,7 +217,6 @@ class CuckooTable:
         chain = augment(bins, dead, choices)
         dead |= reach
         self._settle(chain, first, choices)
-        self.stats.stashed = len(self._stash)
 
     def _update_choosers(self) -> None:
         """Bring the index up to date: take in the occupants of the bins

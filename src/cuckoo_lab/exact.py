@@ -81,7 +81,7 @@ class ModelParams:
             require_integral(self.beta * self.m, "beta*m")
         elif self.variant == "fixed-d":
             if self.d is None or self.d < 2:
-                raise ValueError("fixed-d requires d >= 2")
+                raise ValueError("d must be >= 2")
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -115,10 +115,6 @@ class ModelParams:
         # tolerance scales with the value, so the smaller (a-1)*n can fail
         # where a*n passed
         return require_integral(self.a * self.n, "a*n") - self.n
-
-    @property
-    def one_choice_count(self) -> int:
-        return self.n - self.two_choice_count
 
     @property
     def up_bank_size(self) -> int:
@@ -335,7 +331,7 @@ def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool
     if beta in (0.0, 1.0):
         raise ValueError(
             "beta in {0, 1} has no finite-size formula; "
-            "use the asymptotic gamma_partitioned instead"
+            "use asymptotic --model partitioned instead"
         )
     m1 = params.up_bank_size
     m2 = m - m1
@@ -456,26 +452,26 @@ def matching_upper_bound_d(n: int, m: int, d: int, *, truncate: bool = True) -> 
     return _series(n, m, _deficit_rows(n, m, d, n, 1.0), truncate)
 
 
-def evaluate(params: ModelParams, *, truncate: bool = True) -> ExactResult:
+def evaluate(params: ModelParams) -> ExactResult:
     """Dispatch to the exact evaluator matching ``params``.
 
     The fixed-d model with d > 2 has no exact formula, only
     :func:`matching_upper_bound_d`; asking for it here is an error.
     """
     if params.variant == "d2":
-        return expected_matching_d2(params.n, params.m, truncate=truncate)
+        return expected_matching_d2(params.n, params.m)
     if params.variant == "mixed-det":
         assert params.a is not None
-        return expected_matching_mixed_det(params.n, params.m, params.a, truncate=truncate)
+        return expected_matching_mixed_det(params.n, params.m, params.a)
     if params.variant == "mixed-rand":
         assert params.p is not None
-        return expected_matching_mixed_rand(params.n, params.m, params.p, truncate=truncate)
+        return expected_matching_mixed_rand(params.n, params.m, params.p)
     if params.variant == "partitioned":
         assert params.beta is not None
-        return expected_matching_partitioned(params.n, params.m, params.beta, truncate=truncate)
+        return expected_matching_partitioned(params.n, params.m, params.beta)
     if params.variant == "fixed-d":
         if params.d == 2:
-            return expected_matching_d2(params.n, params.m, truncate=truncate)
+            return expected_matching_d2(params.n, params.m)
         raise ValueError(
             "no exact expectation for d > 2; matching_upper_bound_d gives a bound"
         )

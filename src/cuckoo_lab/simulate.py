@@ -27,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from math import sqrt
 from typing import Callable, Union
 
@@ -80,15 +81,6 @@ class SplitMix64:
 
     def __init__(self, state: int) -> None:
         self.state = state & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK64
-        return mix64(self.state)
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), by rejection: one draw of
-        :meth:`draws`."""
-        return self.draws(bound, 1)[0]
 
     def draws(self, bound: int, count: int) -> list[int]:
         """``count`` uniform integers in [0, bound), with the state left
@@ -162,13 +154,13 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
     n, m = params.n, params.m
     variant = params.variant
 
-    if variant == "d2":
-        flat = rng.draws(m, 2 * n)
-        choices = tuple(zip(flat[::2], flat[1::2]))
-    elif variant == "mixed-det":
-        d1 = params.one_choice_count
-        flat = rng.draws(m, 2 * n - d1)
-        choices = tuple((v,) for v in flat[:d1]) + tuple(zip(flat[d1::2], flat[d1 + 1 :: 2]))
+    if variant in ("d2", "mixed-det", "fixed-d"):
+        # one draw per choice: mixed-det's one-choice keys first, then the
+        # keys with d choices
+        d = params.d or 2
+        d_keys = params.two_choice_count if variant == "mixed-det" else n
+        words = iter(rng.draws(m, n - d_keys + d * d_keys))
+        choices = tuple(zip(islice(words, n - d_keys))) + tuple(zip(*[words] * d))
     elif variant == "mixed-rand":
         # per key a raw coin word, two choices when it falls below
         # coin_threshold (probability p) and one otherwise; each pass reads
@@ -210,11 +202,6 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
                 elif w < up:
                     flat.append(w % m1)
         choices = tuple(zip(flat[::2], flat[1::2]))
-    elif variant == "fixed-d":
-        assert params.d is not None
-        d = params.d
-        flat = iter(rng.draws(m, d * n))
-        choices = tuple(zip(*[flat] * d))
     else:
         raise ValueError(f"unknown variant {variant!r}")
 

@@ -43,10 +43,7 @@ class TraceReport:
     1 - ``overflow_mean``.
     """
 
-    m: int
     n: int
-    d: int
-    repeats: int
     overflow_mean: float
     overflow_min: float
     overflow_max: float
@@ -207,10 +204,7 @@ def run_trace_experiment(
         overflow = [o[1] / n for o in outcomes]
     mean_overflow = sum(overflow) / repeats
     return TraceReport(
-        m=m,
         n=n,
-        d=d,
-        repeats=repeats,
         overflow_mean=mean_overflow,
         overflow_min=min(overflow),
         overflow_max=max(overflow),

@@ -628,7 +628,7 @@ class ReferenceCuckooTable:
         self.bins = [None] * m  # (key, choices) or None
         self.stash: list = []
         self.where: dict = {}  # key -> bin, or -1 in the stash
-        self.stats = dict(placed=0, stashed=0, displacements=0, stash_peak=0)
+        self.stats = dict(placed=0, displacements=0, stash_peak=0)
 
     def insert(self, key):
         if key in self.where:
@@ -638,9 +638,7 @@ class ReferenceCuckooTable:
         if b is None:
             self.stash.append(key)
             self.where[key] = -1
-            st = self.stats
-            st["stashed"] = len(self.stash)
-            st["stash_peak"] = max(st["stash_peak"], st["stashed"])
+            self.stats["stash_peak"] = max(self.stats["stash_peak"], len(self.stash))
             return None
         self.bins[b] = (key, choices)
         self.where[key] = b
@@ -700,7 +698,6 @@ class ReferenceCuckooTable:
                 self.bins[b] = (stashed, choices)
                 self.where[stashed] = b
                 self.stats["placed"] += 1
-        self.stats["stashed"] = len(self.stash)
         return True
 
     def lookup(self, key):

@@ -119,7 +119,7 @@ def test_criterion_08_cuckoo_matching_equivalence():
         n = rng.randint(1, 200)
         m = rng.randint(1, 200)
         seeder = RngSeed(trial).derive(0)
-        table = new_table(m, 2, (seeder.next_u64(), seeder.next_u64()))
+        table = new_table(m, 2, seeder.draws(1 << 64, 2))
         for _ in range(n):
             table.insert(rng.getrandbits(64))
         assert table.load_stats().placed == max_matching(_induced_graph(table))[0]
@@ -127,7 +127,7 @@ def test_criterion_08_cuckoo_matching_equivalence():
     for trial in range(50):
         m = rng.randint(2, 60)
         seeder = RngSeed(10_000 + trial).derive(0)
-        table = new_table(m, 2, (seeder.next_u64(), seeder.next_u64()))
+        table = new_table(m, 2, seeder.draws(1 << 64, 2))
         live = []
         for _ in range(90):
             if live and rng.random() < 0.4:

@@ -186,6 +186,8 @@ def test_gamma_partitioned_trivial_partition():
             assert res.gamma == pytest.approx(expected, rel=1e-12)
             assert res.closed_form_used
             assert res.branch_data is None
+            # single-choice hashing, field for field
+            assert res == gamma_mixed(alpha, 1.0)
 
 
 def test_gamma_partitioned_inside_perfect_interval():

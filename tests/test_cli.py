@@ -379,6 +379,14 @@ def test_argument_errors_exit_2(capsys, tmp_path):
     for argv in cases:
         code, _, err = _run(capsys, *argv)
         assert code == 2, (argv, err)
+    # each message names the CLI's own flags and commands
+    worded = [
+        (("exact", "--n", "4", "--m", "4", "--model", "bound-d", "--d", "1"), "error: d must be >= 2\n"),
+        (("exact", "--n", "4", "--m", "4", "--model", "partitioned", "--beta", "0"), "use asymptotic --model partitioned"),
+    ]
+    for argv, message in worded:
+        code, _, err = _run(capsys, *argv)
+        assert code == 2 and message in err, (argv, err)
 
 
 def test_trace_binary_file_read_as_hex_lines_exits_2(capsys, tmp_path):

@@ -1,6 +1,8 @@
-"""The package's public names, and their refusal of a NaN argument."""
+"""The package's public names and members, and their refusal of a NaN
+argument."""
 
 import collections
+import dataclasses
 
 import pytest
 
@@ -15,6 +17,7 @@ from cuckoo_lab import (
     gamma_partitioned,
     lambert_w0,
 )
+from cuckoo_lab.cuckoo import TableStats
 
 # Every export is listed here, so that adding or removing one is a
 # deliberate edit of this list.
@@ -72,6 +75,39 @@ def test_every_export_resolves_once():
 
 def test_exports_are_exactly_the_public_names():
     assert sorted(cuckoo_lab.__all__) == PUBLIC_NAMES
+
+
+# The fields of the result and parameter dataclasses and the public
+# methods of the generator and the table, pinned like the names.
+DATACLASS_FIELDS = {
+    cuckoo_lab.ExactResult: ["mu", "stash_expected", "terms", "truncated_at"],
+    cuckoo_lab.AsymptoticResult: ["gamma", "branch_data", "closed_form_used"],
+    cuckoo_lab.SimStats: ["trials", "mean", "std_dev", "min", "max", "std_error"],
+    cuckoo_lab.TraceReport: [
+        "n", "overflow_mean", "overflow_min", "overflow_max", "inserted_mean", "per_repeat_seeds",
+    ],
+    TableStats: ["placed", "displacements", "stash_peak"],
+    cuckoo_lab.LoadStats: ["placed", "stash_size"],
+    cuckoo_lab.LookupResult: ["found", "in_stash", "bin"],
+    ModelParams: ["n", "m", "variant", "a", "p", "beta", "d"],
+}
+PUBLIC_METHODS = {
+    cuckoo_lab.SplitMix64: ["draws"],
+    cuckoo_lab.CuckooTable: [
+        "bin_choices", "bin_of", "insert", "load_stats", "lookup", "remove", "stash_keys", "stored_keys",
+    ],
+}
+
+
+@pytest.mark.parametrize("cls", DATACLASS_FIELDS, ids=lambda cls: cls.__name__)
+def test_dataclass_fields_are_pinned(cls):
+    assert [f.name for f in dataclasses.fields(cls)] == DATACLASS_FIELDS[cls]
+
+
+@pytest.mark.parametrize("cls", PUBLIC_METHODS, ids=lambda cls: cls.__name__)
+def test_public_methods_are_pinned(cls):
+    methods = sorted(name for name, value in vars(cls).items() if not name.startswith("_") and callable(value))
+    assert methods == PUBLIC_METHODS[cls]
 
 
 _NAN = float("nan")

@@ -33,13 +33,12 @@ SPLITMIX64_SEED0 = (
 
 
 def test_splitmix64_reference_vectors():
-    rng = SplitMix64(0)
-    assert tuple(rng.next_u64() for _ in range(4)) == SPLITMIX64_SEED0
+    # below 2^64 nothing is rejected: the draws are the raw words
+    assert tuple(SplitMix64(0).draws(1 << 64, 4)) == SPLITMIX64_SEED0
 
 
 def test_splitmix64_outputs_distinct():
-    rng = SplitMix64(42)
-    draws = [rng.next_u64() for _ in range(100_000)]
+    draws = SplitMix64(42).draws(1 << 64, 100_000)
     assert len(set(draws)) == len(draws)
 
 
@@ -50,12 +49,11 @@ def test_mix64_bijective_on_sample():
 
 def test_below_range_and_determinism():
     rng = SplitMix64(9)
-    draws = [rng.below(7) for _ in range(10_000)]
+    draws = rng.draws(7, 10_000)
     assert all(0 <= v < 7 for v in draws)
-    rng2 = SplitMix64(9)
-    assert draws == [rng2.below(7) for _ in range(10_000)]
+    assert draws == SplitMix64(9).draws(7, 10_000)
     with pytest.raises(ValueError):
-        rng.below(0)
+        rng.draws(0, 1)
 
 
 @pytest.mark.parametrize("bound", [1, 7, 2000, (1 << 63) + 1, (1 << 64) - 1])
@@ -64,7 +62,7 @@ def test_draws_equal_rejection_one_by_one(bound):
     rng, ref = SplitMix64(31), oracles.ReferenceSplitMix64(31)
     assert rng.draws(bound, 5_000) == [ref.below(bound) for _ in range(5_000)]
     assert rng.state == ref.state
-    assert rng.below(bound) == ref.below(bound) and rng.state == ref.state
+    assert rng.draws(bound, 1) == [ref.below(bound)] and rng.state == ref.state
     assert rng.draws(bound, 0) == [] and rng.state == ref.state
     with pytest.raises(ValueError):
         rng.draws(0, 1)
@@ -81,7 +79,7 @@ def test_draws_across_block_edges_equal_reference(bound, count):
     rng, ref = SplitMix64(0xC0FFEE), oracles.ReferenceSplitMix64(0xC0FFEE)
     assert rng.draws(bound, count) == [ref.below(bound) for _ in range(count)]
     assert rng.state == ref.state
-    assert rng.below(bound) == ref.below(bound) and rng.state == ref.state
+    assert rng.draws(bound, 1) == [ref.below(bound)] and rng.state == ref.state
 
 
 def test_probability_threshold_edges():
@@ -186,6 +184,17 @@ def test_gen_graph_rejecting_half_the_words_equals_draw_by_draw(variant):
     # the rejection path ran: far more words were read than choices made
     words = (rng.state - state) * pow(oracles._SPLITMIX_GAMMA, -1, 1 << 64) % (1 << 64)
     assert words > 1.4 * sum(map(len, g.choices))
+
+
+@pytest.mark.parametrize("m", [400, (1 << 63) + 1])
+def test_gen_graph_two_choice_models_draw_alike(m):
+    # d2, fixed-d at d = 2 and mixed-det at a = 2 are one model, drawn
+    # alike; at m = 2^63 + 1 about half the words are rejected
+    drawn = set()
+    for params in (ModelParams.fixed2(400, m), ModelParams.fixed_d(400, m, 2), ModelParams.mixed_det(400, m, 2.0)):
+        rng = RngSeed(2024).derive(7)
+        drawn.add((gen_graph(params, rng).choices, rng.state))
+    assert len(drawn) == 1
 
 
 def test_gen_graph_rejects_empty_bank():

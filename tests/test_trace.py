@@ -44,8 +44,8 @@ def test_wang_mix64_avalanche_band():
     total_flips = 0
     samples = 10_000
     for _ in range(samples):
-        key = rng.next_u64()
-        bit = 1 << rng.below(64)
+        # below 2^64 and 64 nothing is rejected: one word per draw
+        key, bit = rng.draws(1 << 64, 1)[0], 1 << rng.draws(64, 1)[0]
         total_flips += bin(wang_mix64(key) ^ wang_mix64(key ^ bit)).count("1")
     mean_flips = total_flips / samples
     assert 20.0 <= mean_flips <= 44.0
@@ -125,9 +125,7 @@ def test_golden_span_forces_remix():
 def test_choice_function_matches_reference(name):
     shape, _ = BIN_CHOICES_GOLDEN[name]
     choices = choice_function(*shape)
-    rng = SplitMix64(4242)
-    for _ in range(10_000):
-        key = rng.next_u64()
+    for key in SplitMix64(4242).draws(1 << 64, 10_000):
         assert choices(key) == reference_bin_choices(key, *shape)
 
 
@@ -155,8 +153,9 @@ def test_bin_choices_uniformity_chi_square():
     rng = SplitMix64(2)
     samples = 1_000_000
     choices = choice_function(seeds, m, 2)
-    for _ in range(samples):
-        counts[choices(rng.next_u64())[0]] += 1
+    for _ in range(samples // 1000):
+        for key in rng.draws(1 << 64, 1000):
+            counts[choices(key)[0]] += 1
     expected = samples / m
     statistic = sum((c - expected) ** 2 / expected for c in counts)
     assert statistic < chi2.ppf(0.999, m - 1)
@@ -323,7 +322,7 @@ def test_stash_capacity_from_sizing_rule_suffices():
     breaches = 0
     for r in range(repeats):
         rng = RngSeed(4242).derive(r)
-        table = new_table(m, 2, (rng.next_u64(), rng.next_u64()))
+        table = new_table(m, 2, rng.draws(1 << 64, 2))
         for key in stream:
             table.insert(key)
         if table.load_stats().stash_size > capacity:

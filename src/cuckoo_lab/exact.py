@@ -78,7 +78,8 @@ class ModelParams:
         elif self.variant == "partitioned":
             if self.beta is None or not 0.0 <= self.beta <= 1.0:
                 raise ValueError("partitioned requires beta in [0, 1]")
-            require_integral(self.beta * self.m, "beta*m")
+            if not 0 < require_integral(self.beta * self.m, "beta*m") < self.m:
+                raise ValueError("beta*m leaves a bank empty; use asymptotic --model partitioned instead")
         elif self.variant == "fixed-d":
             if self.d is None or self.d < 2:
                 raise ValueError("d must be >= 2")
@@ -205,12 +206,6 @@ def _log_connect(s: int, d: int) -> float:
 # log-domain helpers
 
 
-def log_binomial(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return _NEG_INF
-    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
-
-
 def _log_pow1m(x: float, exponent: float) -> float:
     # exponent * ln(1 - x), same 0^0 convention, accurate for small x
     if exponent == 0:
@@ -220,7 +215,7 @@ def _log_pow1m(x: float, exponent: float) -> float:
     return exponent * log1p(-x)
 
 
-def _series(n: int, m: int, rows: Iterator[float], truncate: bool) -> ExactResult:
+def _series(n: int, m: int, rows: Iterator[float], truncate: bool = True) -> ExactResult:
     """m minus the sum of ``rows``, the expected number of bins stranded by
     the tree components with s = 0, 1, ... elements, clamped to
     [0, min(n, m)].
@@ -301,43 +296,34 @@ def expected_matching_d2(n: int, m: int, *, truncate: bool = True) -> ExactResul
     return _series(n, m, _deficit_rows(n, m, 2, n, 1.0), truncate)
 
 
-def expected_matching_mixed_det(n: int, m: int, a: float, *, truncate: bool = True) -> ExactResult:
+def expected_matching_mixed_det(n: int, m: int, a: float) -> ExactResult:
     """Expected maximum matching size when (2-a)n elements draw one bin and
     (a-1)n draw two; a*n must be integral.  a = 2 reduces to
     :func:`expected_matching_d2`, a = 1 to m - m(1-1/m)^n.
     """
     params = ModelParams.mixed_det(n, m, a)
-    return _series(n, m, _deficit_rows(n, m, 2, params.two_choice_count, 1.0), truncate)
+    return _series(n, m, _deficit_rows(n, m, 2, params.two_choice_count, 1.0))
 
 
-def expected_matching_mixed_rand(n: int, m: int, p: float, *, truncate: bool = True) -> ExactResult:
+def expected_matching_mixed_rand(n: int, m: int, p: float) -> ExactResult:
     """Expected maximum matching size when each element independently draws
     two bins with probability p, one otherwise: the fixed-split
     expectation averaged over the binomial two-choice count, as one series.
     """
     ModelParams.mixed_rand(n, m, p)
     pool = n if p > 0.0 else 0
-    return _series(n, m, _deficit_rows(n, m, 2, pool, p), truncate)
+    return _series(n, m, _deficit_rows(n, m, 2, pool, p))
 
 
 def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool = True) -> ExactResult:
     """Expected maximum matching size for the two-bank model: beta*m up
     bins, (1-beta)*m down bins, one uniform choice of each element in each
-    bank.  beta*m must be integral and both banks non-empty; the trivial
-    partitions beta in {0, 1} have no exact finite formula here and are
-    rejected (the asymptotic layer covers them).
+    bank.  beta*m must be integral and both banks non-empty (see
+    :class:`ModelParams`); the asymptotic layer covers the trivial
+    partitions beta in {0, 1}.
     """
-    params = ModelParams.partitioned(n, m, beta)
-    if beta in (0.0, 1.0):
-        raise ValueError(
-            "beta in {0, 1} has no finite-size formula; "
-            "use asymptotic --model partitioned instead"
-        )
-    m1 = params.up_bank_size
-    m2 = m - m1
-    if m1 < 1 or m2 < 1:
-        raise ValueError("both banks must be non-empty")
-    return _series(n, m, _partitioned_rows(n, m1, m2), truncate)
+    m1 = ModelParams.partitioned(n, m, beta).up_bank_size
+    return _series(n, m, _partitioned_rows(n, m1, m - m1), truncate)
 
 
 def _partitioned_rows(n: int, m1: int, m2: int) -> Iterator[float]:
@@ -347,13 +333,14 @@ def _partitioned_rows(n: int, m1: int, m2: int) -> Iterator[float]:
     # Summand (i, j) of row s is
     #   C(n,s) C(m1,i) C(m2,j) (1-i/m1)^(n-s) (1-j/m2)^(n-s) (i/m1)^s (j/m2)^s conn(i,j).
     # Its log adds table entries with the operations, in the order, of
-    # evaluating each factor from scratch (log_binomial, then
+    # evaluating each factor from scratch (log C(n,s), then
     # (n-s) log1p(-i/m1), s log(i/m1), and the log of conn as the closed
     # form _log_connect_probability_partitioned in tests/oracles.py
     # evaluates it), so every summand is the same double.  A log 0 entry
     # set to 0 only meets a zero exponent (0^0 = 1).
     choose1, out1, in1, choose2, out2, in2 = [], [], [], [], [], []  # see _grow_bank
     log_k = [0.0, 0.0]  # log 0 set to 0, and log 1
+    lg_n = lgamma(n + 1)
     peak = 0
     for s in range(n + 1):
         if s == 0:  # the single bins, shapes (0, 1) and (1, 0)
@@ -370,7 +357,7 @@ def _partitioned_rows(n: int, m1: int, m2: int) -> Iterator[float]:
         a = n - s
         if not a:  # s = n, the last row: 0^0 = 1
             out1, out2 = [0.0] * len(out1), [0.0] * len(out2)
-        le = log_binomial(n, s)
+        le = lg_n - lgamma(s + 1) - lgamma(n - s + 1)
         lg = lgamma(s + 1)
 
         def log_term(i: int) -> float:
@@ -437,7 +424,7 @@ def _sum_from_peak(log_term, lo: int, hi: int, start: int) -> tuple[list[float],
     return row, i
 
 
-def matching_upper_bound_d(n: int, m: int, d: int, *, truncate: bool = True) -> ExactResult:
+def matching_upper_bound_d(n: int, m: int, d: int) -> ExactResult:
     """Upper bound on the expected maximum matching size when every element
     draws d >= 2 uniform bins (with repetition); the bound is the result's
     ``mu``.
@@ -449,7 +436,7 @@ def matching_upper_bound_d(n: int, m: int, d: int, *, truncate: bool = True) -> 
     :func:`expected_matching_d2` exactly.
     """
     ModelParams.fixed_d(n, m, d)
-    return _series(n, m, _deficit_rows(n, m, d, n, 1.0), truncate)
+    return _series(n, m, _deficit_rows(n, m, d, n, 1.0))
 
 
 def evaluate(params: ModelParams) -> ExactResult:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from math import sqrt
-from typing import Callable, Union
+from typing import Callable
 
 from .exact import ModelParams, evaluate, concentration_tail_bound
 from .matching import BipartiteGraph, max_matching, mu_via_deficit
@@ -123,16 +123,15 @@ class SplitMix64:
 class RngSeed:
     """Root of a family of per-trial generator states.
 
-    Trial ``t`` uses the state mix64(seed XOR mix64(stream + t + 1)):
-    injective in the trial index for a fixed seed (and in the seed for a
-    fixed trial), so derived states never collide within a run.
+    Trial ``t`` uses the state mix64(seed XOR mix64(t + 1)): injective in
+    the trial index for a fixed seed (and in the seed for a fixed trial),
+    so derived states never collide within a run.
     """
 
     seed: int
-    stream: int = 0
 
     def derive(self, index: int) -> SplitMix64:
-        return SplitMix64(mix64(self.seed ^ mix64(self.stream + index + 1)))
+        return SplitMix64(mix64(self.seed ^ mix64(index + 1)))
 
 
 def probability_threshold(p: float) -> int:
@@ -186,10 +185,6 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
     elif variant == "partitioned":
         m1 = params.up_bank_size
         m2 = m - m1
-        if m1 < 1 or m2 < 1:
-            if n > 0:
-                raise ValueError("partitioned sampling needs both banks non-empty")
-            return BipartiteGraph(n=0, m=m, choices=())
         # the choices alternate between the banks, each word tested
         # against the threshold of the bank whose choice is due
         up, down = _threshold(m1), _threshold(m2)
@@ -259,13 +254,12 @@ def fan_out(fn: Callable, count: int, args: tuple) -> list:
         return [fn(*args, 0, count)]
 
 
-def _trial_sizes(params: ModelParams, trials: int, seed: Union[int, RngSeed]) -> list[int]:
+def _trial_sizes(params: ModelParams, trials: int, seed: RngSeed) -> list[int]:
     """Maximum matching sizes of trials [0, trials), in trial order."""
-    rng_seed = seed if isinstance(seed, RngSeed) else RngSeed(seed)
-    return sum(fan_out(_matching_sizes, trials, (params, rng_seed)), [])
+    return sum(fan_out(_matching_sizes, trials, (params, seed)), [])
 
 
-def estimate_mu(params: ModelParams, trials: int, seed: Union[int, RngSeed]) -> SimStats:
+def estimate_mu(params: ModelParams, trials: int, seed: RngSeed) -> SimStats:
     """Monte-Carlo estimate of the expected maximum matching size.
 
     Bit-identical for a fixed (params, trials, seed) regardless of worker
@@ -299,7 +293,7 @@ def concentration_experiment(
     params: ModelParams,
     trials: int,
     lam: float,
-    seed: Union[int, RngSeed],
+    seed: RngSeed,
     *,
     one_sided: bool = False,
 ) -> tuple[float, float]:

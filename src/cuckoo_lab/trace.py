@@ -11,6 +11,7 @@ produced.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -18,18 +19,14 @@ from .cuckoo import new_table
 from .hashing import wang_mix64
 from .simulate import RngSeed, fan_out
 
-__all__ = [
-    "TraceReport",
-    "read_keys",
-    "synthetic_stream",
-    "disambiguate_duplicates",
-    "run_trace_experiment",
-]
-
 _MASK64 = (1 << 64) - 1
 
-# offset separating the synthetic-key derivation stream from the hash-seed
-# streams, so reusing one base seed for both cannot correlate them
+# a hex-lines key: 1 to 16 hex digits after an optional 0x; no sign,
+# underscore or second prefix, all of which int(token, 16) would take
+_HEX_KEY = re.compile(r"(?:0[xX])?([0-9a-fA-F]{1,16})")
+
+# index of the synthetic-key stream, far past the repeat indices that derive
+# the hash seeds, so reusing one base seed for both cannot correlate them
 _KEY_STREAM_OFFSET = 0x4B45595354524541
 
 
@@ -83,13 +80,10 @@ def _read_hex_lines(path: Union[str, os.PathLike]) -> list[int]:
             ) from None
         if not line or line.startswith("#"):
             continue
-        token = line[2:] if line[:2].lower() == "0x" else line
-        if not token or len(token) > 16:
+        match = _HEX_KEY.fullmatch(line)
+        if match is None:
             raise KeyFormatError(f"{path}:{lineno}: bad hex token {line!r}")
-        try:
-            keys.append(int(token, 16))
-        except ValueError:
-            raise KeyFormatError(f"{path}:{lineno}: bad hex token {line!r}") from None
+        keys.append(int(match[1], 16))
     return keys
 
 
@@ -146,11 +140,7 @@ def synthetic_stream(count: int, seed: int) -> tuple[int, ...]:
     if count < 0:
         raise ValueError("count must be >= 0")
     # below 2^64 nothing is rejected: the draws are the raw 64-bit words
-    return _KeyTuple(RngSeed(seed, stream=_KEY_STREAM_OFFSET).derive(0).draws(1 << 64, count))
-
-
-def _seeds_for_repeat(base_seed: int, repeat: int, d: int) -> tuple[int, ...]:
-    return tuple(RngSeed(base_seed).derive(repeat).draws(1 << 64, d))
+    return _KeyTuple(RngSeed(seed).derive(_KEY_STREAM_OFFSET).draws(1 << 64, count))
 
 
 def _run_repeats(
@@ -165,7 +155,7 @@ def _run_repeats(
     """(hash seeds, final stash size) of repeats [lo, hi)."""
     outcomes = []
     for repeat in range(lo, hi):
-        seeds = _seeds_for_repeat(base_seed, repeat, d)
+        seeds = tuple(RngSeed(base_seed).derive(repeat).draws(1 << 64, d))
         table = new_table(m, d, seeds, partition_boundary)
         for key in keys:
             table.insert(key)

@@ -23,7 +23,7 @@ from cuckoo_lab.exact import (
     tree_count_d2,
 )
 from cuckoo_lab.matching import BipartiteGraph, max_matching, mu_via_deficit
-from cuckoo_lab.simulate import RngSeed, concentration_experiment, estimate_mu, gen_graph
+from cuckoo_lab.simulate import RngSeed, concentration_experiment, estimate_mu
 from cuckoo_lab.trace import run_trace_experiment, synthetic_stream
 
 import oracles

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 from cuckoo_lab.asymptotics import (
-    BranchSolveError,
     gamma_d2,
     gamma_mixed,
     gamma_mixed_rand,

@@ -1,5 +1,6 @@
 """What lies on each side of the package: the oracles stay independent of
-it, and the benchmark under perfbench/ finds every name it reads."""
+it, the benchmark under perfbench/ finds every name it reads, and no
+module imports a name it never reads."""
 
 import ast
 import importlib.util
@@ -59,3 +60,31 @@ def test_benchmark_finds_every_name_it_reads():
 def test_benchmark_selftest_passes():
     done = _python(str(ROOT / "perfbench" / "selftest.py"))
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+def _unread_imports(tree):
+    """Names an import binds that the module never reads; a name in the
+    module's ``__all__`` counts as read."""
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                # `import a.b` binds `a`
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # perfbench/ is left out: it imports cuckoo_lab.cli for its side effect
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(paths) > 10
+    unread = {}
+    for path in paths:
+        names = _unread_imports(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            unread[str(path.relative_to(ROOT))] = names
+    assert unread == {}

@@ -375,6 +375,8 @@ def test_argument_errors_exit_2(capsys, tmp_path):
         ("asymptotic", "--model", "d2", "--sweep", "alpha=1:1e308:1e-300"),
         ("asymptotic", "--model", "d2", "--sweep", "alpha=-1e308:1e308:1"),
         ("exact", "--model", "d2", "--m", "10", "--sweep", "n=1:3:1e-320"),
+        ("exact", "--model", "d2", "--m", "10", "--sweep", "n=1:2:0.5"),  # n = 1.5
+        ("trace", "--synthetic", "-1", "--m", "10", "--repeats", "1"),
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv)
@@ -383,6 +385,9 @@ def test_argument_errors_exit_2(capsys, tmp_path):
     worded = [
         (("exact", "--n", "4", "--m", "4", "--model", "bound-d", "--d", "1"), "error: d must be >= 2\n"),
         (("exact", "--n", "4", "--m", "4", "--model", "partitioned", "--beta", "0"), "use asymptotic --model partitioned"),
+        # at n = 0 too: the model, not the key count, needs both banks
+        (("simulate", "--n", "0", "--m", "10", "--model", "partitioned", "--beta", "0", "--trials", "1"),
+         "use asymptotic --model partitioned"),
     ]
     for argv, message in worded:
         code, _, err = _run(capsys, *argv)

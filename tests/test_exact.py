@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cuckoo_lab.exact import (
-    ExactResult,
     ModelParams,
     _log_connect,
     concentration_tail_bound,
@@ -468,6 +467,8 @@ def test_model_params_validation():
         ModelParams.mixed_rand(3, 4, 1.5)
     with pytest.raises(ValueError):
         ModelParams.partitioned(3, 10, 0.55)
+    with pytest.raises(ValueError, match="leaves a bank empty"):
+        ModelParams.partitioned(5, 10, 1e-12)  # beta*m rounds to no bin
     with pytest.raises(ValueError):
         ModelParams.fixed_d(3, 4, 1)
     assert ModelParams.mixed_det(4, 4, 1.5).two_choice_count == 2

@@ -103,6 +103,8 @@ def test_graph_validation():
         _graph(1, 2, [[2]])
     with pytest.raises(ValueError):
         _graph(2, 2, [[0]])
+    with pytest.raises(ValueError, match="non-negative"):
+        _graph(0, -1, [])
 
 
 # ---------------------------------------------------------------------------

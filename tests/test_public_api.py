@@ -9,6 +9,7 @@ import pytest
 import cuckoo_lab
 from cuckoo_lab import (
     ModelParams,
+    RngSeed,
     concentration_experiment,
     concentration_tail_bound,
     gamma_d2,
@@ -90,6 +91,7 @@ DATACLASS_FIELDS = {
     cuckoo_lab.LoadStats: ["placed", "stash_size"],
     cuckoo_lab.LookupResult: ["found", "in_stash", "bin"],
     ModelParams: ["n", "m", "variant", "a", "p", "beta", "d"],
+    RngSeed: ["seed"],
 }
 PUBLIC_METHODS = {
     cuckoo_lab.SplitMix64: ["draws"],
@@ -118,7 +120,7 @@ _NAN_CALLS = [
     (gamma_partitioned, (_NAN, 0.3)),
     (lambert_w0, (_NAN,)),
     (concentration_tail_bound, (_NAN,)),
-    (concentration_experiment, (ModelParams.fixed2(20, 20), 100, _NAN, 1)),
+    (concentration_experiment, (ModelParams.fixed2(20, 20), 100, _NAN, RngSeed(1))),
 ]
 
 

@@ -94,8 +94,6 @@ def test_derived_states_distinct():
     seed = RngSeed(77)
     states = {seed.derive(t).state for t in range(5_000)}
     assert len(states) == 5_000
-    other = RngSeed(77, stream=5_000)
-    assert other.derive(0).state == seed.derive(5_000).state
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +209,6 @@ def test_estimate_mu_reproducible():
     a = estimate_mu(params, 50, RngSeed(123))
     b = estimate_mu(params, 50, RngSeed(123))
     assert a == b
-    c = estimate_mu(params, 50, 123)  # bare int seed accepted
-    assert a == c
 
 
 def test_estimate_mu_golden():
@@ -230,7 +226,7 @@ def test_estimate_mu_golden():
          "std_error=3.036163611152108)"),
     ]
     for params, trials, expected in cases:
-        assert repr(estimate_mu(params, trials, 7)) == expected
+        assert repr(estimate_mu(params, trials, RngSeed(7))) == expected
 
 
 def test_estimate_mu_stats_shape():

@@ -179,6 +179,11 @@ def test_read_hex_lines_rejects_garbage(tmp_path):
     path.write_text("1234567890abcdef0\n")  # 17 digits
     with pytest.raises(KeyFormatError):
         read_keys(path)
+    # int(token, 16) takes a sign or an underscore; a key is bare hex digits
+    for token in ("-1", "+2", "f_f", "0x-3"):
+        path.write_text(f"ff\n{token}\n")
+        with pytest.raises(KeyFormatError, match=r"bad\.hex:2: bad hex token"):
+            read_keys(path)
 
 
 def test_read_hex_lines_line_endings(tmp_path):
@@ -271,6 +276,11 @@ def test_trace_experiment_fractions_sum_to_one():
     assert report.inserted_mean + report.overflow_mean == pytest.approx(1.0, abs=1e-12)
     assert report.overflow_min <= report.overflow_mean <= report.overflow_max
     assert len(report.per_repeat_seeds) == 4
+
+
+def test_trace_experiment_over_no_keys():
+    report = run_trace_experiment((), 10, 2, 3, 1)
+    assert (report.n, report.overflow_min, report.overflow_max, report.inserted_mean) == (0, 0.0, 0.0, 1.0)
 
 
 def test_trace_experiment_rejects_duplicates():

@@ -26,12 +26,13 @@ from .simulate import RngSeed, concentration_experiment, estimate_mu
 from .trace import disambiguate_duplicates, read_keys, run_trace_experiment, synthetic_stream
 
 
-def _render(records: list[dict], fmt: str) -> str:
-    """The records as one JSON value, or as CSV with one column per field.
-    A non-finite float has no JSON form and raises ValueError."""
+def _render(records: list[dict], fmt: str, sweep: bool) -> str:
+    """The records as one JSON value, an array for a sweep however many
+    points it has, or as CSV with one column per field.  A non-finite float
+    has no JSON form and raises ValueError."""
     if fmt == "json":
         text = ",\n ".join(json.dumps(r, allow_nan=False) for r in records)
-        return (text if len(records) == 1 else "[" + text + "]") + "\n"
+        return ("[" + text + "]" if sweep else text) + "\n"
     rows = [{"command": r["command"], **r["parameters"], **r["results"], **r["metadata"]} for r in records]
     header = list(rows[0])
     buf = io.StringIO()
@@ -340,7 +341,8 @@ def run(argv: Sequence[str]) -> int:
             if getattr(point, "seed", None) is not None:
                 metadata["seed"] = point.seed
             records.append({"command": command, "parameters": parameters, "results": results, "metadata": metadata})
-        sys.stdout.write(_render(records, args.format or ("csv" if args.sweep else "json")))
+        sweep = bool(args.sweep)
+        sys.stdout.write(_render(records, args.format or ("csv" if sweep else "json"), sweep))
     except ValueError as exc:  # bad input: flags, key file, model parameters
         print(f"error: {exc}", file=sys.stderr)
         return 2

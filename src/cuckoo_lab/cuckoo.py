@@ -35,10 +35,10 @@ the rest of the dead set, finds the chain the full search would.  After
 a promotion every bin of the reach again holds a key whose choices are
 all dead, so the reach is dead again; with no promotion it comes back to
 life.  The walk reads an index from each bin to the stashed keys and
-dead-bin occupants that choose it.  The first deletion that empties a
-dead bin builds it, so insert-only use never pays for it; after that an
-insert only notes the bins its failed search marks dead, and the next
-such deletion takes them and the newly stashed keys in.
+dead-bin occupants that choose it.  A key is indexed when it is
+stashed.  The bins a failed search marks dead wait in a list, so an
+insert-only build never indexes their occupants; the next deletion that
+empties a dead bin indexes them before it walks.
 
 The stash keeps each key's cached choices in insertion order, so
 promotions never rehash.  A table builds its key-to-choices function
@@ -115,13 +115,11 @@ class CuckooTable:
         # occupied bins from which no displacement chain reaches an empty
         # bin; closed under the occupant's choices (module docstring)
         self._dead: set[int] = set()
-        # bin -> the stashed keys and dead-bin occupants choosing it, built
-        # by the first remove that empties a dead bin and brought up to date
-        # by every later one; until then the bins marked dead wait in
-        # _marked, and the keys stashed hold tickets from _indexed on
-        self._choosers: Optional[list[tuple[int, ...]]] = None
-        self._marked: Optional[list[int]] = None
-        self._indexed = 0
+        # bin -> the stashed keys and dead-bin occupants choosing it: every
+        # stashed key, and the occupants of every dead bin but those in
+        # _marked, which a remove from a dead bin takes in before it walks
+        self._choosers: list[tuple[int, ...]] = [()] * self.m
+        self._marked: list[int] = []
 
     # -- write path ---------------------------------------------------------
 
@@ -137,6 +135,7 @@ class CuckooTable:
         chain = augment(self._bins, self._dead, choices, self._marked)
         if chain is None:
             self._stash[key] = choices
+            self._choose(key, choices)
             self._where[key] = ~self._tickets
             self._tickets += 1
             if len(self._stash) > self.stats.stash_peak:
@@ -160,8 +159,8 @@ class CuckooTable:
         """Delete a key from its bin or the stash.
 
         Removing a stashed key changes no bin, so no stashed key gains a
-        chain to an empty bin and nothing else is done.  Removing a placed
-        key from a live bin is O(1): by invariant (a) of the module
+        chain to an empty bin; the key only leaves the index.  Removing a
+        placed key from a live bin is O(1): by invariant (a) of the module
         docstring no stashed key can reach that bin.  Removing one from a
         dead bin walks backwards from it to its reach, the dead bins with
         a chain to it, and promotes the stashed key that a re-insertion
@@ -175,14 +174,14 @@ class CuckooTable:
         if loc is None:
             return False
         if loc < 0:
-            choices = self._stash.pop(key)
-            if ~loc < self._indexed:
-                self._unchoose(key, choices)
+            self._unchoose(key, self._stash.pop(key))
             return True
         bins = self._bins
         if loc in self._dead:
-            # the update may take in loc's occupant, so it runs first
-            self._update_choosers()
+            # loc's occupant may wait in _marked, so the marks are taken in first
+            for b in self._marked:
+                self._choose(*bins[b])
+            self._marked.clear()
             self._unchoose(*bins[loc])
             bins[loc] = None
             self._refill(loc)
@@ -217,22 +216,6 @@ class CuckooTable:
         chain = augment(bins, dead, choices)
         dead |= reach
         self._settle(chain, first, choices)
-
-    def _update_choosers(self) -> None:
-        """Bring the index up to date: take in the occupants of the bins
-        marked dead and the keys stashed since the last update."""
-        if self._choosers is None:
-            self._choosers = [()] * self.m
-            self._marked = list(self._dead)
-        bins, stash, where = self._bins, self._stash, self._where
-        for b in self._marked:
-            self._choose(*bins[b])
-        self._marked.clear()
-        for key in reversed(stash):  # stash order is ticket order
-            if ~where[key] < self._indexed:
-                break
-            self._choose(key, stash[key])
-        self._indexed = self._tickets
 
     def _choose(self, key: int, choices: tuple[int, ...]) -> None:
         choosers = self._choosers

@@ -26,7 +26,6 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 from math import sqrt
 from typing import Callable
@@ -51,14 +50,14 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-@cache
-def _lane_constants() -> tuple[int, int, int]:
-    """(ones, low, ramp) over _LANES 128-bit lanes, lane k holding 1,
-    2^64 - 1 and (k + 1) * gamma mod 2^64.  Built on first use; a block of
-    fewer lanes takes their low lanes."""
-    ones = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
-    ramp = b"".join(((k * _GOLDEN) & _MASK64).to_bytes(16, "little") for k in range(1, _LANES + 1))
-    return ones, ones * _MASK64, int.from_bytes(ramp, "little")
+# the lane constants of _words: over _LANES 128-bit lanes, lane k holds 1,
+# 2^64 - 1 and (k + 1) * gamma mod 2^64; a block of fewer lanes takes the
+# low lanes
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+_LOW = _ONES * _MASK64
+_RAMP = int.from_bytes(
+    b"".join(((k * _GOLDEN) & _MASK64).to_bytes(16, "little") for k in range(1, _LANES + 1)), "little"
+)
 
 
 def _threshold(bound: int) -> int:
@@ -102,10 +101,9 @@ class SplitMix64:
     def _words(self, count: int) -> array:
         """The next ``count`` raw words, count <= _LANES, mixed in one pass
         over 128-bit lanes (see the module docstring)."""
-        ones, low, ramp = _lane_constants()
         keep = (1 << (count << 7)) - 1
-        low &= keep
-        z = (self.state * (ones & keep) + (ramp & keep)) & low
+        low = _LOW & keep
+        z = (self.state * (_ONES & keep) + (_RAMP & keep)) & low
         z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
         z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
         z ^= z >> 31

@@ -13,11 +13,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _imported_modules(path):
+    """The modules a file imports by absolute name."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            yield node.module or ""
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
 
 
 def test_oracles_import_nothing_from_the_package():
@@ -32,6 +33,19 @@ def _python(*argv):
     env.pop("CUCKOO_LAB_THREADS", None)
     return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
+
+
+def test_package_imports_only_the_standard_library():
+    # the runtime needs nothing but Python (pyproject.toml: dependencies = [])
+    paths = sorted((ROOT / "src" / "cuckoo_lab").rglob("*.py"))
+    assert len(paths) > 5
+    outside = {}
+    for path in paths:
+        names = [name for name in _imported_modules(path)
+                 if name.split(".")[0] not in sys.stdlib_module_names | {"cuckoo_lab"}]
+        if names:
+            outside[path.name] = names
+    assert outside == {}
 
 
 def test_benchmark_finds_every_name_it_reads():

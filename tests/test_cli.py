@@ -440,7 +440,7 @@ def test_json_refuses_non_finite_floats(capsys, monkeypatch):
     for value in (math.nan, math.inf, -math.inf):
         record = {"command": "asymptotic", "parameters": {}, "results": {"gamma": value}, "metadata": {}}
         with pytest.raises(ValueError):
-            _render([record], "json")
+            _render([record], "json", False)
     # the command exits 2 and prints nothing
     monkeypatch.setattr(cli, "gamma_d2", lambda alpha: types.SimpleNamespace(gamma=math.nan, closed_form_used=True))
     assert _run(capsys, "asymptotic", "--alpha", "1", "--model", "d2")[:2] == (2, "")
@@ -475,14 +475,14 @@ def test_sweep_rejects_unknown_parameter(capsys):
     assert "zeta" in err
 
 
-def test_sweep_json_array(capsys):
-    code, out, _ = _run(
-        capsys, "exact", "--model", "d2", "--m", "50", "--sweep", "n=10:30:10",
-        "--format", "json",
-    )
+@pytest.mark.parametrize("grid, ns", [("n=10:30:10", [10, 20, 30]), ("n=10:10:1", [10])],
+                         ids=["three-points", "one-point"])
+def test_sweep_json_array(capsys, grid, ns):
+    # a sweep prints an array however many points its grid has
+    code, out, _ = _run(capsys, "exact", "--model", "d2", "--m", "50", "--sweep", grid, "--format", "json")
     assert code == 0
     records = json.loads(out)
-    assert [r["parameters"]["n"] for r in records] == [10, 20, 30]
+    assert [r["parameters"]["n"] for r in records] == ns
     for r in records:
         assert r["results"]["mu"] == expected_matching_d2(r["parameters"]["n"], 50).mu
 
@@ -701,7 +701,7 @@ def test_fuzzed_argv_exits_0_with_strict_output_or_2(fuzz_key_file, data):
         return
     if (fmt or ("csv" if "--sweep" in argv else "json")) == "json":
         records = json.loads(out, parse_constant=_reject_constant)
-        assert isinstance(records, list) == (points > 1), (argv, out)
+        assert isinstance(records, list) == ("--sweep" in argv), (argv, out)
         assert len(records if isinstance(records, list) else [records]) == points, (argv, out)
     else:
         rows = list(csv.reader(io.StringIO(out)))

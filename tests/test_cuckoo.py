@@ -354,18 +354,15 @@ def test_partitioned_table_respects_banks():
 
 def _check_remove_invariants(table: CuckooTable) -> None:
     """Invariant (a) of the module docstring, a closed dead set of occupied
-    bins, and, once built, an index equal to its recomputation from the
-    dead bins and stashed keys it has taken in: all but those marked or
-    stashed since its last update."""
+    bins, and an index equal to its recomputation from every stashed key
+    and the occupants of the dead bins not waiting in _marked."""
     _check_dead_bins(table)
     for choices in table._stash.values():
         assert set(choices) <= table._dead
-    if table._choosers is None:
-        return
     waiting = set(table._marked)
     assert len(waiting) == len(table._marked) and waiting <= table._dead
     owners = [table._bins[b] for b in table._dead - waiting]
-    owners += [(k, ch) for k, ch in table._stash.items() if ~table._where[k] < table._indexed]
+    owners += table._stash.items()
     expected = sorted((c, key) for key, choices in owners for c in choices)
     assert sorted((c, key) for c, keys in enumerate(table._choosers) for key in keys) == expected
 
@@ -459,6 +456,15 @@ def test_drain_from_full_to_half_load_matches_reference(d, boundary):
     for key in live:
         assert t.insert(key) == ref.insert(key)
     _check_matches_reference(t, ref)
+    _check_remove_invariants(t)
+    # stashed keys leave the index while the marked bins still wait
+    stash = t.stash_keys()
+    for key in (stash[0], stash[len(stash) // 2], stash[-1]):
+        live.remove(key)
+        assert t.remove(key) and ref.remove(key)
+        _check_matches_reference(t, ref)
+        _check_remove_invariants(t)
+    assert t._marked
     full_stash = len(t._stash)
     promoted = revived = 0
     while len(live) > m // 2:

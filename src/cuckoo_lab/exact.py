@@ -111,7 +111,6 @@ class ModelParams:
         """Number of elements with two choices in the mixed-det model."""
         if self.variant != "mixed-det":
             raise ValueError("two_choice_count applies to mixed-det only")
-        assert self.a is not None
         # derived from a*n, the value __post_init__ checked: the integrality
         # tolerance scales with the value, so the smaller (a-1)*n can fail
         # where a*n passed
@@ -122,7 +121,6 @@ class ModelParams:
         """Bin count of the up bank in the partitioned model."""
         if self.variant != "partitioned":
             raise ValueError("up_bank_size applies to partitioned only")
-        assert self.beta is not None
         return require_integral(self.beta * self.m, "beta*m")
 
 
@@ -401,26 +399,25 @@ def _sum_from_peak(log_term, lo: int, hi: int, start: int) -> tuple[list[float],
     the connection count and the (i/m1)^s (j/m2)^s factors reduce to
     (j-1) log i + (i-1) log j + const, whose second derivative
     -1/i - s/i^2 - 1/j - s/j^2 is negative; log C(m1, i), log C(m2, j) and
-    (n-s) log(1 - i/m1), (n-s) log(1 - j/m2) are concave too.  So a climb
-    from ``start`` finds the peak, and past the peak each side only falls:
-    once it is _ROW_CUT below the value climbed to, the rest of that side
-    is lower still.  A climb that stops early on a rounding plateau only
-    lowers that value, which keeps more terms, never fewer.
+    (n-s) log(1 - i/m1), (n-s) log(1 - j/m2) are concave too.  So each side
+    of ``start`` rises to the peak at most once and then only falls.  Each
+    side is walked outward from ``start`` once, keeping the largest summand
+    seen as the peak, and is cut after _ROW_RUN consecutive summands more
+    than _ROW_CUT below it: the rest of that side is lower still.  The peak
+    seen only rises, so a side walked before the peak is reached is cut
+    under a lower value, which keeps more terms, never fewer.
     """
     i, top = start, log_term(start)
-    while i < hi and (lt := log_term(i + 1)) > top:
-        i, top = i + 1, lt
-    while i > lo and (lt := log_term(i - 1)) > top:
-        i, top = i - 1, lt
-    cut = top - _ROW_CUT
     row = [exp(top)]
     for step, end in ((1, hi), (-1, lo)):
-        k, run = i, 0
+        k, run = start, 0
         while k != end and run < _ROW_RUN:
             k += step
             lt = log_term(k)
             row.append(exp(lt))
-            run = run + 1 if lt < cut else 0
+            if lt > top:
+                i, top = k, lt
+            run = run + 1 if lt < top - _ROW_CUT else 0
     return row, i
 
 
@@ -445,24 +442,17 @@ def evaluate(params: ModelParams) -> ExactResult:
     The fixed-d model with d > 2 has no exact formula, only
     :func:`matching_upper_bound_d`; asking for it here is an error.
     """
-    if params.variant == "d2":
+    if params.variant == "d2" or (params.variant == "fixed-d" and params.d == 2):
         return expected_matching_d2(params.n, params.m)
     if params.variant == "mixed-det":
-        assert params.a is not None
         return expected_matching_mixed_det(params.n, params.m, params.a)
     if params.variant == "mixed-rand":
-        assert params.p is not None
         return expected_matching_mixed_rand(params.n, params.m, params.p)
-    if params.variant == "partitioned":
-        assert params.beta is not None
-        return expected_matching_partitioned(params.n, params.m, params.beta)
     if params.variant == "fixed-d":
-        if params.d == 2:
-            return expected_matching_d2(params.n, params.m)
         raise ValueError(
             "no exact expectation for d > 2; matching_upper_bound_d gives a bound"
         )
-    raise ValueError(f"unknown variant {params.variant!r}")
+    return expected_matching_partitioned(params.n, params.m, params.beta)
 
 
 # ---------------------------------------------------------------------------

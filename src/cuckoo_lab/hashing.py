@@ -25,6 +25,15 @@ def wang_mix64(x: int) -> int:
     return x
 
 
+def rejection_threshold(span: int) -> int:
+    """Raw 64-bit words at or above this are rejected when one is reduced
+    onto ``span`` values, so that no residue of the 2^64 range is favored.
+    A span outside [1, 2^64] has no such threshold and raises ValueError."""
+    if not 1 <= span <= 1 << 64:
+        raise ValueError(f"cannot draw uniformly from {span} values with 64-bit words")
+    return (1 << 64) - (1 << 64) % span
+
+
 def choice_function(
     seeds: Sequence[int],
     m: int,
@@ -36,9 +45,9 @@ def choice_function(
 
     Choice i is wang_mix64(key XOR seeds[i]) reduced into its range
     [lo, lo + span) without modulo bias: the mixed value is re-mixed while
-    it falls in the truncated residue [2^64 - 2^64 mod span, 2^64).  With a
-    partition boundary (d = 2 only), choice 0 lands in [0, boundary) and
-    choice 1 in [boundary, m).
+    it is at or above :func:`rejection_threshold`.  With a partition
+    boundary (d = 2 only), choice 0 lands in [0, boundary) and choice 1 in
+    [boundary, m).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -53,7 +62,7 @@ def choice_function(
             raise ValueError("partition boundary must split the bins")
         ranges = [(0, partition_boundary), (partition_boundary, m - partition_boundary)]
     plan = tuple(
-        (seed, lo, span, (1 << 64) - (1 << 64) % span)
+        (seed, lo, span, rejection_threshold(span))
         for seed, (lo, span) in zip(seeds, ranges)
     )
 

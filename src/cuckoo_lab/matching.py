@@ -64,28 +64,25 @@ def augment(
     a successful search never passes through a dead bin and never changes
     one; only emptying a dead bin can revive dead bins.
     """
-    roots = []
+    # every bin reached -> the bin it was reached from, -1 for a root; it
+    # holds no dead bin, since the search skips those, and a repeated root
+    # keeps its first place, as it expands to nothing new
+    parent: dict[int, int] = {}
     for b in choices:
         if bins[b] is None:
             return [b]
         if b not in dead:
-            roots.append(b)  # a repeated root expands to nothing new
-    if not roots:
-        return None
-    seen = set(roots)  # holds no dead bin: the search skips those
-    queue = deque(roots)
-    parent: dict[int, int] = {}
+            parent[b] = -1
+    queue = deque(parent)
     while queue:
         b = queue.popleft()
         for nb in bins[b][1]:
-            if nb in seen or nb in dead:
+            if nb in parent or nb in dead:
                 continue
-            seen.add(nb)
             parent[nb] = b
             if bins[nb] is None:
                 chain = [nb]
-                while nb in parent:
-                    nb = parent[nb]
+                while (nb := parent[nb]) >= 0:
                     chain.append(nb)
                 chain.reverse()
                 for i in range(len(chain) - 1, 0, -1):
@@ -93,9 +90,9 @@ def augment(
                 bins[chain[0]] = None
                 return chain
             queue.append(nb)
-    dead |= seen
+    dead.update(parent)
     if marked is not None:
-        marked.extend(seen)
+        marked.extend(parent)
     return None
 
 

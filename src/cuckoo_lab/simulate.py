@@ -31,6 +31,7 @@ from math import sqrt
 from typing import Callable
 
 from .exact import ModelParams, evaluate, concentration_tail_bound
+from .hashing import rejection_threshold
 from .matching import BipartiteGraph, max_matching, mu_via_deficit
 
 _MASK64 = (1 << 64) - 1
@@ -60,14 +61,6 @@ _RAMP = int.from_bytes(
 )
 
 
-def _threshold(bound: int) -> int:
-    """Raw words at or above this are rejected when drawing below
-    ``bound``, so no residue of the 2^64 range is favored."""
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    return (1 << 64) - ((1 << 64) % bound)
-
-
 class SplitMix64:
     """splitmix64: state += golden gamma, output mix64(state).
 
@@ -88,11 +81,11 @@ class SplitMix64:
         Words are mixed a block at a time, all lanes at once (see the
         module docstring): at most _LANES of them and at most as many as
         values are still missing, so no block reads past the last word
-        used.  A word at or above :func:`_threshold` is skipped, in order,
-        and the shortfall is drawn from the next block.  The values and
-        the final state are those of drawing word by word, however few
-        the values."""
-        threshold = _threshold(bound)
+        used.  A word at or above the :func:`rejection_threshold` of
+        ``bound`` is skipped, in order, and the shortfall is drawn from the
+        next block.  The values and the final state are those of drawing
+        word by word, however few the values."""
+        threshold = rejection_threshold(bound)
         out: list[int] = []
         while len(out) < count:
             out += [v % bound for v in self._words(min(count - len(out), _LANES)) if v < threshold]
@@ -163,9 +156,8 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
         # coin_threshold (probability p) and one otherwise; each pass reads
         # the fewest words the keys left can use, so none is read past the
         # last one used
-        assert params.p is not None
         coin_threshold = probability_threshold(params.p)
-        threshold = _threshold(m)
+        threshold = rejection_threshold(m)
         rows: list[tuple[int, ...]] = []
         row: list[int] = []
         want = 0  # choices the current key still needs; 0 before its coin
@@ -180,12 +172,12 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
                         rows.append(tuple(row))
                         row = []
         choices = tuple(rows)
-    elif variant == "partitioned":
+    else:  # partitioned
         m1 = params.up_bank_size
         m2 = m - m1
         # the choices alternate between the banks, each word tested
         # against the threshold of the bank whose choice is due
-        up, down = _threshold(m1), _threshold(m2)
+        up, down = rejection_threshold(m1), rejection_threshold(m2)
         flat: list[int] = []
         while len(flat) < 2 * n:
             for w in rng._words(min(2 * n - len(flat), _LANES)):
@@ -195,8 +187,6 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
                 elif w < up:
                     flat.append(w % m1)
         choices = tuple(zip(flat[::2], flat[1::2]))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
 
     return BipartiteGraph(n=n, m=m, choices=choices)
 
@@ -217,7 +207,7 @@ def _matching_sizes(params: ModelParams, seed: RngSeed, lo: int, hi: int) -> lis
     """Maximum matching sizes of trials [lo, hi)."""
     # Degree <= 2 graphs admit the spare-bin component count, which equals
     # the maximum matching size and is much cheaper than a search.
-    search = params.variant == "fixed-d" and params.d is not None and params.d > 2
+    search = params.variant == "fixed-d" and params.d > 2
     graphs = (gen_graph(params, seed.derive(t)) for t in range(lo, hi))
     return [max_matching(g)[0] if search else mu_via_deficit(g) for g in graphs]
 

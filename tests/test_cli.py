@@ -377,6 +377,11 @@ def test_argument_errors_exit_2(capsys, tmp_path):
         ("exact", "--model", "d2", "--m", "10", "--sweep", "n=1:3:1e-320"),
         ("exact", "--model", "d2", "--m", "10", "--sweep", "n=1:2:0.5"),  # n = 1.5
         ("trace", "--synthetic", "-1", "--m", "10", "--repeats", "1"),
+        # more bins than 64-bit words reach without bias
+        ("simulate", "--n", "1", "--m", str(2**64 + 1), "--model", "d2", "--trials", "1"),
+        ("simulate", "--n", "1", "--m", str(2**64 + 1), "--model", "mixed-rand", "--p", "0.5",
+         "--trials", "1"),
+        ("trace", "--synthetic", "3", "--m", str(2**64 + 1), "--repeats", "1"),
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv)

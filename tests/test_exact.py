@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from cuckoo_lab.exact import (
     ModelParams,
     _log_connect,
+    _sum_from_peak,
     concentration_tail_bound,
     evaluate,
     expected_matching_d2,
@@ -377,6 +378,28 @@ def test_partitioned_matches_full_series():
             assert (got.mu, got.terms, got.truncated_at) == want, (n, m, m1, truncate)
 
 
+_LOG_CONCAVE_ROWS = {
+    # peak at i = 7 of [0, 20]; the outer summands lie far below its cut
+    "parabola": (0, 20, lambda i: -2.0 * (i - 7) ** 2),
+    # three equal summands at the top
+    "plateau": (3, 30, lambda i: min(-4.0 * abs(i - 12), -4.0)),
+    # falls from the first summand on
+    "monotone": (5, 40, lambda i: -5.0 * i),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOG_CONCAVE_ROWS))
+def test_sum_from_peak_walks_out_from_either_side(name):
+    lo, hi, log_term = _LOG_CONCAVE_ROWS[name]
+    logs = [log_term(i) for i in range(lo, hi + 1)]
+    top = max(logs)
+    peak = lo + logs.index(top)
+    for start in sorted({lo, hi, max(lo, peak - 3), peak, min(hi, peak + 3)}):
+        row, at = _sum_from_peak(log_term, lo, hi, start)
+        assert math.fsum(row) == math.fsum(math.exp(lt) for lt in logs), (name, start)
+        assert log_term(at) == top, (name, start)
+
+
 @pytest.mark.parametrize("n, m1, m2", [(30, 4, 26), (200, 120, 280), (400, 120, 280), (300, 150, 150)])
 def test_partitioned_rows_are_log_concave(n, m1, m2):
     # the peak walk of expected_matching_partitioned relies on this: every
@@ -467,8 +490,10 @@ def test_model_params_validation():
         ModelParams.mixed_rand(3, 4, 1.5)
     with pytest.raises(ValueError):
         ModelParams.partitioned(3, 10, 0.55)
-    with pytest.raises(ValueError, match="leaves a bank empty"):
-        ModelParams.partitioned(5, 10, 1e-12)  # beta*m rounds to no bin
+    # beta*m rounds to no bin, or is no bin
+    for args in ((5, 10, 1e-12), (5, 3, 0.0)):
+        with pytest.raises(ValueError, match="leaves a bank empty"):
+            ModelParams.partitioned(*args)
     with pytest.raises(ValueError):
         ModelParams.fixed_d(3, 4, 1)
     assert ModelParams.mixed_det(4, 4, 1.5).two_choice_count == 2

@@ -54,6 +54,9 @@ def test_below_range_and_determinism():
     assert draws == SplitMix64(9).draws(7, 10_000)
     with pytest.raises(ValueError):
         rng.draws(0, 1)
+    # no 64-bit word reduces onto a wider range without bias
+    with pytest.raises(ValueError):
+        rng.draws(2**64 + 1, 0)
 
 
 @pytest.mark.parametrize("bound", [1, 7, 2000, (1 << 63) + 1, (1 << 64) - 1])
@@ -193,11 +196,6 @@ def test_gen_graph_two_choice_models_draw_alike(m):
         rng = RngSeed(2024).derive(7)
         drawn.add((gen_graph(params, rng).choices, rng.state))
     assert len(drawn) == 1
-
-
-def test_gen_graph_rejects_empty_bank():
-    with pytest.raises(ValueError):
-        gen_graph(ModelParams.partitioned(5, 3, 0.0), RngSeed(6).derive(0))
 
 
 # ---------------------------------------------------------------------------

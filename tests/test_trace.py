@@ -137,6 +137,7 @@ def test_choice_function_matches_reference(name):
         (((1, 2, 3), 10, 3, 4), "partitioned tables use d = 2"),
         (((1, 2), 10, 2, 0), "partition boundary must split the bins"),
         (((1, 2), 10, 2, 10), "partition boundary must split the bins"),
+        (((1, 2), 2**64 + 1, 2), "cannot draw uniformly"),
     ],
 )
 def test_choice_function_rejects_bad_shapes(args, message):
@@ -144,6 +145,12 @@ def test_choice_function_rejects_bad_shapes(args, message):
         choice_function(*args)
     with pytest.raises(ValueError, match=message):
         bin_choices(1, *args)
+
+
+def test_choice_function_spans_2_64_bins():
+    # a span of 2^64 rejects no word, so each choice is the mixed key itself
+    choices = choice_function((1, 2), 1 << 64, 2)
+    assert [choices(k) for k in _GOLDEN_KEYS] == [(wang_mix64(k ^ 1), wang_mix64(k ^ 2)) for k in _GOLDEN_KEYS]
 
 
 def test_bin_choices_uniformity_chi_square():

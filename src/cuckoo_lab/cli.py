@@ -86,6 +86,10 @@ _REQUIRED = {
     "concentration": ("n", "m", "lambda", "trials"),
 }
 
+# the subcommands that hold a list entry per bin, so --m is capped by the
+# longest list
+_PER_BIN = ("simulate", "trace", "concentration")
+
 # the one model flag each model takes (None: it takes none)
 _MODEL_FLAG = {
     "d2": None,
@@ -336,6 +340,8 @@ def run(argv: Sequence[str]) -> int:
             for name in _REQUIRED[command]:
                 if getattr(point, name) is None:
                     raise ValueError(f"--{name} is required here")
+            if command in _PER_BIN and point.m > sys.maxsize:
+                raise ValueError(f"--m {point.m} is more bins than a list can hold ({sys.maxsize})")
             parameters, results = _HANDLERS[command](point)
             metadata: dict = {"version": __version__}
             if getattr(point, "seed", None) is not None:

@@ -14,18 +14,21 @@ right vertices (bins):
 Each expectation is an alternating-structure count: the expected matching
 size equals m minus the expected number of components that strand one bin.
 Those component counts are built from closed-form labeled-tree counts and
-evaluated summand-by-summand in the log domain (factorials as log-gamma
-differences), then accumulated with exact compensated summation, because
-adjacent summands can differ by hundreds of orders of magnitude when n and
-m reach 1e5.  Each model yields its series one component size s at a time,
-and one loop, :func:`_series`, sums all five and applies the one stopping
-rule.
+evaluated summand-by-summand in the log domain, then accumulated with
+exact compensated summation, because adjacent summands can differ by
+hundreds of orders of magnitude when n and m reach 1e5.  Each binomial and
+falling factorial is carried from one summand to the next by the log of
+one exact ratio of integers, never formed as a difference of log-gamma
+values near m ln m: below load 1/2 the stash is an O(1/m) difference of
+O(m) summands, and those differences would leave it mostly rounding
+error.  Each model yields its series one component size s at a time, and
+one loop, :func:`_series`, sums all five and applies the one stopping rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, fsum, lgamma, log, log1p, sqrt
+from math import exp, fsum, lgamma, log, log1p, perm, sqrt
 from typing import Iterator, Optional
 
 _NEG_INF = float("-inf")
@@ -37,6 +40,11 @@ TRUNCATION_RUN = 50
 TRUNCATION_EPS = 1e-18
 
 _INTEGRALITY_TOL = 1e-9
+
+# Up to this many choices each step of a d-choice series is one exact ratio
+# of integers of at most (d+2) log2(m) bits, a normal float for any m below
+# 1e30; past it the integers, and the cost of a step, would grow with d.
+_EXACT_D = 8
 
 
 # ---------------------------------------------------------------------------
@@ -188,29 +196,8 @@ def husimi_count(s: int, d: int) -> float:
     return lgamma(q + 1) - s * lgamma(d) + (s - 2) * log(q)
 
 
-def _log_connect(s: int, d: int) -> float:
-    """ln of the probability that the d uniform choices of s elements,
-    confined to the (d-1)s + 1 bins of a component, connect it."""
-    if s == 0:
-        return 0.0
-    if d == 2:
-        # 2^s T_s / (s+1)^(2s): ordered choice pairs that connect the shape
-        return s * log(2) + tree_count_d2(s) - 2 * s * log(s + 1)
-    q = (d - 1) * s + 1
-    return s * lgamma(d + 1) + husimi_count(s, d) - d * s * log(q)
-
-
 # ---------------------------------------------------------------------------
-# log-domain helpers
-
-
-def _log_pow1m(x: float, exponent: float) -> float:
-    # exponent * ln(1 - x), same 0^0 convention, accurate for small x
-    if exponent == 0:
-        return 0.0
-    if x >= 1.0:
-        return _NEG_INF
-    return exponent * log1p(-x)
+# summing the series
 
 
 def _series(n: int, m: int, rows: Iterator[float], truncate: bool = True) -> ExactResult:
@@ -257,29 +244,40 @@ def _deficit_rows(n: int, m: int, d: int, pool: int, p: float) -> Iterator[float
     p(1-x)^2 + (1-p)(1-x), giving avoid(x) = [(1-x)(1-px)]^(n-s).  That
     second form is the binomial average of the first over the two-choice
     count, summed in closed form by C(n,k) C(k,s) = C(n,s) C(n-s,k-s).
+
+    The connected shapes are the Husimi count (:func:`husimi_count`) times
+    (d!)^s orders of the choices, over the q^(ds) choice vectors, so
+    conn(s,d) = d^s q! q^(s-2) / q^(ds) and summand s is
+
+        m (dp)^s q^(s-2) avoid(q/m) * C(pool,s) (q-s) (m-1)...(m-q+1) / m^(ds).
+
+    The log of the last factor, 0 at s = 0, moves from s-1 to s by the log
+    of one exact ratio of integers.  So no summand's log is a difference of
+    values near m ln m, and its rounding stays of the order of an ulp of
+    the log itself.  Past d = _EXACT_D the d-1 new bins of each step are a
+    log-gamma difference instead, which costs the same for any d.
     """
     fixed = p == 1.0
-    log_p = log(p) if p > 0.0 else 0.0  # the pool is empty when p = 0
-    # the s-independent halves of log C(pool, s) and log C(m, q)
-    lg_pool = lgamma(pool + 1)
-    lg_m = lgamma(m + 1)
+    log_dp = log(d * p) if p > 0.0 else 0.0  # the pool is empty when p = 0
+    exact = d <= _EXACT_D
+    md = m**d if exact else 0
+    log_m = log(m)
+    head = 0.0
     for s in range(min(pool, (m - 1) // (d - 1)) + 1):
         q = (d - 1) * s + 1
-        x = q / m
-        if fixed:
-            log_avoid = _log_pow1m(x, d * (pool - s) + (n - pool))
-        else:
-            log_avoid = _log_pow1m(x, n - s) + _log_pow1m(p * x, n - s)
-        lt = (
-            log(q - s)
-            + (lg_pool - lgamma(s + 1) - lgamma(pool - s + 1))
-            + s * log_p
-            + (lg_m - lgamma(q + 1) - lgamma(m - q + 1))
-            + log_avoid
-            + d * s * log(x)
-            + _log_connect(s, d)
-        )
-        yield exp(lt) if lt != _NEG_INF else 0.0
+        # from s-1 to s: C(pool,s)/C(pool,s-1), the ratio of the (q-s)
+        # factors, and the next d-1 bins of the falling factorial over m^d
+        if s and exact:
+            head += log((pool - s + 1) * (q - s) * perm(m - q + d - 1, d - 1) / (s * (q - s + 2 - d) * md))
+        elif s:
+            head += log((pool - s + 1) * (q - s) / (s * (q - s + 2 - d))) + lgamma(m - q + d) - lgamma(m - q + 1) - d * log_m
+        e = d * (pool - s) + n - pool if fixed else n - s  # outside elements
+        if q < m:
+            x = q / m
+            out = log1p(-x) if fixed else log1p(-x) + log1p(-p * x)
+        else:  # the component holds every bin: nothing may lie outside
+            out = _NEG_INF
+        yield m * exp(head + s * log_dp + (s - 2) * log(q) + (e * out if e else 0.0))
 
 
 def expected_matching_d2(n: int, m: int, *, truncate: bool = True) -> ExactResult:
@@ -329,46 +327,42 @@ def _partitioned_rows(n: int, m1: int, m2: int) -> Iterator[float]:
     with s elements, for s = 0, 1, ..., n: the sum of row s over the
     shapes with i up bins and j = s + 1 - i down bins."""
     # Summand (i, j) of row s is
-    #   C(n,s) C(m1,i) C(m2,j) (1-i/m1)^(n-s) (1-j/m2)^(n-s) (i/m1)^s (j/m2)^s conn(i,j).
-    # Its log adds table entries with the operations, in the order, of
-    # evaluating each factor from scratch (log C(n,s), then
-    # (n-s) log1p(-i/m1), s log(i/m1), and the log of conn as the closed
-    # form _log_connect_probability_partitioned in tests/oracles.py
-    # evaluates it), so every summand is the same double.  A log 0 entry
-    # set to 0 only meets a zero exponent (0^0 = 1).
-    choose1, out1, in1, choose2, out2, in2 = [], [], [], [], [], []  # see _grow_bank
+    #   C(n,s) C(m1,i) C(m2,j) (1-i/m1)^(n-s) (1-j/m2)^(n-s) (i/m1)^s (j/m2)^s conn(i,j)
+    # with conn(i,j) = i^(j-1) j^(i-1) s! / (i j)^s, so its log is
+    #   row + log C(m1,i) + log C(m2,j) + (n-s) (log(1-i/m1) + log(1-j/m2))
+    #   + (j-1) log i + (i-1) log j,   row = log[n (n-1) ... (n-s+1) / (m1 m2)^s].
+    # The row factor moves from s-1 to s by the log of one exact ratio, as
+    # the bank tables do (see _grow_bank).  partitioned_row_logs in
+    # tests/oracles.py evaluates every summand with these operations in this
+    # order, so each is the same double.  log 0 is set to 0: it only meets
+    # a zero factor, in the shapes (0, 1) and (1, 0).
+    choose1, out1, choose2, out2 = [0.0], [0.0], [0.0], [0.0]  # see _grow_bank
     log_k = [0.0, 0.0]  # log 0 set to 0, and log 1
-    lg_n = lgamma(n + 1)
+    row = 0.0
     peak = 0
     for s in range(n + 1):
         if s == 0:  # the single bins, shapes (0, 1) and (1, 0)
             lo, hi = 0, 1
         else:  # a shape with s >= 1 elements needs a bin in each bank
             lo, hi = max(1, s + 1 - m2), min(s, m1)
+            row += log((n - s + 1) / (m1 * m2))
         if lo > hi:  # s >= m: no shape has s + 1 bins
             yield 0.0
             continue
         # the row reads entries up to max(s, 1)
-        _grow_bank(m1, choose1, out1, in1, max(s, 1))
-        _grow_bank(m2, choose2, out2, in2, max(s, 1))
+        _grow_bank(m1, choose1, out1, max(s, 1))
+        _grow_bank(m2, choose2, out2, max(s, 1))
         log_k.extend(log(k) for k in range(len(log_k), s + 1))
         a = n - s
         if not a:  # s = n, the last row: 0^0 = 1
             out1, out2 = [0.0] * len(out1), [0.0] * len(out2)
-        le = lg_n - lgamma(s + 1) - lgamma(n - s + 1)
-        lg = lgamma(s + 1)
 
         def log_term(i: int) -> float:
             j = s + 1 - i
-            li = log_k[i]
-            lj = log_k[j]
-            return (
-                le + choose1[i] + choose2[j] + a * out1[i] + a * out2[j] + s * in1[i] + s * in2[j]
-                + ((j - 1) * li + (i - 1) * lj + lg - s * (li + lj))
-            )
+            return row + choose1[i] + choose2[j] + a * (out1[i] + out2[j]) + (j - 1) * log_k[i] + (i - 1) * log_k[j]
 
-        row, peak = _sum_from_peak(log_term, lo, hi, min(max(peak, lo), hi))
-        yield fsum(row)
+        terms, peak = _sum_from_peak(log_term, lo, hi, min(max(peak, lo), hi))
+        yield fsum(terms)
 
 
 # A row of the two-bank series is cut on each side after this many
@@ -378,17 +372,15 @@ _ROW_CUT = 60.0
 _ROW_RUN = 3
 
 
-def _grow_bank(mb: int, choose: list[float], out: list[float], into: list[float], top: int) -> None:
-    """Extend log C(mb, k), log1p(-k/mb) and log(k/mb) to every k up to
-    min(top, mb).  The lists grow with the rows, so a series cut after a
-    few hundred rows costs a few hundred entries of a bank of 1e5 bins.
-    The log of 1 - mb/mb is -inf; that of 0/mb is set to 0, as it only
-    meets the exponent s = 0."""
-    lg_mb = lgamma(mb + 1)
+def _grow_bank(mb: int, choose: list[float], out: list[float], top: int) -> None:
+    """Extend log C(mb, k) and log1p(-k/mb) to every k up to min(top, mb).
+    Each log C(mb, k) is the previous one plus log((mb-k+1)/k).  The lists
+    grow with the rows, so a series cut after a few hundred rows costs a
+    few hundred entries of a bank of 1e5 bins.  The log of 1 - mb/mb is
+    -inf."""
     for k in range(len(choose), min(top, mb) + 1):
-        choose.append(lg_mb - lgamma(k + 1) - lgamma(mb - k + 1))
+        choose.append(choose[-1] + log((mb - k + 1) / k))
         out.append(log1p(-(k / mb)) if k < mb else _NEG_INF)
-        into.append(log(k / mb) if k else 0.0)
 
 
 def _sum_from_peak(log_term, lo: int, hi: int, start: int) -> tuple[list[float], int]:

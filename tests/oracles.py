@@ -10,10 +10,13 @@ where direct enumeration is too large).  The two-bank limit is bisected in
 50-digit decimal arithmetic.  The cuckoo table is kept in its plain form,
 without search pruning, to compare layouts against, and the two-bank
 exact series as the full double sum, to compare its peak-walk summation
-against.  Bin choices are derived key by key from the pinned mix, as the
-reference for the package's precomputed choice function, and seeded
-graphs word by word, one rejection loop per choice, as the reference for
-the package's block-mixed generator.  Component shapes are read off a
+against.  The two-choice and two-bank series are also summed in 40-digit
+decimal arithmetic, the reference for the package's float sums where
+the stash is a small difference of large sums.  Bin choices are derived
+key by key from the pinned mix, as the reference for the package's
+precomputed choice function, and seeded graphs word by word, one
+rejection loop per choice, as the reference for the package's
+block-mixed generator.  Component shapes are read off a
 union-find over the bins, taking the matching they count from the caller.
 """
 
@@ -248,6 +251,19 @@ def count_connected_general(s: int, d: int) -> int:
     return count
 
 
+def log_connect(s: int, d: int) -> float:
+    """ln of the probability that the d uniform choices of s elements,
+    confined to the q = (d-1)s + 1 bins of a component, connect it: the
+    Husimi count q! / ((d-1)!)^s q^(s-2) times the (d!)^s orders of each
+    element's choices, over the q^(ds) choice vectors.  For d = 2 that is
+    2^s s! / (s+1)^(s+1)."""
+    if s == 0:
+        return 0.0
+    q = (d - 1) * s + 1
+    husimi = math.lgamma(q + 1) - s * math.lgamma(d) + (s - 2) * math.log(q)
+    return s * math.lgamma(d + 1) + husimi - d * s * math.log(q)
+
+
 # ---------------------------------------------------------------------------
 # mixed-choice limit
 
@@ -317,28 +333,17 @@ def two_bank_gamma(alpha: float, beta: float) -> float:
 # two-bank exact series
 
 
-def _log_binomial(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return float("-inf")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _running_log_binomials(n: int, top: int) -> list[float]:
+    # log C(n, k) for k = 0 .. min(top, n), each the one before plus
+    # log((n-k+1)/k)
+    logs = [0.0]
+    for k in range(1, min(top, n) + 1):
+        logs.append(logs[-1] + math.log((n - k + 1) / k))
+    return logs
 
 
-def _log_pow(base: float, exponent: float) -> float:
-    # exponent * ln(base) with the empty-product convention 0^0 = 1
-    if exponent == 0:
-        return 0.0
-    if base <= 0.0:
-        return float("-inf")
-    return exponent * math.log(base)
-
-
-def _log_pow1m(x: float, exponent: float) -> float:
-    # exponent * ln(1 - x), same 0^0 convention, accurate for small x
-    if exponent == 0:
-        return 0.0
-    if x >= 1.0:
-        return float("-inf")
-    return exponent * math.log1p(-x)
+def _log1m(x: float) -> float:
+    return math.log1p(-x) if x < 1.0 else float("-inf")
 
 
 def _log_connect_probability_partitioned(i: int, j: int) -> float:
@@ -353,28 +358,31 @@ def _log_connect_probability_partitioned(i: int, j: int) -> float:
 
 def partitioned_row_logs(n: int, m1: int, m2: int, s: int) -> list[float]:
     """ln of every summand of row s of the two-bank series, in order of the
-    up-bank size i of the shape, skipping shapes that cannot connect."""
-    log_elements = _log_binomial(n, s)
-    b1 = max(0, s + 1 - m2)
-    b2 = min(s + 1, m1)
-    row: list[float] = []
-    for i in range(b1, b2 + 1):
+    up-bank size i of the shape, skipping shapes that cannot connect.
+
+    Summand (i, j) is C(n,s) C(m1,i) C(m2,j) (1-i/m1)^(n-s) (1-j/m2)^(n-s)
+    (i/m1)^s (j/m2)^s times the connection probability
+    i^(j-1) j^(i-1) s! / (i j)^s of :func:`_log_connect_probability_partitioned`.
+    Its log is evaluated as
+    row + log C(m1,i) + log C(m2,j) + (n-s) (log(1-i/m1) + log(1-j/m2))
+    + (j-1) log i + (i-1) log j, with row = log[n!/(n-s)! / (m1 m2)^s] and
+    each binomial built up one exact ratio at a time: the operations, in
+    the order, of the package, so every summand is the same double."""
+    row = 0.0
+    for t in range(1, s + 1):
+        row += math.log((n - t + 1) / (m1 * m2))
+    choose1 = _running_log_binomials(m1, s + 1)
+    choose2 = _running_log_binomials(m2, s + 1)
+    logs: list[float] = []
+    for i in range(max(0, s + 1 - m2), min(s + 1, m1) + 1):
         j = s + 1 - i
-        lp = _log_connect_probability_partitioned(i, j)
-        if lp == float("-inf"):
+        if s and not i * j:  # no bin in one bank: the shape cannot connect
             continue
-        lt = (
-            log_elements
-            + _log_binomial(m1, i)
-            + _log_binomial(m2, j)
-            + _log_pow1m(i / m1, n - s)
-            + _log_pow1m(j / m2, n - s)
-            + _log_pow(i / m1, s)
-            + _log_pow(j / m2, s)
-            + lp
-        )
-        row.append(lt)
-    return row
+        avoid = (n - s) * (_log1m(i / m1) + _log1m(j / m2)) if n > s else 0.0
+        log_i = math.log(i) if i else 0.0  # log 0 only meets a zero factor
+        log_j = math.log(j) if j else 0.0
+        logs.append(row + choose1[i] + choose2[j] + avoid + (j - 1) * log_i + (i - 1) * log_j)
+    return logs
 
 
 def partitioned_series_full(n: int, m1: int, m2: int, *, truncate: bool = True):
@@ -399,6 +407,81 @@ def partitioned_series_full(n: int, m1: int, m2: int, *, truncate: bool = True):
                 tiny_run = 0
     mu = min(max(m - math.fsum(terms), 0.0), float(min(n, m)))
     return mu, tuple(terms), truncated_at
+
+
+# ---------------------------------------------------------------------------
+# the exact series at 40 digits
+
+
+def deficit_stash_decimal(n: int, m: int, d: int = 2, digits: int = 40) -> Decimal:
+    """n - m plus the expected number of bins stranded by the tree
+    components with s elements of d choices and q = (d-1)s + 1 bins, summed
+    over s in ``digits``-digit decimal arithmetic: the expected stash for
+    d = 2, and n minus the d-choice bound otherwise.
+
+    Summand s is (q-s) C(n,s) C(m,q) (q/m)^(ds) (1-q/m)^(d(n-s)) times the
+    connection probability of :func:`log_connect`, which is
+    (q-s) C(n,s) m(m-1)...(m-q+1) d^s q^(s-2) / m^(ds) (1-q/m)^(d(n-s)).
+    The sum stops after 20 consecutive summands below 10^-digits of the
+    total."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        total = Decimal(0)
+        factor = Decimal(m)  # C(n,s) m(m-1)...(m-q+1) / m^(ds)
+        tiny = 0
+        for s in range(min(n, (m - 1) // (d - 1)) + 1):
+            q = (d - 1) * s + 1
+            if s:
+                factor = factor * ((n - s + 1) * math.perm(m - q + d - 1, d - 1)) / (s * m**d)
+            outside = d * (n - s)
+            avoid = ((1 - Decimal(q) / m).ln() * outside).exp() if outside else Decimal(1)
+            term = (q - s) * factor * Decimal(d) ** s * Decimal(q) ** (s - 2) * avoid
+            total += term
+            tiny = tiny + 1 if term < total.scaleb(-digits) else 0
+            if tiny == 20:
+                break
+        return n - m + total
+
+
+def partitioned_stash_decimal(n: int, m1: int, m2: int, digits: int = 40) -> Decimal:
+    """n - m plus the two-bank series, every summand of every row summed in
+    ``digits``-digit decimal arithmetic: the expected stash.
+
+    Summand (i, j) of row s >= 1 is C(n,s) C(m1,i) C(m2,j)
+    (1-i/m1)^(n-s) (1-j/m2)^(n-s) (i/m1)^s (j/m2)^s times the connection
+    probability i^(j-1) j^(i-1) s! / (i j)^s; row 0 is the single bins,
+    m1 (1-1/m1)^n + m2 (1-1/m2)^n.  Summands are exp of their logs, and the
+    sum stops after 20 consecutive rows below 10^-digits of the total."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        one = Decimal(1)
+        log_k = [None]  # log 0 is never read
+        choose1, out1, choose2, out2 = [Decimal(0)], [Decimal(0)], [Decimal(0)], [Decimal(0)]
+
+        def grow(mb, choose, out, top):
+            for k in range(len(choose), min(top, mb) + 1):
+                choose.append(choose[-1] + Decimal(mb - k + 1).ln() - log_k[k])
+                out.append((one - Decimal(k) / mb).ln() if k < mb else Decimal("-Infinity"))
+
+        total = m1 * (one - one / m1) ** n + m2 * (one - one / m2) ** n
+        row_log, tiny = Decimal(0), 0
+        for s in range(1, min(n, m1 + m2 - 1) + 1):
+            log_k.extend(Decimal(k).ln() for k in range(len(log_k), s + 1))
+            grow(m1, choose1, out1, s)
+            grow(m2, choose2, out2, s)
+            row_log += Decimal(n - s + 1).ln() - Decimal(m1 * m2).ln()
+            row = Decimal(0)
+            for i in range(max(1, s + 1 - m2), min(s, m1) + 1):
+                j = s + 1 - i
+                lt = row_log + choose1[i] + choose2[j] + (j - 1) * log_k[i] + (i - 1) * log_k[j]
+                if n > s:
+                    lt += (n - s) * (out1[i] + out2[j])
+                row += lt.exp()
+            total += row
+            tiny = tiny + 1 if row < total.scaleb(-digits) else 0
+            if tiny == 20:
+                break
+        return n - m1 - m2 + total
 
 
 # ---------------------------------------------------------------------------

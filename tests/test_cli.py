@@ -340,6 +340,16 @@ def test_cli_reaches_traced_exact_functions(capsys, monkeypatch, argv, expected)
     assert calls == expected
 
 
+def test_exact_commands_take_more_bins_than_a_list_holds(capsys):
+    # the series allocate nothing per bin
+    for argv in (
+        ("exact", "--n", "1", "--m", str(2**64), "--model", "d2"),
+        ("stash-size", "--n", "1", "--m", str(2**64), "--epsilon", "0.5"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
 def test_argument_errors_exit_2(capsys, tmp_path):
     keys = tmp_path / "keys.hex"
     keys.write_text("1\n2\n")
@@ -382,6 +392,12 @@ def test_argument_errors_exit_2(capsys, tmp_path):
         ("simulate", "--n", "1", "--m", str(2**64 + 1), "--model", "mixed-rand", "--p", "0.5",
          "--trials", "1"),
         ("trace", "--synthetic", "3", "--m", str(2**64 + 1), "--repeats", "1"),
+        # more bins than a list can hold
+        ("simulate", "--n", "1", "--m", str(2**64), "--model", "d2", "--trials", "1"),
+        ("simulate", "--n", "1", "--m", str(2**64), "--model", "fixed-d", "--d", "3", "--trials", "1"),
+        ("simulate", "--m", str(2**64), "--model", "d2", "--trials", "1", "--sweep", "n=1:2:1"),
+        ("trace", "--synthetic", "3", "--m", str(2**64), "--repeats", "1"),
+        ("concentration", "--n", "1", "--m", str(2**64), "--lambda", "1", "--trials", "100"),
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv)
@@ -498,13 +514,13 @@ _PINNED = [
     ('exact --n 2 --m 2 --model d2',
      '{"command": "exact", "parameters": {"model": "d2", "n": 2, "m": 2}, "results": {"mu": 1.875, "stash_expected": 0.125, "mu_over_n": 0.9375, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
     ('exact --n 30 --m 40 --model mixed-det --a 1.5 --format csv',
-     'command,model,n,m,a,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-det,30,40,1.5,24.982789246279907,5.017210753720093,0.8327596415426636,,0.1.0\n'),
+     'command,model,n,m,a,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-det,30,40,1.5,24.982789246279605,5.017210753720395,0.8327596415426535,,0.1.0\n'),
     ('exact --n 4 --m 10 --model partitioned --beta 0.33 --round',
-     '{"command": "exact", "parameters": {"model": "partitioned", "n": 4, "m": 10, "beta": 0.3}, "results": {"mu": 3.9885541518194607, "stash_expected": 0.011445848180539286, "mu_over_n": 0.9971385379548652, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
+     '{"command": "exact", "parameters": {"model": "partitioned", "n": 4, "m": 10, "beta": 0.3}, "results": {"mu": 3.988554151819458, "stash_expected": 0.011445848180541951, "mu_over_n": 0.9971385379548645, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
     ('exact --n 50 --m 50 --model bound-d --d 3',
-     '{"command": "exact", "parameters": {"model": "bound-d", "n": 50, "m": 50, "d": 3}, "results": {"mu": 47.574507094181214, "stash_expected": 2.4254929058187855, "mu_over_n": 0.9514901418836242, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
+     '{"command": "exact", "parameters": {"model": "bound-d", "n": 50, "m": 50, "d": 3}, "results": {"mu": 47.574507094181236, "stash_expected": 2.425492905818764, "mu_over_n": 0.9514901418836247, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
     ('exact --m 50 --model mixed-rand --p 0.3 --sweep n=10:30:10',
-     'command,model,n,m,p,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-rand,10,50,0.3,9.525880765129926,0.47411923487007357,0.9525880765129926,,0.1.0\nexact,mixed-rand,20,50,0.3,17.877023129516388,2.122976870483612,0.8938511564758194,,0.1.0\nexact,mixed-rand,30,50,0.3,24.924177762171514,5.075822237828486,0.8308059254057171,,0.1.0\n'),
+     'command,model,n,m,p,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-rand,10,50,0.3,9.525880765130275,0.4741192348697254,0.9525880765130275,,0.1.0\nexact,mixed-rand,20,50,0.3,17.877023129516665,2.1229768704833347,0.8938511564758332,,0.1.0\nexact,mixed-rand,30,50,0.3,24.924177762171784,5.075822237828216,0.8308059254057262,,0.1.0\n'),
     ('asymptotic --alpha 1 --model partitioned --beta 0.3',
      '{"command": "asymptotic", "parameters": {"model": "partitioned", "alpha": 1.0, "beta": 0.3}, "results": {"gamma": 0.8072088548048635, "closed_form": false, "t1": 0.12613112418768965, "t2": 0.9062251444004882}, "metadata": {"version": "0.1.0"}}\n'),
     ('asymptotic --model partitioned --alpha 1e-10 --beta 5e-324',
@@ -516,7 +532,7 @@ _PINNED = [
     ('simulate --n 40 --m 40 --model partitioned --beta 0.5 --trials 5 --seed 2 --format csv',
      'command,model,n,m,trials,beta,mean,std_dev,min,max,std_error,mean_over_n,version,seed\nsimulate,partitioned,40,40,5,0.5,33.8,1.3038404810405297,32.0,35.0,0.58309518948453,0.845,0.1.0,2\n'),
     ('stash-size --n 100 --m 100 --epsilon 0.01',
-     '{"command": "stash-size", "parameters": {"n": 100, "m": 100, "epsilon": 0.01}, "results": {"stash_real": 46.3761318782155, "stash_slots": 47}, "metadata": {"version": "0.1.0"}}\n'),
+     '{"command": "stash-size", "parameters": {"n": 100, "m": 100, "epsilon": 0.01}, "results": {"stash_real": 46.37613187821596, "stash_slots": 47}, "metadata": {"version": "0.1.0"}}\n'),
     ('trace --synthetic 300 --m 300 --repeats 2 --seed 5 --beta 0.5',
      '{"command": "trace", "parameters": {"source": "synthetic", "m": 300, "d": 2, "repeats": 2, "beta": 0.5}, "results": {"n": 300, "overflow_mean": 0.16, "overflow_min": 0.14333333333333334, "overflow_max": 0.17666666666666667, "inserted_mean": 0.84}, "metadata": {"version": "0.1.0", "seed": 5}}\n'),
     ('concentration --n 20 --m 20 --lambda 1 --trials 100 --seed 2 --one-sided --format csv',

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from cuckoo_lab.exact import (
     ModelParams,
-    _log_connect,
     _sum_from_peak,
     concentration_tail_bound,
     evaluate,
@@ -110,10 +109,10 @@ def test_husimi_count_validation():
 
 
 def test_connect_probability_examples():
-    assert math.exp(_log_connect(1, 2)) == pytest.approx(0.5, abs=1e-15)
-    assert _log_connect(0, 2) == 0.0
-    assert _log_connect(0, 5) == 0.0
-    assert math.exp(_log_connect(1, 3)) == pytest.approx(2 / 9, rel=1e-15)  # 3 distinct of 3 bins
+    assert math.exp(oracles.log_connect(1, 2)) == pytest.approx(0.5, abs=1e-15)
+    assert oracles.log_connect(0, 2) == 0.0
+    assert oracles.log_connect(0, 5) == 0.0
+    assert math.exp(oracles.log_connect(1, 3)) == pytest.approx(2 / 9, rel=1e-15)  # 3 distinct of 3 bins
     assert math.exp(oracles._log_connect_probability_partitioned(1, 0)) == 1.0
     assert math.exp(oracles._log_connect_probability_partitioned(0, 2)) == 0.0
 
@@ -122,7 +121,7 @@ def test_connect_probability_d2_matches_ordered_enumeration():
     # counts all (s+1)^(2s) ordered choice assignments, repeats included
     for s in range(5):
         connected, total = oracles.count_connected_ordered_d2(s)
-        assert math.exp(_log_connect(s, 2)) == pytest.approx(connected / total, rel=1e-12)
+        assert math.exp(oracles.log_connect(s, 2)) == pytest.approx(connected / total, rel=1e-12)
 
 
 def test_connect_probability_partitioned_matches_enumeration():
@@ -278,8 +277,8 @@ def test_mixed_rand_three_term_mixture():
 # series are summed that moves any bit of them shows up here
 GOLDEN_MU_HEX = {
     # n: (d2 mu, mixed-det a=1.5 mu, bound-d d=3, stash_size_for_epsilon eps=1e-6)
-    5000: ("0x1.387be70c40a4bp+12", "0x1.1a6985b130684p+12", "0x1.3880000000000p+12", "0x1.73f2c47db662ep+8"),
-    10000: ("0x1.05e9172c82844p+13", "0x1.d0e372ca77a20p+12", "0x1.28dd90493c1c3p+13", "0x1.0c1081f035a8dp+11"),
+    5000: ("0x1.387be70c353d5p+12", "0x1.1a6985b122003p+12", "0x1.3880000000000p+12", "0x1.73f2c47e6cd8ep+8"),
+    10000: ("0x1.05e9172c80046p+13", "0x1.d0e372ca71637p+12", "0x1.28dd90493b769p+13", "0x1.0c1081f03fa85p+11"),
 }
 
 
@@ -293,6 +292,55 @@ def test_series_golden_values(n):
         stash_size_for_epsilon(n, m, 1e-6).hex(),
     )
     assert got == GOLDEN_MU_HEX[n]
+
+
+# ---------------------------------------------------------------------------
+# precision below load 1/2, against the series summed at 40 digits
+#
+# There the stash n - m + sum is O(1/m) while the summands are O(m), so a
+# relative error of 1e-16 in each summand is about m^2 1e-16 of the stash.
+
+
+def test_decimal_series_match_enumeration():
+    for (n, m), frozen in ENUMERATED_MU_D2.items():
+        assert abs(n - Fraction(oracles.deficit_stash_decimal(n, m)) - frozen) < Fraction(1, 10**30)
+    for n, m1, m2, frozen in ((3, 2, 2, Fraction(47, 16)), (3, 1, 3, Fraction(26, 9)), (2, 2, 2, 2)):
+        assert abs(n - Fraction(oracles.partitioned_stash_decimal(n, m1, m2)) - frozen) < Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize("m", [10_000, 100_000])
+@pytest.mark.parametrize("alpha", [0.3, 0.4])
+def test_d2_stash_relative_error_below_half_load(alpha, m):
+    # the floor is one rounding of the largest summand, m 2^-53 / stash:
+    # 1.1e-6 at load 0.3 and m = 1e5
+    n = round(alpha * m)
+    want = float(oracles.deficit_stash_decimal(n, m))
+    assert expected_matching_d2(n, m).stash_expected / want - 1 == pytest.approx(0.0, abs=1e-5)
+
+
+def test_d2_m_times_stash_settles_below_half_load():
+    # at load 0.3 m * stash tends to a constant: 0.97213 at m = 1e4 and
+    # 0.98313 at m = 1e5 in the 40-digit series
+    small, large = (m * expected_matching_d2(3 * m // 10, m).stash_expected for m in (10_000, 100_000))
+    assert 1.0 <= large / small <= 1.03
+
+
+def test_d2_stash_at_tiny_load_is_tiny():
+    # n = 1e5, m = 1e9: two keys whose two choices are one bin, about
+    # n^2 / (2 m^3) = 5e-18 in the 40-digit series
+    assert 0.0 <= expected_matching_d2(100_000, 10**9).stash_expected <= 1e-3
+
+
+# m * stash of the two-bank model at beta = 0.5, load 0.3, from
+# oracles.partitioned_stash_decimal(3 * m // 10, m // 2, m // 2): about 7 s
+# each, so frozen
+TWO_BANK_M_STASH = {10_000: 0.7192781117704105941992471434, 100_000: 0.7284543312173801382488694828}
+
+
+@pytest.mark.parametrize("m", sorted(TWO_BANK_M_STASH))
+def test_partitioned_stash_relative_error_below_half_load(m):
+    got = m * expected_matching_partitioned(3 * m // 10, m, 0.5).stash_expected
+    assert got / TWO_BANK_M_STASH[m] - 1 == pytest.approx(0.0, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +396,9 @@ def test_partitioned_matches_simulation():
 # (n, m, beta): (mu.hex(), truncated_at), frozen from the series summed over
 # every summand of every row
 GOLDEN_PARTITIONED = {
-    (200, 400, 0.3): ("0x1.8f067d3cc4462p+7", None),
-    (400, 400, 0.3): ("0x1.43224e6400c52p+8", 129),
-    (1000, 2000, 0.3): ("0x1.f35e55c06baacp+9", 783),
+    (200, 400, 0.3): ("0x1.8f067d3cc44efp+7", None),
+    (400, 400, 0.3): ("0x1.43224e6400cb4p+8", 129),
+    (1000, 2000, 0.3): ("0x1.f35e55c06a203p+9", 783),
 }
 
 
@@ -425,6 +473,22 @@ def test_upper_bound_reduces_to_d2():
         mu = expected_matching_d2(n, m).mu
         bound = matching_upper_bound_d(n, m, 2).mu
         assert bound == pytest.approx(mu, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [3, 9])
+def test_upper_bound_against_decimal_series(d):
+    # d = 9 moves each step's d-1 bins by a log-gamma difference, d = 3 by
+    # an exact ratio
+    n = m = 10_000
+    want = n - oracles.deficit_stash_decimal(n, m, d)
+    assert matching_upper_bound_d(n, m, d).mu == pytest.approx(float(want), abs=1e-9)
+
+
+def test_upper_bound_at_vast_d():
+    # each step of the series adds d - 1 bins; as exact integers they would
+    # take gigabits here
+    assert matching_upper_bound_d(10, 10**9, 10**8).mu == 10.0
+    assert matching_upper_bound_d(10, 10, 10**9).mu == 10.0
 
 
 def test_upper_bound_capped_by_n():

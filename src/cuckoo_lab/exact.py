@@ -27,6 +27,7 @@ one loop, :func:`_series`, sums all five and applies the one stopping rule.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import exp, fsum, lgamma, log, log1p, perm, sqrt
 from typing import Iterator, Optional
@@ -74,6 +75,10 @@ class ModelParams:
             raise ValueError("n must be >= 0")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        # the series and the bank split take n and m as floats
+        for name, count in (("n", self.n), ("m", self.m)):
+            if count > sys.float_info.max:
+                raise ValueError(f"{name} must be at most {sys.float_info.max:g}, the float range")
         if self.variant == "d2":
             pass
         elif self.variant == "mixed-det":

@@ -135,11 +135,15 @@ def probability_threshold(p: float) -> int:
 def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
     """Draw one random bipartite graph of the given model.
 
-    Choice draws happen vertex by vertex in index order, so a graph is a
-    pure function of (params, generator state).  Two-choice draws may
-    repeat a bin (parallel edges); the two-bank model draws one bin in
-    each bank.  In the mixed-det model the one-choice elements are the
-    first ones, which costs no generality: labels are exchangeable.
+    Every choice is one :meth:`SplitMix64.draws` value, so a graph is a
+    pure function of (params, generator state).  The d-choice models draw
+    key by key in index order.  The mixed-rand model first draws every
+    key's coin, then every key's choices in index order; the two-bank
+    model draws every key's up-bank bin, then every key's down-bank bin.
+    Only each key's distribution matters to the model, not which word
+    serves which choice.  Two-choice draws may repeat a bin (parallel
+    edges).  In the mixed-det model the one-choice elements are the first
+    ones, which costs no generality: labels are exchangeable.
     """
     n, m = params.n, params.m
     variant = params.variant
@@ -152,41 +156,16 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
         words = iter(rng.draws(m, n - d_keys + d * d_keys))
         choices = tuple(zip(islice(words, n - d_keys))) + tuple(zip(*[words] * d))
     elif variant == "mixed-rand":
-        # per key a raw coin word, two choices when it falls below
-        # coin_threshold (probability p) and one otherwise; each pass reads
-        # the fewest words the keys left can use, so none is read past the
-        # last one used
-        coin_threshold = probability_threshold(params.p)
-        threshold = rejection_threshold(m)
-        rows: list[tuple[int, ...]] = []
-        row: list[int] = []
-        want = 0  # choices the current key still needs; 0 before its coin
-        while len(rows) < n:
-            for w in rng._words(min(want + 2 * (n - len(rows) - (want > 0)), _LANES)):
-                if not want:
-                    want = 2 if w < coin_threshold else 1
-                elif w < threshold:
-                    row.append(w % m)
-                    want -= 1
-                    if not want:
-                        rows.append(tuple(row))
-                        row = []
-        choices = tuple(rows)
+        # a raw coin word per key (nothing below 2^64 is rejected), two
+        # choices when it falls below probability p and one otherwise
+        coin = probability_threshold(params.p)
+        two = [w < coin for w in rng.draws(1 << 64, n)]
+        words = iter(rng.draws(m, n + sum(two)))
+        choices = tuple((next(words), next(words)) if t else (next(words),) for t in two)
     else:  # partitioned
         m1 = params.up_bank_size
-        m2 = m - m1
-        # the choices alternate between the banks, each word tested
-        # against the threshold of the bank whose choice is due
-        up, down = rejection_threshold(m1), rejection_threshold(m2)
-        flat: list[int] = []
-        while len(flat) < 2 * n:
-            for w in rng._words(min(2 * n - len(flat), _LANES)):
-                if len(flat) & 1:
-                    if w < down:
-                        flat.append(m1 + w % m2)
-                elif w < up:
-                    flat.append(w % m1)
-        choices = tuple(zip(flat[::2], flat[1::2]))
+        up = rng.draws(m1, n)
+        choices = tuple(zip(up, [m1 + v for v in rng.draws(m - m1, n)]))
 
     return BipartiteGraph(n=n, m=m, choices=choices)
 

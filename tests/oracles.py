@@ -670,10 +670,11 @@ class ReferenceSplitMix64:
 
 def reference_graph_choices(variant, n, m, state, *, d=2, one_choice=0, p=0.0, up_bank=0):
     """(choices, final generator state) of one graph, one below() call per
-    choice in key order: d choices per key (d2, fixed-d); ``one_choice``
+    choice: d choices per key in key order (d2, fixed-d); ``one_choice``
     one-choice keys first, then two-choice keys (mixed-det); a raw coin
-    word per key, two choices when it is below round(p 2^64) and one
-    otherwise (mixed-rand); one choice in [0, up_bank) and one in
+    word for every key first, two choices when it is below round(p 2^64)
+    and one otherwise, then each key's choices in key order (mixed-rand);
+    every key's choice in [0, up_bank) first, then every key's choice in
     [up_bank, m) (partitioned)."""
     rng = ReferenceSplitMix64(state)
     if variant in ("d2", "fixed-d"):
@@ -683,12 +684,11 @@ def reference_graph_choices(variant, n, m, state, *, d=2, one_choice=0, p=0.0, u
         rows += [(rng.below(m), rng.below(m)) for _ in range(n - one_choice)]
     elif variant == "mixed-rand":
         coin = min(1 << 64, max(0, round(p * (1 << 64))))
-        rows = []
-        for _ in range(n):
-            two = rng.next_u64() < coin
-            rows.append(tuple(rng.below(m) for _ in range(1 + two)))
+        two = [rng.next_u64() < coin for _ in range(n)]
+        rows = [tuple(rng.below(m) for _ in range(1 + t)) for t in two]
     elif variant == "partitioned":
-        rows = [(rng.below(up_bank), up_bank + rng.below(m - up_bank)) for _ in range(n)]
+        up = [rng.below(up_bank) for _ in range(n)]
+        rows = [(u, up_bank + rng.below(m - up_bank)) for u in up]
     else:
         raise ValueError(variant)
     return tuple(rows), rng.state

@@ -398,6 +398,11 @@ def test_argument_errors_exit_2(capsys, tmp_path):
         ("simulate", "--m", str(2**64), "--model", "d2", "--trials", "1", "--sweep", "n=1:2:1"),
         ("trace", "--synthetic", "3", "--m", str(2**64), "--repeats", "1"),
         ("concentration", "--n", "1", "--m", str(2**64), "--lambda", "1", "--trials", "100"),
+        # more keys or bins than a float holds
+        ("exact", "--n", "3", "--m", str(10**400), "--model", "d2"),
+        ("exact", "--n", "3", "--m", str(10**400), "--model", "partitioned", "--beta", "0.5"),
+        ("stash-size", "--n", "3", "--m", str(10**400), "--epsilon", "0.5"),
+        ("exact", "--n", str(10**400), "--m", "3", "--model", "mixed-rand", "--p", "0.5"),
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv)
@@ -409,6 +414,7 @@ def test_argument_errors_exit_2(capsys, tmp_path):
         # at n = 0 too: the model, not the key count, needs both banks
         (("simulate", "--n", "0", "--m", "10", "--model", "partitioned", "--beta", "0", "--trials", "1"),
          "use asymptotic --model partitioned"),
+        (("stash-size", "--n", str(10**400), "--m", "3", "--epsilon", "0.5"), "error: n must be at most"),
     ]
     for argv, message in worded:
         code, _, err = _run(capsys, *argv)
@@ -530,7 +536,7 @@ _PINNED = [
     ('simulate --n 70 --m 70 --model fixed-d --d 3 --trials 5 --seed 11',
      '{"command": "simulate", "parameters": {"model": "fixed-d", "n": 70, "m": 70, "trials": 5, "d": 3}, "results": {"mean": 67.0, "std_dev": 0.7071067811865476, "min": 66.0, "max": 68.0, "std_error": 0.31622776601683794, "mean_over_n": 0.9571428571428572}, "metadata": {"version": "0.1.0", "seed": 11}}\n'),
     ('simulate --n 40 --m 40 --model partitioned --beta 0.5 --trials 5 --seed 2 --format csv',
-     'command,model,n,m,trials,beta,mean,std_dev,min,max,std_error,mean_over_n,version,seed\nsimulate,partitioned,40,40,5,0.5,33.8,1.3038404810405297,32.0,35.0,0.58309518948453,0.845,0.1.0,2\n'),
+     'command,model,n,m,trials,beta,mean,std_dev,min,max,std_error,mean_over_n,version,seed\nsimulate,partitioned,40,40,5,0.5,34.6,1.140175425099138,33.0,36.0,0.5099019513592785,0.865,0.1.0,2\n'),
     ('stash-size --n 100 --m 100 --epsilon 0.01',
      '{"command": "stash-size", "parameters": {"n": 100, "m": 100, "epsilon": 0.01}, "results": {"stash_real": 46.37613187821596, "stash_slots": 47}, "metadata": {"version": "0.1.0"}}\n'),
     ('trace --synthetic 300 --m 300 --repeats 2 --seed 5 --beta 0.5',

@@ -1,11 +1,13 @@
 """Seeded generation, Monte-Carlo statistics, and the concentration check."""
 
+import collections
 import hashlib
 import math
 import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from scipy.stats import chi2
 
 from cuckoo_lab import simulate
 from cuckoo_lab.exact import ModelParams, concentration_tail_bound, evaluate
@@ -135,14 +137,68 @@ def test_gen_graph_mixed_rand_binomial_count():
     assert abs(two_choice - 5_000) <= 4 * sigma
 
 
+# each chi-square check below fails a correct generator with probability
+# 1e-3 over the choice of seed
+_FALSE_ALARM = 1e-3
+
+
+def _fits(counts, expected) -> bool:
+    """Whether observed cell counts pass a chi-square goodness-of-fit test
+    against the expected counts at the false-alarm level."""
+    statistic = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
+    return statistic < chi2.ppf(1 - _FALSE_ALARM, len(counts) - 1)
+
+
+def _pairs_uniform(pairs, rows, cols) -> bool:
+    """Whether (row, col) pairs fit the uniform joint table: uniform in
+    each coordinate, and the two independent."""
+    table = collections.Counter(pairs)
+    assert set(table) <= {(r, c) for r in rows for c in cols}
+    cells = [table[r, c] for r in rows for c in cols]
+    return _fits(cells, [len(pairs) / len(cells)] * len(cells))
+
+
+def _graphs(params, count):
+    return [gen_graph(params, RngSeed(99).derive(t)).choices for t in range(count)]
+
+
+def test_gen_graph_partitioned_joint_table_chi_square():
+    # banks of 3 and 6 bins: 18 cells of about 1000 keys each
+    rows = [row for g in _graphs(ModelParams.partitioned(90, 9, 1 / 3), 200) for row in g]
+    assert _pairs_uniform(rows, range(3), range(3, 9))
+
+
+def test_gen_graph_mixed_rand_chi_square():
+    # m = 5, p = 0.3: about 12000 two-choice keys over 25 cells
+    n, m, p, graphs = 200, 5, 0.3, 200
+    rows = [row for g in _graphs(ModelParams.mixed_rand(n, m, p), graphs) for row in g]
+    pairs = [row for row in rows if len(row) == 2]
+    assert _pairs_uniform(pairs, range(m), range(m))
+    ones = collections.Counter(row[0] for row in rows if len(row) == 1)
+    assert _fits([ones[b] for b in range(m)], [(len(rows) - len(pairs)) / m] * m)
+    # the coin: two-choice keys against one-choice keys
+    assert _fits([len(pairs), len(rows) - len(pairs)], [p * len(rows), (1 - p) * len(rows)])
+
+
+def test_chi_square_checks_catch_a_choice_derived_from_another():
+    # both choices of a pair from one word, each uniform on its own: the
+    # down choice w mod 6 fixes the up choice w mod 3, and w mod 5 taken
+    # twice fills only the diagonal
+    words = SplitMix64(5).draws(1 << 64, 18_000)
+    assert not _pairs_uniform([(w % 3, 3 + w % 6) for w in words], range(3), range(3, 9))
+    assert not _pairs_uniform([(w % 5, w % 5) for w in words], range(5), range(5))
+
+
 # sha256 of repr(choices) and the final generator state of one draw per
 # variant, pinned from the draw-by-draw generator (one below() call per
-# choice): a moved draw changes the digest or the state
+# choice): key by key for the d-choice models, every coin and then every
+# key's choices for mixed-rand, every up-bank and then every down-bank
+# choice for partitioned; a moved draw changes the digest or the state
 _GRAPH_GOLDEN = {
     "d2": ("4ca5d79b0853e49fdef313ae08da460841a0e0b188a162d3c81b0af043da0dfe", 0xFD796147859BA21C),
     "mixed-det": ("cbe42b90c3dc6cb4fed84613a3321397a78f494b4936beeff49bab38e81b3623", 0xF91FA2FAE8214918),
-    "mixed-rand": ("a6c853b9b3ca509c9c40bfed1dcdcfee4c188bef19ea24afc987cef2c4725986", 0x43B516CFB08EC591),
-    "partitioned": ("5513695c3f123e159a1fade3a8329fe6cfc7c487a8abab22ba71ad64d7601114", 0xFD796147859BA21C),
+    "mixed-rand": ("a2a1f8b3e537710da51de211ba43b64e3e47f3d6d46f883b39a23325bfbba70e", 0x639BA5DAA3CB7F0B),
+    "partitioned": ("3f40aca4396df68ec64cdbc8ca5940bdd902d1e86f99795cf0ae6ec156a1a76f", 0xFD796147859BA21C),
     "fixed-d": ("9cabf42d3a37aa6cc5a5081d3a67a180a66bf53cfe2432eb887d1c4752b37b40", 0x62CDDE0C0905424),
 }
 _GRAPH_PARAMS = {

@@ -27,10 +27,8 @@ from .exact import (
     expected_matching_mixed_det,
     expected_matching_mixed_rand,
     expected_matching_partitioned,
-    husimi_count,
     matching_upper_bound_d,
     stash_size_for_epsilon,
-    tree_count_d2,
 )
 from .hashing import bin_choices, choice_function, wang_mix64
 from .matching import (
@@ -84,7 +82,6 @@ __all__ = [
     "gamma_mixed_rand",
     "gamma_partitioned",
     "gen_graph",
-    "husimi_count",
     "lambert_w0",
     "matching_upper_bound_d",
     "max_matching",
@@ -94,6 +91,5 @@ __all__ = [
     "run_trace_experiment",
     "stash_size_for_epsilon",
     "synthetic_stream",
-    "tree_count_d2",
     "wang_mix64",
 ]

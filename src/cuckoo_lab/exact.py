@@ -13,16 +13,18 @@ right vertices (bins):
 
 Each expectation is an alternating-structure count: the expected matching
 size equals m minus the expected number of components that strand one bin.
-Those component counts are built from closed-form labeled-tree counts and
-evaluated summand-by-summand in the log domain, then accumulated with
-exact compensated summation, because adjacent summands can differ by
-hundreds of orders of magnitude when n and m reach 1e5.  Each binomial and
-falling factorial is carried from one summand to the next by the log of
-one exact ratio of integers, never formed as a difference of log-gamma
-values near m ln m: below load 1/2 the stash is an O(1/m) difference of
-O(m) summands, and those differences would leave it mostly rounding
-error.  Each model yields its series one component size s at a time, and
-one loop, :func:`_series`, sums all five and applies the one stopping rule.
+Those component counts are built from closed-form labeled-tree counts
+(q! q^(s-2) / ((d-1)!)^s trees join s elements of d choices to q =
+(d-1)s + 1 bins) and evaluated summand-by-summand in the log domain, then
+accumulated with exact compensated summation, because adjacent summands
+can differ by hundreds of orders of magnitude when n and m reach 1e5.
+Each binomial and falling factorial is carried from one summand to the
+next by the log of one exact ratio of integers, never formed as a
+difference of log-gamma values near m ln m: below load 1/2 the stash is
+an O(1/m) difference of O(m) summands, and those differences would leave
+it mostly rounding error.  Each model yields its series one component
+size s at a time, and one loop, :func:`_series`, sums all five and
+applies the one stopping rule.
 """
 
 from __future__ import annotations
@@ -76,14 +78,16 @@ class ModelParams:
         if self.m < 1:
             raise ValueError("m must be >= 1")
         # the series and the bank split take n and m as floats
-        for name, count in (("n", self.n), ("m", self.m)):
-            if count > sys.float_info.max:
-                raise ValueError(f"{name} must be at most {sys.float_info.max:g}, the float range")
+        _require_float_range(self.n, "n")
+        _require_float_range(self.m, "m")
+        # so do the d-choice series the d*n choices that may avoid a
+        # component, and the two-bank series the bank product m1*m2
         if self.variant == "d2":
-            pass
+            _require_float_range(2 * self.n, "d*n with d = 2")
         elif self.variant == "mixed-det":
             if self.a is None or not 1.0 <= self.a <= 2.0:
                 raise ValueError("mixed-det requires a in [1, 2]")
+            _require_float_range(self.a * self.n, "a*n")
             require_integral(self.a * self.n, "a*n")
         elif self.variant == "mixed-rand":
             if self.p is None or not 0.0 <= self.p <= 1.0:
@@ -91,11 +95,14 @@ class ModelParams:
         elif self.variant == "partitioned":
             if self.beta is None or not 0.0 <= self.beta <= 1.0:
                 raise ValueError("partitioned requires beta in [0, 1]")
-            if not 0 < require_integral(self.beta * self.m, "beta*m") < self.m:
+            m1 = require_integral(self.beta * self.m, "beta*m")
+            if not 0 < m1 < self.m:
                 raise ValueError("beta*m leaves a bank empty; use asymptotic --model partitioned instead")
+            _require_float_range(m1 * (self.m - m1), "beta*m * (m - beta*m)")
         elif self.variant == "fixed-d":
             if self.d is None or self.d < 2:
                 raise ValueError("d must be >= 2")
+            _require_float_range(self.d * self.n, f"d*n with d = {self.d}")
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -137,6 +144,11 @@ class ModelParams:
         return require_integral(self.beta * self.m, "beta*m")
 
 
+def _require_float_range(value: float, what: str) -> None:
+    if value > sys.float_info.max:
+        raise ValueError(f"{what} must be at most {sys.float_info.max:g}, the float range")
+
+
 def require_integral(value: float, what: str) -> int:
     """Round ``value`` to the nearest integer, rejecting anything farther
     away than floating-point noise.  The exact formulas are only defined
@@ -164,66 +176,25 @@ class ExactResult:
 
 
 # ---------------------------------------------------------------------------
-# labeled component counts (log domain)
-
-
-def tree_count_d2(s: int) -> float:
-    """ln of the number of connected bipartite graphs with s left vertices
-    of degree exactly 2 and s+1 right vertices: (s+1)^(s-1) * s!.
-
-    Such graphs are precisely the trees over the s + (s+1) labeled
-    vertices in which every left vertex has two distinct neighbors.
-    """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if s == 0:
-        return 0.0
-    return (s - 1) * log(s + 1) + lgamma(s + 1)
-
-
-def husimi_count(s: int, d: int) -> float:
-    """ln of the number of connected bipartite graphs with s left vertices
-    of degree d and q = (d-1)*s + 1 right vertices.
-
-    These are the trees in which every left vertex has d distinct
-    neighbors; contracting each left vertex into a d-clique over its
-    neighbors turns them into the Husimi graphs over q labeled vertices,
-    giving q! / ((d-1)!)^s * q^(s-2).  For d = 2 this is the same count as
-    :func:`tree_count_d2` and is delegated so the two agree bit for bit.
-    """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if d == 2:
-        return tree_count_d2(s)
-    q = (d - 1) * s + 1
-    return lgamma(q + 1) - s * lgamma(d) + (s - 2) * log(q)
-
-
-# ---------------------------------------------------------------------------
 # summing the series
 
 
-def _series(n: int, m: int, rows: Iterator[float], truncate: bool = True) -> ExactResult:
+def _series(n: int, m: int, rows: Iterator[float]) -> ExactResult:
     """m minus the sum of ``rows``, the expected number of bins stranded by
     the tree components with s = 0, 1, ... elements, clamped to
-    [0, min(n, m)].
-
-    With ``truncate`` the sum stops once TRUNCATION_RUN consecutive rows
+    [0, min(n, m)].  The sum stops once TRUNCATION_RUN consecutive rows
     fall below TRUNCATION_EPS times the running total.
     """
     terms: list[float] = []
     running, tiny_run, truncated_at = 0.0, 0, None
     for s, term in enumerate(rows):
         terms.append(term)
-        if truncate:
-            running += term
-            if term >= TRUNCATION_EPS * running:
-                tiny_run = 0
-            elif (tiny_run := tiny_run + 1) >= TRUNCATION_RUN:
-                truncated_at = s
-                break
+        running += term
+        if term >= TRUNCATION_EPS * running:
+            tiny_run = 0
+        elif (tiny_run := tiny_run + 1) >= TRUNCATION_RUN:
+            truncated_at = s
+            break
     mu = min(max(m - fsum(terms), 0.0), float(min(n, m)))
     return ExactResult(mu=mu, stash_expected=n - mu, terms=tuple(terms), truncated_at=truncated_at)
 
@@ -250,8 +221,10 @@ def _deficit_rows(n: int, m: int, d: int, pool: int, p: float) -> Iterator[float
     second form is the binomial average of the first over the two-choice
     count, summed in closed form by C(n,k) C(k,s) = C(n,s) C(n-s,k-s).
 
-    The connected shapes are the Husimi count (:func:`husimi_count`) times
-    (d!)^s orders of the choices, over the q^(ds) choice vectors, so
+    The connected shapes are the trees in which each of the s elements has
+    d distinct neighbors among the q bins, q! q^(s-2) / ((d-1)!)^s of them
+    (the Husimi graphs on q labeled vertices), each in (d!)^s orders of the
+    choices, over the q^(ds) choice vectors, so
     conn(s,d) = d^s q! q^(s-2) / q^(ds) and summand s is
 
         m (dp)^s q^(s-2) avoid(q/m) * C(pool,s) (q-s) (m-1)...(m-q+1) / m^(ds).
@@ -285,7 +258,7 @@ def _deficit_rows(n: int, m: int, d: int, pool: int, p: float) -> Iterator[float
         yield m * exp(head + s * log_dp + (s - 2) * log(q) + (e * out if e else 0.0))
 
 
-def expected_matching_d2(n: int, m: int, *, truncate: bool = True) -> ExactResult:
+def expected_matching_d2(n: int, m: int) -> ExactResult:
     """Expected maximum matching size when every element draws two
     independent uniform bins.
 
@@ -294,7 +267,7 @@ def expected_matching_d2(n: int, m: int, *, truncate: bool = True) -> ExactResul
     times the connection probability 2^s s! / (s+1)^(s+1).
     """
     ModelParams.fixed2(n, m)
-    return _series(n, m, _deficit_rows(n, m, 2, n, 1.0), truncate)
+    return _series(n, m, _deficit_rows(n, m, 2, n, 1.0))
 
 
 def expected_matching_mixed_det(n: int, m: int, a: float) -> ExactResult:
@@ -316,7 +289,7 @@ def expected_matching_mixed_rand(n: int, m: int, p: float) -> ExactResult:
     return _series(n, m, _deficit_rows(n, m, 2, pool, p))
 
 
-def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool = True) -> ExactResult:
+def expected_matching_partitioned(n: int, m: int, beta: float) -> ExactResult:
     """Expected maximum matching size for the two-bank model: beta*m up
     bins, (1-beta)*m down bins, one uniform choice of each element in each
     bank.  beta*m must be integral and both banks non-empty (see
@@ -324,7 +297,7 @@ def expected_matching_partitioned(n: int, m: int, beta: float, *, truncate: bool
     partitions beta in {0, 1}.
     """
     m1 = ModelParams.partitioned(n, m, beta).up_bank_size
-    return _series(n, m, _partitioned_rows(n, m1, m - m1), truncate)
+    return _series(n, m, _partitioned_rows(n, m1, m - m1))
 
 
 def _partitioned_rows(n: int, m1: int, m2: int) -> Iterator[float]:
@@ -463,8 +436,12 @@ def stash_size_for_epsilon(n: int, m: int, epsilon: float) -> float:
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be in (0, 1]")
     result = expected_matching_d2(n, m)
-    # -log(epsilon) stays finite where 1/epsilon overflows (subnormal epsilon)
-    return result.stash_expected + sqrt(2.0 * n * -log(epsilon))
+    # -log(epsilon) stays finite where 1/epsilon overflows (subnormal epsilon),
+    # and the product with 2n, which can overflow, is rooted factor by factor
+    margin = 2.0 * n * -log(epsilon)
+    if margin > sys.float_info.max:
+        return result.stash_expected + sqrt(2.0 * n) * sqrt(-log(epsilon))
+    return result.stash_expected + sqrt(margin)
 
 
 def concentration_tail_bound(lam: float, *, one_sided: bool = False) -> float:

@@ -264,6 +264,15 @@ def log_connect(s: int, d: int) -> float:
     return s * math.lgamma(d + 1) + husimi - d * s * math.log(q)
 
 
+def tree_count(s: int, d: int) -> float:
+    """The closed-form count of the trees in which each of s elements has d
+    distinct neighbors among q = (d-1)s + 1 labeled bins: the probability
+    of :func:`log_connect` times the q^(ds) choice vectors it is taken
+    over, divided by the (d!)^s orders of each element's choices."""
+    q = (d - 1) * s + 1
+    return math.exp(log_connect(s, d)) * q ** (d * s) / math.factorial(d) ** s
+
+
 # ---------------------------------------------------------------------------
 # mixed-choice limit
 
@@ -385,7 +394,7 @@ def partitioned_row_logs(n: int, m1: int, m2: int, s: int) -> list[float]:
     return logs
 
 
-def partitioned_series_full(n: int, m1: int, m2: int, *, truncate: bool = True):
+def partitioned_series_full(n: int, m1: int, m2: int):
     """The two-bank series summed over every summand of every row: returns
     (mu, terms, truncated_at) as ``expected_matching_partitioned`` reports
     them, with the same stopping rule (50 consecutive row sums below 1e-18
@@ -396,15 +405,14 @@ def partitioned_series_full(n: int, m1: int, m2: int, *, truncate: bool = True):
     for s in range(n + 1):
         term = math.fsum(math.exp(lt) for lt in partitioned_row_logs(n, m1, m2, s) if lt != float("-inf"))
         terms.append(term)
-        if truncate:
-            running += term
-            if term < 1e-18 * running:
-                tiny_run += 1
-                if tiny_run >= 50:
-                    truncated_at = s
-                    break
-            else:
-                tiny_run = 0
+        running += term
+        if term < 1e-18 * running:
+            tiny_run += 1
+            if tiny_run >= 50:
+                truncated_at = s
+                break
+        else:
+            tiny_run = 0
     mu = min(max(m - math.fsum(terms), 0.0), float(min(n, m)))
     return mu, tuple(terms), truncated_at
 

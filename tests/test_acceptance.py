@@ -18,9 +18,7 @@ from cuckoo_lab.exact import (
     ModelParams,
     expected_matching_d2,
     expected_matching_mixed_det,
-    husimi_count,
     matching_upper_bound_d,
-    tree_count_d2,
 )
 from cuckoo_lab.matching import BipartiteGraph, max_matching, mu_via_deficit
 from cuckoo_lab.simulate import RngSeed, concentration_experiment, estimate_mu
@@ -199,8 +197,8 @@ def test_criterion_11_companion_half_below_mean():
 def test_criterion_12_tree_count_oracles():
     for s in range(5):
         count = oracles.count_connected_pairs_d2(s)
-        assert round(math.exp(tree_count_d2(s))) == count
-        assert math.exp(tree_count_d2(s)) == pytest.approx(count, rel=1e-12)
+        assert round(oracles.tree_count(s, 2)) == count
+        assert oracles.tree_count(s, 2) == pytest.approx(count, rel=1e-12)
 
     for i in range(7):
         for j in range(7):
@@ -222,7 +220,7 @@ def test_criterion_12_tree_count_oracles():
         s = 0
         while (d - 1) * s + 1 <= 7:
             count = oracles.count_connected_general(s, d)
-            assert round(math.exp(husimi_count(s, d))) == count
+            assert round(oracles.tree_count(s, d)) == count
             s += 1
     # d = 2 reaches s = 6, beyond direct enumeration; the decomposition
     # count provides the oracle there (itself validated against direct
@@ -231,5 +229,5 @@ def test_criterion_12_tree_count_oracles():
         assert oracles.count_connected_d2_by_decomposition(s) == oracles.count_connected_pairs_d2(s)
     for s in range(7):
         count = oracles.count_connected_d2_by_decomposition(s)
-        assert round(math.exp(husimi_count(s, 2))) == count
+        assert round(oracles.tree_count(s, 2)) == count
     _passed(12, "labeled component counts match exhaustive enumeration")

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -37,6 +38,32 @@ def _run(capsys, *argv):
 
 def _json(out: str) -> dict:
     return json.loads(out)
+
+
+def _readme_commands():
+    """Each README line that starts with ``cuckoo-lab``, as argv, without
+    its ``> file`` redirection."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    for line in readme.read_text().splitlines():
+        if line.startswith("cuckoo-lab "):
+            argv = shlex.split(line)[1:]
+            yield argv[: argv.index(">")] if ">" in argv else argv
+
+
+def test_readme_commands_parse_and_the_fast_ones_run(capsys):
+    # simulate, trace and concentration at the README's sizes take seconds,
+    # so they are only parsed
+    commands = list(_readme_commands())
+    assert {argv[0] for argv in commands} == {"exact", "asymptotic", "stash-size", "simulate", "trace", "concentration"}
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+        if argv[0] in ("exact", "asymptotic", "stash-size"):
+            code, _, err = _run(capsys, *argv)
+            assert code == 0, (argv, err)
 
 
 def test_exact_d2_example(capsys):
@@ -284,6 +311,22 @@ def test_stash_size_at_subnormal_epsilon(capsys, n, m):
     assert results["stash_slots"] == math.ceil(results["stash_real"])
 
 
+def test_exact_commands_answer_up_to_the_float_range(capsys):
+    # the mixed models weigh a row by n - s or a*n choices, not 2n, and the
+    # stash margin's 2 n ln(1/epsilon) overflows where its root does not
+    for argv in (
+        ("exact", "--n", str(10**308), "--m", "3", "--model", "mixed-rand", "--p", "0.5"),
+        ("exact", "--n", str(10**308), "--m", "3", "--model", "mixed-det", "--a", "1.5"),
+        ("stash-size", "--n", str(10**307), "--m", "3", "--epsilon", "1e-300"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, (argv, err)
+    # the margin, ~1e155, is below an ulp of the stash
+    results = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert results["stash_real"] == stash_size_for_epsilon(10**307, 3, 1e-300) == 1e307
+    assert results["stash_slots"] == math.ceil(results["stash_real"])
+
+
 def test_trace_rejects_fractional_bank(capsys):
     code, _, err = _run(
         capsys, "trace", "--synthetic", "1", "--m", "50", "--repeats", "1", "--beta", "0.25"
@@ -403,6 +446,13 @@ def test_argument_errors_exit_2(capsys, tmp_path):
         ("exact", "--n", "3", "--m", str(10**400), "--model", "partitioned", "--beta", "0.5"),
         ("stash-size", "--n", "3", "--m", str(10**400), "--epsilon", "0.5"),
         ("exact", "--n", str(10**400), "--m", "3", "--model", "mixed-rand", "--p", "0.5"),
+        # more choices (d*n, a*n) or bank pairs (beta*m * (m - beta*m)) than a float holds
+        ("exact", "--n", str(10**308), "--m", "3", "--model", "d2"),
+        ("exact", "--n", str(10**308), "--m", "3", "--model", "bound-d", "--d", "3"),
+        ("exact", "--n", str(10**308), "--m", "3", "--model", "mixed-det", "--a", "2"),
+        ("stash-size", "--n", str(10**308), "--m", "3", "--epsilon", "0.1"),
+        ("exact", "--n", "3", "--m", str(10**308), "--model", "partitioned", "--beta", "0.5"),
+        ("exact", "--n", "3", "--m", str(10**160), "--model", "partitioned", "--beta", "0.5"),
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv)
@@ -415,6 +465,11 @@ def test_argument_errors_exit_2(capsys, tmp_path):
         (("simulate", "--n", "0", "--m", "10", "--model", "partitioned", "--beta", "0", "--trials", "1"),
          "use asymptotic --model partitioned"),
         (("stash-size", "--n", str(10**400), "--m", "3", "--epsilon", "0.5"), "error: n must be at most"),
+        (("exact", "--n", str(10**308), "--m", "3", "--model", "d2"), "error: d*n with d = 2 must be at most"),
+        (("exact", "--n", str(10**308), "--m", "3", "--model", "bound-d", "--d", "3"),
+         "error: d*n with d = 3 must be at most"),
+        (("exact", "--n", "3", "--m", str(10**308), "--model", "partitioned", "--beta", "0.5"),
+         "error: beta*m * (m - beta*m) must be at most"),
     ]
     for argv, message in worded:
         code, _, err = _run(capsys, *argv)

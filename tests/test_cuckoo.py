@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import Phase, settings, strategies as st
+from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from cuckoo_lab import cuckoo
@@ -447,10 +447,7 @@ test_table_against_reference_state_machine = TableAgainstReference.TestCase
 class SmallTableAgainstReference(TableAgainstReference):
     """The machine above on tables of 3 to 12 bins, where a fault in the
     table shows within a few steps and its example shrinks in about a
-    second.  It skips hypothesis's explain phase, which replays the shrunk
-    example hundreds of times under a line tracer: on a 2-CPU machine that
-    phase took 286 s of the 308 s the machine above needed to fail on a
-    fault in the chooser index, and 34 s of 35 s here."""
+    second."""
 
     @initialize(shape=st.sampled_from(sorted(_SHAPES)), size=st.integers(3, 12),
                 load=st.sampled_from((0.0, 0.5, 1.0, 1.2)), seed=st.integers(0, 2**32))
@@ -458,9 +455,7 @@ class SmallTableAgainstReference(TableAgainstReference):
         super().make(shape, size, load, seed)
 
 
-SmallTableAgainstReference.TestCase.settings = settings(
-    max_examples=150, stateful_step_count=30, phases=[p for p in Phase if p is not Phase.explain]
-)
+SmallTableAgainstReference.TestCase.settings = settings(max_examples=150, stateful_step_count=30)
 test_small_table_against_reference_state_machine = SmallTableAgainstReference.TestCase
 
 

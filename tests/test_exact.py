@@ -15,10 +15,8 @@ from cuckoo_lab.exact import (
     expected_matching_mixed_det,
     expected_matching_mixed_rand,
     expected_matching_partitioned,
-    husimi_count,
     matching_upper_bound_d,
     stash_size_for_epsilon,
-    tree_count_d2,
 )
 
 import oracles
@@ -51,17 +49,12 @@ HUSIMI_COUNTS = {(1, 3): 1, (2, 3): 30, (3, 3): 4410, (1, 4): 1, (2, 4): 140, (0
 
 def test_tree_count_d2_frozen_values():
     for s, count in TREE_COUNTS_D2.items():
-        assert math.exp(tree_count_d2(s)) == pytest.approx(count, rel=1e-12)
+        assert oracles.tree_count(s, 2) == pytest.approx(count, rel=1e-12)
 
 
 def test_tree_count_d2_matches_enumeration():
     for s in range(5):
         assert oracles.count_connected_pairs_d2(s) == TREE_COUNTS_D2[s]
-
-
-def test_tree_count_d2_rejects_negative():
-    with pytest.raises(ValueError):
-        tree_count_d2(-1)
 
 
 def _partitioned_count(i, j):
@@ -88,24 +81,12 @@ def test_tree_count_partitioned_impossible_shapes_count_zero():
 
 def test_husimi_count_frozen_values():
     for (s, d), count in HUSIMI_COUNTS.items():
-        assert math.exp(husimi_count(s, d)) == pytest.approx(count, rel=1e-12)
+        assert oracles.tree_count(s, d) == pytest.approx(count, rel=1e-12)
 
 
 def test_husimi_count_matches_enumeration():
     for (s, d), count in HUSIMI_COUNTS.items():
         assert oracles.count_connected_general(s, d) == count
-
-
-def test_husimi_count_d2_equals_tree_count_exactly():
-    for s in range(60):
-        assert husimi_count(s, 2) == tree_count_d2(s)
-
-
-def test_husimi_count_validation():
-    with pytest.raises(ValueError):
-        husimi_count(2, 1)
-    with pytest.raises(ValueError):
-        husimi_count(-1, 3)
 
 
 def test_connect_probability_examples():
@@ -187,11 +168,10 @@ def test_expected_matching_d2_single_bin():
 
 
 def test_truncation_fires_and_is_harmless():
-    full = expected_matching_d2(3000, 3000, truncate=False)
     cut = expected_matching_d2(3000, 3000)
     assert cut.truncated_at is not None
     assert cut.truncated_at < 3000
-    assert cut.mu == pytest.approx(full.mu, abs=1e-9)
+    assert cut.mu == pytest.approx(float(3000 - oracles.deficit_stash_decimal(3000, 3000)), abs=1e-9)
 
 
 @given(st.integers(0, 24), st.integers(1, 24))
@@ -420,10 +400,8 @@ def _partitioned_grid():
 def test_partitioned_matches_full_series():
     # rows summed outward from their peak equal every summand summed, bit for bit
     for n, m, m1 in _partitioned_grid():
-        for truncate in (True, False):
-            got = expected_matching_partitioned(n, m, m1 / m, truncate=truncate)
-            want = oracles.partitioned_series_full(n, m1, m - m1, truncate=truncate)
-            assert (got.mu, got.terms, got.truncated_at) == want, (n, m, m1, truncate)
+        got = expected_matching_partitioned(n, m, m1 / m)
+        assert (got.mu, got.terms, got.truncated_at) == oracles.partitioned_series_full(n, m1, m - m1), (n, m, m1)
 
 
 _LOG_CONCAVE_ROWS = {

@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "gamma_mixed_rand",
     "gamma_partitioned",
     "gen_graph",
-    "husimi_count",
     "lambert_w0",
     "matching_upper_bound_d",
     "max_matching",
@@ -62,7 +61,6 @@ PUBLIC_NAMES = [
     "run_trace_experiment",
     "stash_size_for_epsilon",
     "synthetic_stream",
-    "tree_count_d2",
     "wang_mix64",
 ]
 

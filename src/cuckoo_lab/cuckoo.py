@@ -41,17 +41,21 @@ insert-only build never indexes their occupants; the next deletion that
 empties a dead bin indexes them before it walks.
 
 The stash keeps each key's cached choices in insertion order, so
-promotions never rehash.  A table builds its key-to-choices function
-once (:func:`cuckoo_lab.hashing.choice_function`), so insert and lookup
-hash a key without re-checking the table's shape.
+promotions never rehash.  A table builds its choice maps once, over one
+checked plan (:func:`cuckoo_lab.hashing.choice_maps`), so a key is hashed
+without re-checking the table's shape: insert and lookup use the per-key
+map, and ``insert_many`` the batch map, which hashes a block of keys in
+one pass over 128-bit lanes and then places them one by one, as
+``insert`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
-from .hashing import choice_function
+from .hashing import _LANES, choice_maps
 from .matching import augment
 
 
@@ -103,7 +107,7 @@ class CuckooTable:
         if len(self.seeds) != self.d:
             raise ValueError(f"need exactly {self.d} seeds")
         # checks m and the partition boundary
-        self._choices = choice_function(self.seeds, self.m, self.d, self.partition_boundary)
+        self._choices, self._batch_choices = choice_maps(self.seeds, self.m, self.d, self.partition_boundary)
         # bins hold (key, choices) so displacement chains never rehash
         self._bins: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * self.m
         # stashed key -> its choices, in stash (insertion) order
@@ -129,9 +133,23 @@ class CuckooTable:
     def insert(self, key: int) -> Optional[int]:
         """Insert a key; returns its bin index, or None if it went to the
         stash.  Duplicate keys are rejected (set semantics)."""
+        return self._place(key, self._choices(key))
+
+    def insert_many(self, keys: Iterable[int]) -> None:
+        """Insert the keys in order, as :meth:`insert` would one by one,
+        but hash them _LANES at a time with the batch choice map.  A
+        duplicate raises :class:`DuplicateKeyError` with the keys before it
+        stored."""
+        keys = iter(keys)
+        while block := tuple(islice(keys, _LANES)):
+            for key, choices in zip(block, self._batch_choices(block)):
+                self._place(key, choices)
+
+    def _place(self, key: int, choices: tuple[int, ...]) -> Optional[int]:
+        """Store a new key whose choices are hashed: in the bin that ends
+        its augmenting chain, or in the stash when it has none."""
         if key in self._where:
             raise DuplicateKeyError(f"key {key} already stored")
-        choices = self._choices(key)
         chain = augment(self._bins, self._dead, choices, self._marked)
         if chain is None:
             self._stash[key] = choices

@@ -3,13 +3,60 @@
 The mix function below is pinned bit-for-bit (every step modulo 2^64) so
 that table layouts and experiment outputs reproduce across platforms and
 implementations.
+
+A table's bin choices come from one checked plan, with two maps over it:
+a per-key map, and a batch map that hashes many keys in one pass.  The
+batch map puts each key in its own 128-bit lane of a single Python
+integer, and every step of the mix becomes a few big-integer operations
+over all lanes at once.  A lane holds a 64-bit word, so its product with
+a constant below 2^64 stays below 2^128 and carries nothing into the next
+lane; masking with 2^64 - 1 in every lane clears the bits a shift brings
+in from the neighbouring lane.  The words equal those of the scalar mix,
+one by one.  :class:`cuckoo_lab.simulate.SplitMix64` mixes its words the
+same way, with the lane helpers below.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Callable, Optional, Sequence
 
 _MASK64 = (1 << 64) - 1
+
+# words mixed per pass, which bounds the integer holding them at 16 KiB
+_LANES = 1024
+
+# over _LANES 128-bit lanes, every lane holds 1, or 2^64 - 1
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+_LOW = _ONES * _MASK64
+
+
+def _lane_masks(count: int) -> tuple[int, int]:
+    """_ONES and _LOW cut to their first ``count`` lanes, count <= _LANES."""
+    keep = (1 << (count << 7)) - 1
+    return _ONES & keep, _LOW & keep
+
+
+def _pack_lanes(words: Sequence[int]) -> int:
+    """The words, each in [0, 2^64), in the low halves of as many 128-bit
+    lanes."""
+    lanes = array("Q", bytes(len(words) << 4))
+    lanes[::2] = array("Q", words)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+def _unpack_lanes(lanes: int, count: int) -> array:
+    """The low halves of the first ``count`` 128-bit lanes, in lane order."""
+    # a fixed byte order, swapped into the host's, keeps the words the
+    # same on every platform; a lane's high half may hold bits shifted in
+    # from the next lane, and is dropped
+    words = array("Q", lanes.to_bytes(count << 4, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[::2]
 
 
 def wang_mix64(x: int) -> int:
@@ -34,20 +81,23 @@ def rejection_threshold(span: int) -> int:
     return (1 << 64) - (1 << 64) % span
 
 
-def choice_function(
+def choice_maps(
     seeds: Sequence[int],
     m: int,
     d: int,
     partition_boundary: Optional[int] = None,
-) -> Callable[[int], tuple[int, ...]]:
-    """The map from a key to its d candidate bins, with the arguments
-    checked and each choice's target range prepared once.
+) -> tuple[Callable[[int], tuple[int, ...]], Callable[[Sequence[int]], list[tuple[int, ...]]]]:
+    """The map from a key to its d candidate bins, and the batch map from a
+    sequence of keys to the list of their bins, built over one plan: the
+    arguments checked and each choice's target range prepared once.
 
     Choice i is wang_mix64(key XOR seeds[i]) reduced into its range
     [lo, lo + span) without modulo bias: the mixed value is re-mixed while
     it is at or above :func:`rejection_threshold`.  With a partition
     boundary (d = 2 only), choice 0 lands in [0, boundary) and choice 1 in
-    [boundary, m).
+    [boundary, m).  Keys and seeds act through their low 64 bits.  The
+    batch map mixes up to _LANES keys per pass over 128-bit lanes (module
+    docstring) and gives, key by key, what the per-key map gives.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -62,7 +112,7 @@ def choice_function(
             raise ValueError("partition boundary must split the bins")
         ranges = [(0, partition_boundary), (partition_boundary, m - partition_boundary)]
     plan = tuple(
-        (seed, lo, span, rejection_threshold(span))
+        (seed & _MASK64, lo, span, rejection_threshold(span))
         for seed, (lo, span) in zip(seeds, ranges)
     )
 
@@ -70,8 +120,8 @@ def choice_function(
         out = []
         for seed, lo, span, threshold in plan:
             # wang_mix64 inlined, each shift-and-add step as one product;
-            # the first is reduced modulo 2^64, so key and seed act through
-            # their low 64 bits
+            # the first is reduced modulo 2^64, so the key acts through its
+            # low 64 bits
             x = key ^ seed
             x = (x * 0x1FFFFF - 1) & _MASK64  # ~x + (x << 21)
             x ^= x >> 24
@@ -85,7 +135,49 @@ def choice_function(
             out.append(lo + x % span)
         return tuple(out)
 
-    return choices
+    def batch(keys: Sequence[int]) -> list[tuple[int, ...]]:
+        out: list[tuple[int, ...]] = []
+        for start in range(0, len(keys), _LANES):
+            block = keys[start : start + _LANES]
+            count = len(block)
+            ones, low = _lane_masks(count)
+            try:
+                packed = _pack_lanes(block)
+            except OverflowError:  # a key outside [0, 2^64)
+                packed = _pack_lanes([k & _MASK64 for k in block])
+            columns = []
+            for seed, lo, span, threshold in plan:
+                # the steps of choices() over every lane; adding 2^64 - 1
+                # subtracts 1 modulo 2^64 without a borrow across lanes
+                x = ((packed ^ seed * ones) * 0x1FFFFF + low) & low
+                x = ((x ^ (x >> 24)) & low) * 265 & low
+                x = ((x ^ (x >> 14)) & low) * 21 & low
+                # below 2^96 per lane, so the last product needs no mask
+                x = ((x ^ (x >> 28)) & low) * 0x80000001
+                words = _unpack_lanes(x, count)
+                if max(words) >= threshold:
+                    words = [_remix(w, threshold) for w in words]
+                columns.append([lo + w % span for w in words])
+            out += zip(*columns)
+        return out
+
+    return choices, batch
+
+
+def _remix(x: int, threshold: int) -> int:
+    while x >= threshold:
+        x = wang_mix64(x)
+    return x
+
+
+def choice_function(
+    seeds: Sequence[int],
+    m: int,
+    d: int,
+    partition_boundary: Optional[int] = None,
+) -> Callable[[int], tuple[int, ...]]:
+    """The per-key map of :func:`choice_maps`."""
+    return choice_maps(seeds, m, d, partition_boundary)[0]
 
 
 def bin_choices(

@@ -9,19 +9,15 @@ order.
 
 Words are mixed many at a time.  The output of the k-th step,
 mix64(state + k * gamma), depends only on k, so a block of successive words
-is computed in one pass: each word sits in its own 128-bit lane of a single
-Python integer, and every step of :func:`mix64` becomes a few big-integer
-operations over all lanes at once.  A lane holds a 64-bit word, so its
-product with a 64-bit constant stays below 2^128 and carries nothing into
-the next lane; masking with 2^64 - 1 in every lane clears the bits a shift
-brings in from the neighbouring lane.  The words equal those of the scalar
-:func:`mix64`, one by one.
+is computed in one pass over 128-bit lanes, with the lane helpers of
+:mod:`cuckoo_lab.hashing` (whose module docstring explains them): every
+step of :func:`mix64` becomes a few big-integer operations over all lanes
+at once.  The words equal those of the scalar :func:`mix64`, one by one.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -31,14 +27,11 @@ from math import sqrt
 from typing import Callable
 
 from .exact import ModelParams, evaluate, concentration_tail_bound
-from .hashing import rejection_threshold
+from .hashing import _LANES, _lane_masks, _unpack_lanes, rejection_threshold
 from .matching import BipartiteGraph, max_matching, mu_via_deficit
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-# words mixed per pass, which bounds the integer holding them at 16 KiB
-_LANES = 1024
 
 THREADS_ENV_VAR = "CUCKOO_LAB_THREADS"
 
@@ -51,11 +44,8 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# the lane constants of _words: over _LANES 128-bit lanes, lane k holds 1,
-# 2^64 - 1 and (k + 1) * gamma mod 2^64; a block of fewer lanes takes the
-# low lanes
-_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
-_LOW = _ONES * _MASK64
+# over _LANES 128-bit lanes, lane k holds (k + 1) * gamma mod 2^64; a block
+# of fewer lanes takes the low lanes
 _RAMP = int.from_bytes(
     b"".join(((k * _GOLDEN) & _MASK64).to_bytes(16, "little") for k in range(1, _LANES + 1)), "little"
 )
@@ -94,20 +84,13 @@ class SplitMix64:
     def _words(self, count: int) -> array:
         """The next ``count`` raw words, count <= _LANES, mixed in one pass
         over 128-bit lanes (see the module docstring)."""
-        keep = (1 << (count << 7)) - 1
-        low = _LOW & keep
-        z = (self.state * (_ONES & keep) + (_RAMP & keep)) & low
+        ones, low = _lane_masks(count)
+        z = (self.state * ones + (_RAMP & low)) & low
         z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
         z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
         z ^= z >> 31
         self.state = (self.state + count * _GOLDEN) & _MASK64
-        # a fixed byte order, swapped into the host's, keeps the words the
-        # same on every platform; each lane's high half holds bits shifted
-        # in from the next lane
-        words = array("Q", z.to_bytes(count << 4, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        return words[::2]
+        return _unpack_lanes(z, count)
 
 
 @dataclass(frozen=True)

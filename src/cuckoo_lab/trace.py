@@ -2,8 +2,9 @@
 
 A key stream is a sequence of 64-bit values, read from a file (hex lines
 or little-endian binary) or generated synthetically.  The experiment
-driver hashes each key with the pinned 64-bit mix, builds one table per
-repeat with fresh seeds, and aggregates overflow statistics across
+driver builds one table per repeat with fresh seeds, inserts the whole
+stream with one batch insert, which hashes the keys with the pinned 64-bit
+mix a block at a time, and aggregates overflow statistics across
 repeats, which is how confidence bands over the stash occupancy are
 produced.
 """
@@ -157,8 +158,7 @@ def _run_repeats(
     for repeat in range(lo, hi):
         seeds = tuple(RngSeed(base_seed).derive(repeat).draws(1 << 64, d))
         table = new_table(m, d, seeds, partition_boundary)
-        for key in keys:
-            table.insert(key)
+        table.insert_many(keys)
         outcomes.append((seeds, table.load_stats().stash_size))
     return outcomes
 

@@ -184,6 +184,45 @@ def test_remove_absent_leaves_table_unchanged():
 
 
 # ---------------------------------------------------------------------------
+# batch insert
+
+
+def _state(table: CuckooTable, keys) -> tuple:
+    return [table.bin_of(k) for k in keys], table.stash_keys(), table.stats, len(table)
+
+
+_SHAPES = [(2, None), (3, None), (2, 400)]
+
+
+@pytest.mark.parametrize("d, boundary", _SHAPES, ids=["d2", "d3", "two-bank"])
+@pytest.mark.parametrize("load", [0.5, 1.0, 1.5])
+def test_insert_many_equals_insert_loop(d, boundary, load):
+    # at load 1.5 the stream runs into a second hashing block
+    keys = SplitMix64(606).draws(1 << 64, int(1000 * load))
+    one_by_one, batched = _table(1000, d, 7, boundary), _table(1000, d, 7, boundary)
+    for key in keys:
+        one_by_one.insert(key)
+    batched.insert_many(keys)
+    assert _state(batched, keys) == _state(one_by_one, keys)
+    assert batched.stash_keys() or load < 1  # from load 1 on, the stash order is compared
+
+
+@pytest.mark.parametrize("d, boundary", _SHAPES, ids=["d2", "d3", "two-bank"])
+@pytest.mark.parametrize("repeat_at", [5, 1500])
+def test_insert_many_stops_at_a_duplicate_as_the_loop_does(d, boundary, repeat_at):
+    keys = SplitMix64(707).draws(1 << 64, 2000)
+    keys.insert(repeat_at, keys[3])
+    one_by_one, batched = _table(1000, d, 8, boundary), _table(1000, d, 8, boundary)
+    with pytest.raises(DuplicateKeyError, match=f"key {keys[3]} already stored"):
+        for key in keys:
+            one_by_one.insert(key)
+    with pytest.raises(DuplicateKeyError, match=f"key {keys[3]} already stored"):
+        batched.insert_many(iter(keys))
+    assert len(batched) == repeat_at
+    assert _state(batched, keys) == _state(one_by_one, keys)
+
+
+# ---------------------------------------------------------------------------
 # matching equivalence
 
 

@@ -94,7 +94,8 @@ DATACLASS_FIELDS = {
 PUBLIC_METHODS = {
     cuckoo_lab.SplitMix64: ["draws"],
     cuckoo_lab.CuckooTable: [
-        "bin_choices", "bin_of", "insert", "load_stats", "lookup", "remove", "stash_keys", "stored_keys",
+        "bin_choices", "bin_of", "insert", "insert_many", "load_stats", "lookup", "remove", "stash_keys",
+        "stored_keys",
     ],
 }
 

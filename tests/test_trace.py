@@ -8,7 +8,7 @@ from scipy.stats import chi2
 from cuckoo_lab import cli
 from cuckoo_lab.cuckoo import new_table
 from cuckoo_lab.exact import expected_matching_d2, stash_size_for_epsilon
-from cuckoo_lab.hashing import bin_choices, choice_function, wang_mix64
+from cuckoo_lab.hashing import _LANES, bin_choices, choice_function, choice_maps, wang_mix64
 from cuckoo_lab.simulate import RngSeed, SplitMix64
 from cuckoo_lab.trace import (
     KeyFormatError,
@@ -127,6 +127,30 @@ def test_choice_function_matches_reference(name):
     choices = choice_function(*shape)
     for key in SplitMix64(4242).draws(1 << 64, 10_000):
         assert choices(key) == reference_bin_choices(key, *shape)
+
+
+@pytest.mark.parametrize("name", list(BIN_CHOICES_GOLDEN))
+@pytest.mark.parametrize("count", [0, 1, _LANES, _LANES + 1, 2 * _LANES + 1])
+def test_batch_map_equals_per_key_map(name, count):
+    # the m2^63+1 shape re-mixes about half the words of every block
+    shape, expected = BIN_CHOICES_GOLDEN[name]
+    choices, batch = choice_maps(*shape)
+    assert batch(_GOLDEN_KEYS) == expected
+    keys = SplitMix64(2718).draws(1 << 64, count)
+    assert batch(keys) == [choices(k) for k in keys]
+
+
+_WIDE_KEYS = [0, -1, 2**64 - 1, 2**64 + 5]
+
+
+@pytest.mark.parametrize("name", list(BIN_CHOICES_GOLDEN))
+def test_batch_map_takes_keys_through_their_low_64_bits(name):
+    shape, expected = BIN_CHOICES_GOLDEN[name]
+    choices, batch = choice_maps(*shape)
+    assert batch(_WIDE_KEYS) == [expected[0], expected[3], expected[3], choices(5)]
+    # keys outside [0, 2^64) on both sides of a block edge
+    keys = SplitMix64(3141).draws(1 << 64, _LANES - 2) + _WIDE_KEYS
+    assert batch(keys) == [choices(k) for k in keys]
 
 
 @pytest.mark.parametrize(

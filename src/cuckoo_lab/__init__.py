@@ -30,7 +30,7 @@ from .exact import (
     matching_upper_bound_d,
     stash_size_for_epsilon,
 )
-from .hashing import bin_choices, choice_function, wang_mix64
+from .hashing import bin_choices, wang_mix64
 from .matching import (
     BipartiteGraph,
     max_matching,
@@ -68,7 +68,6 @@ __all__ = [
     "SplitMix64",
     "TraceReport",
     "bin_choices",
-    "choice_function",
     "concentration_experiment",
     "concentration_tail_bound",
     "disambiguate_duplicates",

@@ -325,8 +325,8 @@ def _points(args: argparse.Namespace) -> Iterator[argparse.Namespace]:
 
 def run(argv: Sequence[str]) -> int:
     """Execute one CLI invocation; returns the process exit code: 0, 2 for
-    bad input (any ValueError, or a flag argparse refuses), 1 for any other
-    failure."""
+    bad input (any ValueError, a flag argparse refuses, or sizes that do
+    not fit in memory), 1 for any other failure."""
     try:
         args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
@@ -351,6 +351,10 @@ def run(argv: Sequence[str]) -> int:
         sys.stdout.write(_render(records, args.format or ("csv" if sweep else "json"), sweep))
     except ValueError as exc:  # bad input: flags, key file, model parameters
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a MemoryError has no message of its own
+        where = ": the lists of --m bins do not fit" if command in _PER_BIN else ""
+        print(f"error: out of memory{where}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures: I/O, solver, ...
         print(f"error: {exc}", file=sys.stderr)

@@ -127,9 +127,6 @@ class CuckooTable:
 
     # -- write path ---------------------------------------------------------
 
-    def bin_choices(self, key: int) -> tuple[int, ...]:
-        return self._choices(key)
-
     def insert(self, key: int) -> Optional[int]:
         """Insert a key; returns its bin index, or None if it went to the
         stash.  Duplicate keys are rejected (set semantics)."""
@@ -261,13 +258,7 @@ class CuckooTable:
     def load_stats(self) -> LoadStats:
         return LoadStats(placed=self.stats.placed, stash_size=len(self._stash))
 
-    # -- introspection used by tests and the trace harness -------------------
-
-    def stored_keys(self) -> list[int]:
-        """All keys currently held, bins first (ascending), then stash order."""
-        keys = [slot[0] for slot in self._bins if slot is not None]
-        keys.extend(self._stash)
-        return keys
+    # -- introspection, read by the tests and perfbench's answer checks -----
 
     def stash_keys(self) -> tuple[int, ...]:
         return tuple(self._stash)
@@ -283,6 +274,7 @@ class CuckooTable:
         return key in self._where
 
 
+# perfbench/run.py, selftest.py and baselines.py build their tables through this
 def new_table(m: int, d: int, seeds: Sequence[int], partition_boundary: Optional[int] = None) -> CuckooTable:
     """Construct an empty table; layout is fully determined by the seeds."""
     return CuckooTable(m=m, d=d, seeds=tuple(seeds), partition_boundary=partition_boundary)

@@ -170,16 +170,6 @@ def _remix(x: int, threshold: int) -> int:
     return x
 
 
-def choice_function(
-    seeds: Sequence[int],
-    m: int,
-    d: int,
-    partition_boundary: Optional[int] = None,
-) -> Callable[[int], tuple[int, ...]]:
-    """The per-key map of :func:`choice_maps`."""
-    return choice_maps(seeds, m, d, partition_boundary)[0]
-
-
 def bin_choices(
     key: int,
     seeds: Sequence[int],
@@ -187,6 +177,7 @@ def bin_choices(
     d: int,
     partition_boundary: Optional[int] = None,
 ) -> tuple[int, ...]:
-    """The d candidate bins of one key; see :func:`choice_function`, which
-    a caller hashing many keys with the same arguments should build once."""
-    return choice_function(seeds, m, d, partition_boundary)(key)
+    """The d candidate bins of one key: the per-key map of
+    :func:`choice_maps`, which a caller hashing many keys with the same
+    arguments should build once."""
+    return choice_maps(seeds, m, d, partition_boundary)[0](key)

@@ -41,7 +41,7 @@ class BipartiteGraph:
                     raise ValueError(f"choice {c} outside [0, {m})")
 
     def max_left_degree(self) -> int:
-        return max((len(row) for row in self.choices), default=0)
+        return max(map(len, self.choices), default=0)
 
 
 def augment(
@@ -136,7 +136,7 @@ def mu_via_deficit(graph: BipartiteGraph) -> int:
     already have a cycle.
     """
     choices = graph.choices
-    if max(map(len, choices), default=0) > 2:
+    if graph.max_left_degree() > 2:
         u = next(u for u, row in enumerate(choices) if len(row) > 2)
         raise ValueError(f"left vertex {u} has degree {len(choices[u])} > 2")
     m = graph.m

@@ -27,10 +27,9 @@ from math import sqrt
 from typing import Callable
 
 from .exact import ModelParams, evaluate, concentration_tail_bound
-from .hashing import _LANES, _lane_masks, _unpack_lanes, rejection_threshold
+from .hashing import _LANES, _MASK64, _lane_masks, _unpack_lanes, rejection_threshold
 from .matching import BipartiteGraph, max_matching, mu_via_deficit
 
-_MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 THREADS_ENV_VAR = "CUCKOO_LAB_THREADS"
@@ -157,7 +156,6 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
 class SimStats:
     """Sample statistics of the per-trial maximum matching sizes."""
 
-    trials: int
     mean: float
     std_dev: float
     min: float
@@ -230,7 +228,6 @@ def estimate_mu(params: ModelParams, trials: int, seed: RngSeed) -> SimStats:
     else:
         std = 0.0
     return SimStats(
-        trials=trials,
         mean=mean,
         std_dev=std,
         min=float(min(sizes)),
@@ -256,14 +253,11 @@ def concentration_experiment(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful fraction")
-    if not lam >= 0:
-        raise ValueError("lambda must be >= 0")
+    bound = concentration_tail_bound(lam, one_sided=one_sided)
     mu_exact = evaluate(params).mu
     radius = lam * sqrt(params.n)
     exceed = 0
     for size in _trial_sizes(params, trials, seed):
         deviation = mu_exact - size if one_sided else abs(size - mu_exact)
         exceed += deviation > radius
-
-    bound = concentration_tail_bound(lam, one_sided=one_sided)
     return exceed / trials, bound

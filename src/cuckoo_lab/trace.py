@@ -16,11 +16,9 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .cuckoo import new_table
-from .hashing import wang_mix64
+from .cuckoo import CuckooTable
+from .hashing import _MASK64, wang_mix64
 from .simulate import RngSeed, fan_out
-
-_MASK64 = (1 << 64) - 1
 
 # a hex-lines key: 1 to 16 hex digits after an optional 0x; no sign,
 # underscore or second prefix, all of which int(token, 16) would take
@@ -46,7 +44,6 @@ class TraceReport:
     overflow_min: float
     overflow_max: float
     inserted_mean: float
-    per_repeat_seeds: tuple[tuple[int, ...], ...]
 
 
 class KeyFormatError(ValueError):
@@ -152,15 +149,15 @@ def _run_repeats(
     partition_boundary: Optional[int],
     lo: int,
     hi: int,
-) -> list[tuple[tuple[int, ...], int]]:
-    """(hash seeds, final stash size) of repeats [lo, hi)."""
-    outcomes = []
+) -> list[int]:
+    """Final stash sizes of repeats [lo, hi)."""
+    sizes = []
     for repeat in range(lo, hi):
         seeds = tuple(RngSeed(base_seed).derive(repeat).draws(1 << 64, d))
-        table = new_table(m, d, seeds, partition_boundary)
+        table = CuckooTable(m, d, seeds, partition_boundary)
         table.insert_many(keys)
-        outcomes.append((seeds, table.load_stats().stash_size))
-    return outcomes
+        sizes.append(table.load_stats().stash_size)
+    return sizes
 
 
 def run_trace_experiment(
@@ -185,13 +182,8 @@ def run_trace_experiment(
     n = len(keys)
 
     chunks = fan_out(_run_repeats, repeats, (keys, m, d, base_seed, partition_boundary))
-    outcomes = [o for chunk in chunks for o in chunk]
-
-    seeds = tuple(o[0] for o in outcomes)
-    if n == 0:
-        overflow = [0.0] * repeats
-    else:
-        overflow = [o[1] / n for o in outcomes]
+    sizes = [s for chunk in chunks for s in chunk]
+    overflow = [s / n for s in sizes] if n else [0.0] * repeats
     mean_overflow = sum(overflow) / repeats
     return TraceReport(
         n=n,
@@ -199,5 +191,4 @@ def run_trace_experiment(
         overflow_min=min(overflow),
         overflow_max=max(overflow),
         inserted_mean=1.0 - mean_overflow,
-        per_repeat_seeds=seeds,
     )

@@ -20,6 +20,7 @@ from cuckoo_lab.exact import (
     expected_matching_mixed_det,
     matching_upper_bound_d,
 )
+from cuckoo_lab.hashing import choice_maps
 from cuckoo_lab.matching import BipartiteGraph, max_matching, mu_via_deficit
 from cuckoo_lab.simulate import RngSeed, concentration_experiment, estimate_mu
 from cuckoo_lab.trace import run_trace_experiment, synthetic_stream
@@ -103,11 +104,11 @@ def test_criterion_07_mixed_choice():
 
 
 def _induced_graph(table) -> BipartiteGraph:
-    keys = table.stored_keys()
+    choices = choice_maps(table.seeds, table.m, table.d, table.partition_boundary)[0]
     return BipartiteGraph(
-        n=len(keys),
+        n=len(table),
         m=table.m,
-        choices=tuple(table.bin_choices(k) for k in keys),
+        choices=tuple(choices(k) for k in table._where),
     )
 
 

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cuckoo_lab import BipartiteGraph, ExactResult, hashing, new_table, synthetic_stream
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -49,19 +51,30 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_benchmark_finds_every_name_it_reads():
-    # the tracer wraps the entry point of every layer by name, and run.py
-    # reads three attributes besides the names it imports
+    # the tracer wraps the entry point of every layer by name
     done = _python(
         "-c",
         "from perfbench.tracing import Tracer\n"
-        "from cuckoo_lab import BipartiteGraph, CuckooTable, ExactResult\n"
         "tracer = Tracer()\n"
         "tracer.install()\n"
         "tracer.uninstall()\n"
-        "assert callable(BipartiteGraph.max_left_degree) and callable(CuckooTable.load_stats)\n"
-        "assert 'terms' in ExactResult.__dataclass_fields__\n"
     )
     assert done.returncode == 0, done.stderr
+    # the attributes perfbench reads of what the package returns
+    keys = synthetic_stream(2, 1)
+    assert keys.keys == keys  # baselines.py
+    assert hashing.bin_choices(keys[0], (1, 2), 1, 2) == (0, 0)  # tracing.py, baselines.py
+    table = new_table(1, 2, (1, 2))
+    for key in keys:
+        table.insert(key)
+    # run.py, selftest.py and baselines.py
+    assert table.stash_keys() == (keys[1],)
+    assert (table.bin_of(keys[0]), table.bin_of(keys[1])) == (0, None)
+    assert table.load_stats().stash_size == 1
+    assert (table.stats.placed, table.stats.displacements) == (1, 0)
+    assert table.lookup(keys[0]).found and table.lookup(keys[1]).found
+    assert BipartiteGraph(1, 3, ((0, 1, 2),)).max_left_degree() == 3  # run.py
+    assert "terms" in ExactResult.__dataclass_fields__  # run.py
     for path in (ROOT / "perfbench").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cuckoo_lab":

@@ -476,6 +476,32 @@ def test_argument_errors_exit_2(capsys, tmp_path):
         assert code == 2 and message in err, (argv, err)
 
 
+def test_bins_beyond_memory_exit_2():
+    # each command asks for lists of 1e10 bins, about 80 GB, so each runs
+    # only in a process whose address space is capped, where the first such
+    # list fails at once
+    import resource
+
+    def cap_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(exact.__file__).parents[1]))
+    env.pop("CUCKOO_LAB_THREADS", None)
+    for argv in (
+        ("simulate", "--n", "1", "--m", "10000000000", "--model", "d2", "--trials", "1"),
+        ("trace", "--synthetic", "1", "--m", "10000000000", "--repeats", "1"),
+        ("concentration", "--n", "1", "--m", "10000000000", "--lambda", "1", "--trials", "100"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuckoo_lab.cli", *argv],
+            env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: ") and "--m" in proc.stderr, (argv, proc.stderr)
+
+
 def test_trace_binary_file_read_as_hex_lines_exits_2(capsys, tmp_path):
     path = tmp_path / "keys.bin"
     path.write_bytes(b"".join(k.to_bytes(8, "little") for k in (1 << 63, 5)))

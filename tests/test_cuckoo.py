@@ -9,6 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from cuckoo_lab import cuckoo
 from cuckoo_lab.cuckoo import _IN_STASH, _MISS, CuckooTable, DuplicateKeyError, LoadStats, TableStats, new_table
+from cuckoo_lab.hashing import choice_maps
 from cuckoo_lab.matching import BipartiteGraph, augment, max_matching
 from cuckoo_lab.simulate import SplitMix64
 
@@ -19,12 +20,17 @@ def _table(m=8, d=2, seed=1, boundary=None) -> CuckooTable:
     return new_table(m, d, SplitMix64(seed).draws(1 << 64, d), boundary)
 
 
+def _choices_of(table: CuckooTable):
+    """The table's per-key map from a key to its bin choices."""
+    return choice_maps(table.seeds, table.m, table.d, table.partition_boundary)[0]
+
+
 def _induced_graph(table: CuckooTable) -> BipartiteGraph:
-    keys = table.stored_keys()
+    choices = _choices_of(table)
     return BipartiteGraph(
-        n=len(keys),
+        n=len(table),
         m=table.m,
-        choices=tuple(table.bin_choices(k) for k in keys),
+        choices=tuple(choices(k) for k in table._where),
     )
 
 
@@ -34,9 +40,10 @@ def _check_equivalence(table: CuckooTable) -> None:
 
 
 def _find_key_with_choices(table: CuckooTable, wanted, start=0) -> int:
+    choices = _choices_of(table)
     key = start
     while True:
-        if table.bin_choices(key) == wanted and key not in table:
+        if choices(key) == wanted and key not in table:
             return key
         key += 1
 
@@ -50,9 +57,9 @@ def test_new_table_shapes():
     stats = t.load_stats()
     assert (stats.placed, stats.stash_size) == (0, 0)
     t = _table(m=4, d=3)
-    assert len(t.bin_choices(123)) == 3
+    assert len(_choices_of(t)(123)) == 3
     t = _table(m=4, d=2, boundary=2)
-    lo, hi = t.bin_choices(99)
+    lo, hi = _choices_of(t)(99)
     assert 0 <= lo < 2 <= hi < 4
 
 
@@ -165,10 +172,10 @@ def test_remove_stashed_key_changes_no_bin():
     stash = t.stash_keys()
     assert len(stash) >= 3
     victim = stash[len(stash) // 2]
-    bins = {k: t.bin_of(k) for k in t.stored_keys() if k != victim}
+    bins = {k: t.bin_of(k) for k in t._where if k != victim}
     before = dataclasses.replace(t.stats)
     assert t.remove(victim)
-    assert {k: t.bin_of(k) for k in t.stored_keys()} == bins
+    assert {k: t.bin_of(k) for k in t._where} == bins
     assert t.stash_keys() == tuple(k for k in stash if k != victim)
     assert t.stats.displacements == before.displacements
     assert t.stats.placed == before.placed
@@ -178,9 +185,9 @@ def test_remove_stashed_key_changes_no_bin():
 def test_remove_absent_leaves_table_unchanged():
     t = _table()
     t.insert(1)
-    before = (t.load_stats(), t.stored_keys())
+    before = (t.load_stats(), dict(t._where))
     assert not t.remove(12345)
-    assert (t.load_stats(), t.stored_keys()) == before
+    assert (t.load_stats(), t._where) == before
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +290,7 @@ def test_remove_matches_reference_at_full_load(d, boundary):
     m = 1000
     rng = random.Random(8800 + d)
     t = _table(m=m, d=d, seed=71 + d, boundary=boundary)
-    ref = ReferenceCuckooTable(m, t.bin_choices)
+    ref = ReferenceCuckooTable(m, _choices_of(t))
     live: list[int] = []
     saw_dead = False
     for step in range(m + 500):
@@ -338,6 +345,7 @@ def test_shared_lookup_results_are_frozen_and_match_reference():
 def test_no_key_loss_and_bin_validity():
     rng = random.Random(31)
     t = _table(m=30)
+    choices = _choices_of(t)
     live = set()
     for step in range(400):
         if live and rng.random() < 0.35:
@@ -355,7 +363,7 @@ def test_no_key_loss_and_bin_validity():
             res = t.lookup(k)
             assert res.found
             if res.bin is not None:
-                assert res.bin in t.bin_choices(k)
+                assert res.bin in choices(k)
         assert len(t) == len(live)
         binned = [slot[0] for slot in t._bins if slot is not None]
         assert len(binned) == len(set(binned))
@@ -374,13 +382,15 @@ def test_full_scale_seeded_overflow():
 
 def test_partitioned_table_respects_banks():
     t = _table(m=10, boundary=4, seed=11)
-    for k in range(30):
-        t.insert(k * 7919)
-    for key in t.stored_keys():
+    keys = [k * 7919 for k in range(30)]
+    for key in keys:
+        t.insert(key)
+    choices = _choices_of(t)
+    for key in keys:
         b = t.bin_of(key)
         if b is None:
             continue
-        lo, hi = t.bin_choices(key)
+        lo, hi = choices(key)
         assert b in (lo, hi)
         assert 0 <= lo < 4 <= hi < 10
     _check_equivalence(t)
@@ -432,7 +442,7 @@ class TableAgainstReference(RuleBasedStateMachine):
         d, split, largest = _SHAPES[shape]
         m = size or largest
         self.table = _table(m=m, d=d, seed=seed, boundary=None if split is None else round(split * m))
-        self.ref = ReferenceCuckooTable(m, self.table.bin_choices)
+        self.ref = ReferenceCuckooTable(m, _choices_of(self.table))
         self.live: list[int] = []
         self.rng = random.Random(seed)
         self.steps = 0
@@ -474,8 +484,7 @@ class TableAgainstReference(RuleBasedStateMachine):
         _check_remove_invariants(self.table)
         self.steps += 1
         if self.steps % 10 == 0:
-            keys = self.table.stored_keys()
-            size, _ = hopcroft_karp_matching([self.table.bin_choices(k) for k in keys], self.table.m)
+            size, _ = hopcroft_karp_matching(list(map(self.ref.choices_of, self.table._where)), self.table.m)
             assert self.table.load_stats().placed == size
 
 
@@ -505,7 +514,7 @@ def test_drain_from_full_to_half_load_matches_reference(d, boundary):
     m = 600
     rng = random.Random(4400 + d)
     t = _table(m=m, d=d, seed=17 + d, boundary=boundary)
-    ref = ReferenceCuckooTable(m, t.bin_choices)
+    ref = ReferenceCuckooTable(m, _choices_of(t))
     live = [rng.getrandbits(64) for _ in range(m)]
     for key in live:
         assert t.insert(key) == ref.insert(key)

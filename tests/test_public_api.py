@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "TraceReport",
     "__version__",
     "bin_choices",
-    "choice_function",
     "concentration_experiment",
     "concentration_tail_bound",
     "disambiguate_duplicates",
@@ -81,10 +80,8 @@ def test_exports_are_exactly_the_public_names():
 DATACLASS_FIELDS = {
     cuckoo_lab.ExactResult: ["mu", "stash_expected", "terms", "truncated_at"],
     cuckoo_lab.AsymptoticResult: ["gamma", "branch_data", "closed_form_used"],
-    cuckoo_lab.SimStats: ["trials", "mean", "std_dev", "min", "max", "std_error"],
-    cuckoo_lab.TraceReport: [
-        "n", "overflow_mean", "overflow_min", "overflow_max", "inserted_mean", "per_repeat_seeds",
-    ],
+    cuckoo_lab.SimStats: ["mean", "std_dev", "min", "max", "std_error"],
+    cuckoo_lab.TraceReport: ["n", "overflow_mean", "overflow_min", "overflow_max", "inserted_mean"],
     TableStats: ["placed", "displacements", "stash_peak"],
     cuckoo_lab.LoadStats: ["placed", "stash_size"],
     cuckoo_lab.LookupResult: ["found", "in_stash", "bin"],
@@ -93,10 +90,7 @@ DATACLASS_FIELDS = {
 }
 PUBLIC_METHODS = {
     cuckoo_lab.SplitMix64: ["draws"],
-    cuckoo_lab.CuckooTable: [
-        "bin_choices", "bin_of", "insert", "insert_many", "load_stats", "lookup", "remove", "stash_keys",
-        "stored_keys",
-    ],
+    cuckoo_lab.CuckooTable: ["bin_of", "insert", "insert_many", "load_stats", "lookup", "remove", "stash_keys"],
 }
 
 

@@ -11,6 +11,7 @@ from scipy.stats import chi2
 
 from cuckoo_lab import simulate
 from cuckoo_lab.exact import ModelParams, concentration_tail_bound, evaluate
+from cuckoo_lab.hashing import _LANES
 from cuckoo_lab.simulate import (
     RngSeed,
     SplitMix64,
@@ -73,11 +74,8 @@ def test_draws_equal_rejection_one_by_one(bound):
         rng.draws(0, 1)
 
 
-_BLOCK = simulate._LANES
-
-
 @pytest.mark.parametrize("bound", [7, (1 << 63) + 1, 1 << 64])
-@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("count", [_LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 1])
 def test_draws_across_block_edges_equal_reference(bound, count):
     # at bound 2^63 + 1 about half the words are rejected, so the values
     # of one block run on into the next
@@ -270,13 +268,13 @@ def test_estimate_mu_golden():
     # generator; a moved draw or matching size changes the repr
     cases = [
         (ModelParams.fixed_d(2000, 2000, 3), 4,
-         "SimStats(trials=4, mean=1885.0, std_dev=5.887840577551898, min=1879.0, max=1893.0, "
+         "SimStats(mean=1885.0, std_dev=5.887840577551898, min=1879.0, max=1893.0, "
          "std_error=2.943920288775949)"),
         (ModelParams.fixed_d(2000, 2000, 4), 4,
-         "SimStats(trials=4, mean=1963.5, std_dev=3.872983346207417, min=1958.0, max=1967.0, "
+         "SimStats(mean=1963.5, std_dev=3.872983346207417, min=1958.0, max=1967.0, "
          "std_error=1.9364916731037085)"),
         (ModelParams.fixed2(2000, 2000), 20,
-         "SimStats(trials=20, mean=1671.95, std_dev=13.578136450694705, min=1647.0, max=1692.0, "
+         "SimStats(mean=1671.95, std_dev=13.578136450694705, min=1647.0, max=1692.0, "
          "std_error=3.036163611152108)"),
     ]
     for params, trials, expected in cases:
@@ -285,7 +283,6 @@ def test_estimate_mu_golden():
 
 def test_estimate_mu_stats_shape():
     stats = estimate_mu(ModelParams.fixed2(100, 100), 64, RngSeed(9))
-    assert stats.trials == 64
     assert stats.min <= stats.mean <= stats.max
     assert stats.std_error == pytest.approx(stats.std_dev / 8.0, rel=1e-12)
 

@@ -8,7 +8,7 @@ from scipy.stats import chi2
 from cuckoo_lab import cli
 from cuckoo_lab.cuckoo import new_table
 from cuckoo_lab.exact import expected_matching_d2, stash_size_for_epsilon
-from cuckoo_lab.hashing import _LANES, bin_choices, choice_function, choice_maps, wang_mix64
+from cuckoo_lab.hashing import _LANES, bin_choices, choice_maps, wang_mix64
 from cuckoo_lab.simulate import RngSeed, SplitMix64
 from cuckoo_lab.trace import (
     KeyFormatError,
@@ -110,7 +110,7 @@ BIN_CHOICES_GOLDEN = {
 def test_bin_choices_golden_values(name):
     shape, expected = BIN_CHOICES_GOLDEN[name]
     assert [bin_choices(k, *shape) for k in _GOLDEN_KEYS] == expected
-    choices = choice_function(*shape)
+    choices = choice_maps(*shape)[0]
     assert [choices(k) for k in _GOLDEN_KEYS] == expected
     assert choices(-1) == expected[3]  # keys act through their low 64 bits
 
@@ -124,7 +124,7 @@ def test_golden_span_forces_remix():
 @pytest.mark.parametrize("name", list(BIN_CHOICES_GOLDEN))
 def test_choice_function_matches_reference(name):
     shape, _ = BIN_CHOICES_GOLDEN[name]
-    choices = choice_function(*shape)
+    choices = choice_maps(*shape)[0]
     for key in SplitMix64(4242).draws(1 << 64, 10_000):
         assert choices(key) == reference_bin_choices(key, *shape)
 
@@ -166,14 +166,14 @@ def test_batch_map_takes_keys_through_their_low_64_bits(name):
 )
 def test_choice_function_rejects_bad_shapes(args, message):
     with pytest.raises(ValueError, match=message):
-        choice_function(*args)
+        choice_maps(*args)
     with pytest.raises(ValueError, match=message):
         bin_choices(1, *args)
 
 
 def test_choice_function_spans_2_64_bins():
     # a span of 2^64 rejects no word, so each choice is the mixed key itself
-    choices = choice_function((1, 2), 1 << 64, 2)
+    choices = choice_maps((1, 2), 1 << 64, 2)[0]
     assert [choices(k) for k in _GOLDEN_KEYS] == [(wang_mix64(k ^ 1), wang_mix64(k ^ 2)) for k in _GOLDEN_KEYS]
 
 
@@ -183,7 +183,7 @@ def test_bin_choices_uniformity_chi_square():
     counts = [0] * m
     rng = SplitMix64(2)
     samples = 1_000_000
-    choices = choice_function(seeds, m, 2)
+    choices = choice_maps(seeds, m, 2)[0]
     for _ in range(samples // 1000):
         for key in rng.draws(1 << 64, 1000):
             counts[choices(key)[0]] += 1
@@ -306,7 +306,6 @@ def test_trace_experiment_fractions_sum_to_one():
     assert report.n == 300
     assert report.inserted_mean + report.overflow_mean == pytest.approx(1.0, abs=1e-12)
     assert report.overflow_min <= report.overflow_mean <= report.overflow_max
-    assert len(report.per_repeat_seeds) == 4
 
 
 def test_trace_experiment_over_no_keys():
@@ -338,10 +337,11 @@ def test_trace_mean_matches_exact_formula():
     stream = synthetic_stream(n, 11)
     repeats = 30
     report = run_trace_experiment(stream, m, 2, repeats, 13)
-    # rebuild each repeat from the reported seeds to recover the spread
+    # rebuild each repeat, its seeds derived from (base seed, repeat), to
+    # recover the spread
     stash_sizes = []
-    for seeds in report.per_repeat_seeds:
-        table = new_table(m, 2, seeds)
+    for r in range(repeats):
+        table = new_table(m, 2, RngSeed(13).derive(r).draws(1 << 64, 2))
         for key in stream:
             table.insert(key)
         stash_sizes.append(table.load_stats().stash_size)

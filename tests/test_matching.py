@@ -1,6 +1,7 @@
 """Matching kernel against brute force, plus the paper's structure lemmas
 checked on the component shapes of sampled graphs."""
 
+import hashlib
 import random
 import zlib
 
@@ -84,6 +85,25 @@ def test_max_matching_against_hopcroft_karp():
             used = [v for v in matched if v is not None]
             assert len(used) == len(set(used)) == size
             assert all(v is None or v in row for v, row in zip(matched, g.choices))
+
+
+# sha256 of repr(max_matching(g)), the size and the matched tuple, for one
+# seeded graph per case at m = 2000: which bin each key ends in depends on
+# the order the search reaches bins and the chains it builds, so a change
+# to the search that keeps every size still moves a digest
+_MATCHING_GOLDEN = {
+    "d2-half": (ModelParams.fixed2(1000, 2000), "83bccdd12c73378c658a699db3a7f2e1a985bf47a6df296d46b03b9aee05f26c"),
+    "d2-full": (ModelParams.fixed2(2000, 2000), "5831bed60ed823fa75620837f600a5609f0c72f2fb3f833389b86be459b3c423"),
+    "d3-half": (ModelParams.fixed_d(1000, 2000, 3), "0ac33e701d7d9c94c17d819e21cbb053334c8f63af89bdae6cac3a5c79c1bec5"),
+    "d3-full": (ModelParams.fixed_d(2000, 2000, 3), "165754500e712a0c461230215616220bf81768c55c0e47b2871abf5267a49146"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MATCHING_GOLDEN))
+def test_max_matching_golden(case):
+    params, expected = _MATCHING_GOLDEN[case]
+    g = gen_graph(params, RngSeed(2027).derive(0))
+    assert hashlib.sha256(repr(max_matching(g)).encode()).hexdigest() == expected
 
 
 def test_components_independent_of_the_maximum_matching():

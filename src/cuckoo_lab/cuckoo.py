@@ -9,21 +9,24 @@ augmenting path exists, so for any d the number of placed keys equals
 the maximum matching size of the bipartite graph induced by all stored
 keys' bin choices, instance by instance, not just in expectation.
 
-Searches are pruned by a set of dead bins: occupied bins from which no
-displacement chain reaches an empty bin.  Every bin a failed search
-visits becomes dead.  The set is closed under "the occupant's other
-choices" (a dead bin's occupant can only move into dead bins), so a
-successful search never passes through a dead bin and never changes one,
-and the pruned breadth-first search reaches the live bins in the order
-the full search would, through the same parents: it performs the same
-chain.  Two invariants make deletions cheap:
+Searches are pruned by dead bins: occupied bins from which no
+displacement chain reaches an empty bin.  The table keeps one mark list
+with an entry per bin, -1 for a dead bin and 0 for any other; the search
+writes its own marks there while it runs and sets them back before it
+returns.  Every bin a failed search visits becomes dead.  The dead bins
+are closed under "the occupant's other choices" (a dead bin's occupant
+can only move into dead bins), so a successful search never passes
+through a dead bin and never changes one, and the pruned breadth-first
+search reaches the live bins in the order the full search would, through
+the same parents: it performs the same chain.  Two invariants make
+deletions cheap:
 
 (a) every choice of every stashed key is a dead bin (its failed search
     marked them), and
-(b) the dead set is never cleared: a deletion takes out only the dead
-    bins it revives.
+(b) the dead marks are never cleared: a deletion clears only those of
+    the dead bins it revives.
 
-Deleting a placed key from a live bin leaves the dead set closed, and by
+Deleting a placed key from a live bin leaves the dead bins closed, and by
 (a) no stashed key can reach that bin, so nothing else is done.
 Deleting one from a dead bin walks backwards from the emptied bin
 through the dead bins whose occupants choose a bin already reached: the
@@ -31,7 +34,7 @@ reach, exactly the dead bins with a chain to the emptied bin.  The
 stashed keys with a choice in the reach are the only ones with an
 augmenting path, so the earliest of them in stash order is the key a
 re-insertion loop over the stash would promote; its search, pruned by
-the rest of the dead set, finds the chain the full search would.  After
+the rest of the dead bins, finds the chain the full search would.  After
 a promotion every bin of the reach again holds a key whose choices are
 all dead, so the reach is dead again; with no promotion it comes back to
 life.  The walk reads an index from each bin to the stashed keys and
@@ -116,9 +119,11 @@ class CuckooTable:
         # larger for a key stashed earlier
         self._where: dict[int, int] = {}
         self._tickets = 0
-        # occupied bins from which no displacement chain reaches an empty
-        # bin; closed under the occupant's choices (module docstring)
-        self._dead: set[int] = set()
+        # per bin: -1 for an occupied bin from which no displacement chain
+        # reaches an empty bin, else 0; the dead bins are closed under the
+        # occupant's choices (module docstring), and augment's own marks
+        # last only while it runs
+        self._mark = [0] * self.m
         # bin -> the stashed keys and dead-bin occupants choosing it: every
         # stashed key, and the occupants of every dead bin but those in
         # _marked, which a remove from a dead bin takes in before it walks
@@ -147,7 +152,7 @@ class CuckooTable:
         its augmenting chain, or in the stash when it has none."""
         if key in self._where:
             raise DuplicateKeyError(f"key {key} already stored")
-        chain = augment(self._bins, self._dead, choices, self._marked)
+        chain = augment(self._bins, self._mark, choices, self._marked)
         if chain is None:
             self._stash[key] = choices
             self._choose(key, choices)
@@ -192,7 +197,7 @@ class CuckooTable:
             self._unchoose(key, self._stash.pop(key))
             return True
         bins = self._bins
-        if loc in self._dead:
+        if self._mark[loc] < 0:
             # loc's occupant may wait in _marked, so the marks are taken in first
             for b in self._marked:
                 self._choose(*bins[b])
@@ -207,29 +212,36 @@ class CuckooTable:
 
     def _refill(self, loc: int) -> None:
         """Fill the emptied dead bin ``loc`` from the stash, or revive the
-        dead bins whose only way to an empty bin leads through it."""
-        bins, where, choosers, dead = self._bins, self._where, self._choosers, self._dead
-        reach, todo = {loc}, [loc]
+        dead bins whose only way to an empty bin leads through it.
+
+        The walk revives each bin of the reach (mark 0) as it reaches it,
+        so a revived mark is what says a bin is already in the reach.  A
+        promotion searches from the stashed key with the rest of the dead
+        bins still marked, then marks the reach dead again."""
+        bins, where, choosers, mark = self._bins, self._where, self._choosers, self._mark
+        mark[loc] = 0
+        reach = [loc]
         first, top = None, ~self._tickets  # below every stashed key's ~ticket
-        while todo:
-            for k in choosers[todo.pop()]:
+        # the loop reads the reach as it grows; every placed key in the
+        # index sits in a dead bin
+        for r in reach:
+            for k in choosers[r]:
                 b = where[k]
                 if b >= 0:
-                    if b not in reach:
-                        reach.add(b)
-                        todo.append(b)
+                    if mark[b]:
+                        mark[b] = 0
+                        reach.append(b)
                 elif b > top:
                     first, top = k, b
-        dead -= reach
         if first is None:
-            reach.discard(loc)
-            for b in reach:
+            for b in reach[1:]:
                 self._unchoose(*bins[b])
             return
         choices = self._stash.pop(first)
         # the stashed key has a choice in the reach, and the reach leads only to loc
-        chain = augment(bins, dead, choices)
-        dead |= reach
+        chain = augment(bins, mark, choices)
+        for b in reach:
+            mark[b] = -1
         self._settle(chain, first, choices)
 
     def _choose(self, key: int, choices: tuple[int, ...]) -> None:

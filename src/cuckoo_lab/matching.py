@@ -5,14 +5,16 @@ choices, by counting the trees of its cuckoo graph.
 Left vertices model hashed elements, right vertices model bins.  One
 augmenting-path search, :func:`augment`, is the matching kernel: the
 cuckoo table places every key with it, and :func:`max_matching` runs it
-over a graph's keys.  :func:`mu_via_deficit` reaches the same size with
+over a graph's keys.  Both callers own one mark list with an entry per
+bin, which holds the dead bins between searches and the search's own
+marks during one, so each bin the search reaches costs one list index.
+:func:`mu_via_deficit` reaches the same size with
 one union-find and no search.  Both are pure functions of an immutable
 :class:`BipartiteGraph`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,54 +47,61 @@ class BipartiteGraph:
 
 
 def augment(
-    bins: list, dead: set[int], choices: Sequence[int], marked: Optional[list[int]] = None
+    bins: list, mark: list[int], choices: Sequence[int], marked: Optional[list[int]] = None
 ) -> Optional[list[int]]:
     """Free one of ``choices`` by a chain of displacements: the one
     augmenting-path search of the package, run by the cuckoo table on every
     insert and by :func:`max_matching` once per key.
 
-    ``bins[b]`` is None or an ``(item, item_choices)`` pair; ``dead`` holds
-    occupied bins from which no chain reaches an empty bin.  A breadth-first
-    search over the occupants' choices, skipping dead bins and stopping at
-    the first empty bin, finds the shortest chain.  It shifts each occupant
+    ``bins[b]`` is None or an ``(item, item_choices)`` pair.  ``mark`` is
+    the caller's list of one entry per bin: 0 for a bin the search may
+    enter, and -1 for a dead bin, an occupied one from which no chain
+    reaches an empty bin.  A breadth-first search over the occupants'
+    choices, skipping dead bins and stopping at the first empty bin, finds
+    the shortest chain; while it runs, ``mark[b]`` of a bin it reached is
+    the bin it came from plus 2, or 1 for a root.  It shifts each occupant
     along the chain one hop towards the empty bin and returns the chain,
     root first: ``bins[chain[0]]`` is then None, to be filled by the
-    caller, and ``bins[chain[i]]`` (i >= 1) holds what moved there.  When
-    no chain exists it adds every bin it visited to ``dead``, appends them
-    to ``marked`` when one is given (none of them was dead before), and
-    returns None.  The dead set is closed under the occupants' choices, so
-    a successful search never passes through a dead bin and never changes
-    one; only emptying a dead bin can revive dead bins.
+    caller, and ``bins[chain[i]]`` (i >= 1) holds what moved there.  A
+    successful search sets every mark it wrote back to 0.  When no chain
+    exists it marks every bin it visited -1, appends them in visit order to
+    ``marked`` when one is given (none of them was dead before), and
+    returns None.  The dead bins are closed under the occupants' choices,
+    so a successful search never passes through a dead bin and never
+    changes one; only emptying a dead bin can revive dead bins.
     """
-    # every bin reached -> the bin it was reached from, -1 for a root; it
-    # holds no dead bin, since the search skips those, and a repeated root
-    # keeps its first place, as it expands to nothing new
-    parent: dict[int, int] = {}
+    # the bins reached, in order: a repeated root keeps its first place, as
+    # it expands to nothing new; the loop reads the list as it grows
+    queue: list[int] = []
     for b in choices:
         if bins[b] is None:
+            for r in queue:
+                mark[r] = 0
             return [b]
-        if b not in dead:
-            parent[b] = -1
-    queue = deque(parent)
-    while queue:
-        b = queue.popleft()
+        if not mark[b]:
+            mark[b] = 1
+            queue.append(b)
+    for b in queue:
         for nb in bins[b][1]:
-            if nb in parent or nb in dead:
+            if mark[nb]:
                 continue
-            parent[nb] = b
             if bins[nb] is None:
-                chain = [nb]
-                while (nb := parent[nb]) >= 0:
-                    chain.append(nb)
+                chain = [nb, b]
+                while (b := mark[b] - 2) >= 0:
+                    chain.append(b)
+                for r in queue:
+                    mark[r] = 0
                 chain.reverse()
                 for i in range(len(chain) - 1, 0, -1):
                     bins[chain[i]] = bins[chain[i - 1]]
                 bins[chain[0]] = None
                 return chain
+            mark[nb] = b + 2
             queue.append(nb)
-    dead.update(parent)
+    for b in queue:
+        mark[b] = -1
     if marked is not None:
-        marked.extend(parent)
+        marked.extend(queue)
     return None
 
 
@@ -101,17 +110,17 @@ def max_matching(graph: BipartiteGraph) -> tuple[int, tuple[Optional[int], ...]]
     unit bins with :func:`augment`, as the cuckoo table does.
 
     A key that finds no augmenting path when it arrives never gains one
-    later (Kuhn's argument), and no bin is ever emptied, so the dead set
-    only grows.  The matched set is read off the bins and is a pure
-    function of the graph.
+    later (Kuhn's argument), and no bin is ever emptied, so a bin once
+    marked dead stays dead, and one mark list serves every key.  The
+    matched set is read off the bins and is a pure function of the graph.
 
     Returns the matching size and, per left vertex, its matched right
     vertex (or None).
     """
     bins: list = [None] * graph.m
-    dead: set[int] = set()
+    mark = [0] * graph.m
     for u, row in enumerate(graph.choices):
-        chain = augment(bins, dead, row)
+        chain = augment(bins, mark, row)
         if chain is not None:
             bins[chain[0]] = (u, row)
     matched: list[Optional[int]] = [None] * graph.n

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import islice
 from math import sqrt
@@ -188,11 +186,15 @@ def fan_out(fn: Callable, count: int, args: tuple) -> list:
 
     Chunks run in worker processes when :func:`effective_threads` allows
     more than one; if the pool cannot start or breaks, they run
-    sequentially instead, giving the same results.
+    sequentially instead, giving the same results.  The pool's modules are
+    imported only then, so a one-worker run never loads them.
     """
     workers = min(effective_threads(), count)
     if workers <= 1:
         return [fn(*args, 0, count)]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     bounds = [count * k // workers for k in range(workers + 1)]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -50,6 +50,13 @@ def test_package_imports_only_the_standard_library():
     assert outside == {}
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # simulate imports the pool only for a run with more than one worker
+    done = _python("-c", "import sys, cuckoo_lab.cli; "
+                         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr[-2000:]
+
+
 def test_benchmark_finds_every_name_it_reads():
     # the tracer wraps the entry point of every layer by name
     done = _python(

@@ -272,12 +272,18 @@ def test_equivalence_through_interleaved_operations():
             _check_equivalence(t)
 
 
+def _dead(table: CuckooTable) -> set[int]:
+    """The table's dead bins, read off its mark list."""
+    return {b for b, mark in enumerate(table._mark) if mark < 0}
+
+
 def _check_dead_bins(table: CuckooTable) -> None:
     # dead bins are occupied and their occupants can only move to dead bins
-    for b in table._dead:
+    dead = _dead(table)
+    for b in dead:
         slot = table._bins[b]
         assert slot is not None
-        assert all(c in table._dead for c in slot[1])
+        assert all(c in dead for c in slot[1])
 
 
 @pytest.mark.parametrize(
@@ -307,7 +313,7 @@ def test_remove_matches_reference_at_full_load(d, boundary):
             assert t.insert(key) == ref.insert(key)
             live.append(key)
         _check_matches_reference(t, ref)
-        saw_dead = saw_dead or bool(t._dead)
+        saw_dead = saw_dead or bool(_dead(t))
         if step % 250 == 249:
             _check_equivalence(t)
             _check_dead_bins(t)
@@ -397,20 +403,23 @@ def test_partitioned_table_respects_banks():
 
 
 # ---------------------------------------------------------------------------
-# removes in proportion to what they free: the dead set, its invariants and
-# the index of choosers behind the backward walk
+# removes in proportion to what they free: the dead bins, their invariants
+# and the index of choosers behind the backward walk
 
 
 def _check_remove_invariants(table: CuckooTable) -> None:
-    """Invariant (a) of the module docstring, a closed dead set of occupied
-    bins, and an index equal to its recomputation from every stashed key
-    and the occupants of the dead bins not waiting in _marked."""
+    """Marks of 0 and -1 only, as no search is running; invariant (a) of
+    the module docstring, a closed set of occupied dead bins, and an index
+    equal to its recomputation from every stashed key and the occupants of
+    the dead bins not waiting in _marked."""
+    assert set(table._mark) <= {0, -1}
     _check_dead_bins(table)
+    dead = _dead(table)
     for choices in table._stash.values():
-        assert set(choices) <= table._dead
+        assert set(choices) <= dead
     waiting = set(table._marked)
-    assert len(waiting) == len(table._marked) and waiting <= table._dead
-    owners = [table._bins[b] for b in table._dead - waiting]
+    assert len(waiting) == len(table._marked) and waiting <= dead
+    owners = [table._bins[b] for b in dead - waiting]
     owners += table._stash.items()
     expected = sorted((c, key) for key, choices in owners for c in choices)
     assert sorted((c, key) for c, keys in enumerate(table._choosers) for key in keys) == expected
@@ -532,15 +541,15 @@ def test_drain_from_full_to_half_load_matches_reference(d, boundary):
     promoted = revived = 0
     while len(live) > m // 2:
         key = live.pop(rng.randrange(len(live)))
-        from_dead = t.bin_of(key) in t._dead
-        dead, stash = len(t._dead), len(t._stash)
+        from_dead = t.bin_of(key) in _dead(t)
+        dead, stash = len(_dead(t)), len(t._stash)
         assert t.remove(key) and ref.remove(key)
         _check_matches_reference(t, ref)
         _check_remove_invariants(t)
         if from_dead:
             promoted += len(t._stash) < stash
             # no promotion: the emptied bin and the rest of its reach revive
-            revived += len(t._dead) < dead - 1
+            revived += len(_dead(t)) < dead - 1
     _check_equivalence(t)
     assert promoted and revived
     assert t.load_stats().stash_size < full_stash
@@ -565,7 +574,7 @@ def test_remove_searches_in_proportion_to_what_it_frees(monkeypatch):
     monkeypatch.setattr(cuckoo, "augment", counting)
     outside = inside = 0
     for key in [k for k in live if t.bin_of(k) is not None][:400]:
-        was_dead = t.bin_of(key) in t._dead
+        was_dead = t.bin_of(key) in _dead(t)
         stash = len(t._stash)
         del calls[:]
         assert t.remove(key)

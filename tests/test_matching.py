@@ -8,7 +8,7 @@ import zlib
 import pytest
 
 from cuckoo_lab.exact import ModelParams
-from cuckoo_lab.matching import BipartiteGraph, max_matching, mu_via_deficit
+from cuckoo_lab.matching import BipartiteGraph, augment, max_matching, mu_via_deficit
 from cuckoo_lab.simulate import RngSeed, gen_graph
 
 import oracles
@@ -20,6 +20,44 @@ def _graph(n, m, choices):
 
 def _components(g):
     return oracles.component_shapes(g.choices, g.m, max_matching(g)[1])
+
+
+# ---------------------------------------------------------------------------
+# augment's mark list: 0 may be entered, -1 is dead, and a search's own
+# marks are gone when it returns
+
+
+def test_augment_free_root_after_occupied_root_leaves_no_mark():
+    bins = [("a", (0, 1)), None, None]
+    mark = [0, 0, 0]
+    assert augment(bins, mark, (0, 1)) == [1]
+    assert mark == [0, 0, 0]
+    assert bins == [("a", (0, 1)), None, None]
+
+
+def test_augment_success_clears_every_mark_it_wrote():
+    # the search reaches bins 0, 3 and 1, skips the dead bin 4, and shifts
+    # a from 0 to 1 and b from 1 to the free bin 2; bin 3 is off the chain
+    bins = [("a", (0, 4, 3, 1)), ("b", (1, 2)), None, ("c", (3,)), ("e", (4,))]
+    mark = [0, 0, 0, 0, -1]
+    assert augment(bins, mark, (0,)) == [0, 1, 2]
+    assert mark == [0, 0, 0, 0, -1]
+    assert bins == [None, ("a", (0, 4, 3, 1)), ("b", (1, 2)), ("c", (3,)), ("e", (4,))]
+
+
+def test_augment_failure_marks_exactly_its_bins_dead():
+    bins = [("a", (0, 1)), ("b", (1, 0)), ("c", (2, 3, 1)), ("d", (3, 2)), None]
+    mark = [0] * 5
+    marked = []
+    assert augment(bins, mark, (1, 0), marked) is None
+    assert mark == [-1, -1, 0, 0, 0]
+    assert marked == [1, 0]  # visit order: the roots as given
+    # were the dead bin 1 entered, b would move to the free bin 4
+    bins[1] = ("b", (1, 4))
+    assert augment(bins, mark, (2, 1), marked) is None
+    assert mark == [-1, -1, -1, -1, 0]
+    assert marked == [1, 0, 2, 3]
+    assert bins[4] is None
 
 
 # ---------------------------------------------------------------------------

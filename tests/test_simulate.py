@@ -1,6 +1,7 @@
 """Seeded generation, Monte-Carlo statistics, and the concentration check."""
 
 import collections
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -9,7 +10,6 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 from scipy.stats import chi2
 
-from cuckoo_lab import simulate
 from cuckoo_lab.exact import ModelParams, concentration_tail_bound, evaluate
 from cuckoo_lab.hashing import _LANES
 from cuckoo_lab.simulate import (
@@ -380,7 +380,8 @@ class _BrokenPool:
 
 def test_fan_out_falls_back_when_pool_breaks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _BrokenPool)
+    # fan_out imports the pool class when it needs one, so it finds this stand-in
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
     params = ModelParams.fixed2(30, 30)
     monkeypatch.delenv("CUCKOO_LAB_THREADS", raising=False)
     sequential = estimate_mu(params, 12, RngSeed(3))

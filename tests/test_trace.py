@@ -122,7 +122,7 @@ def test_golden_span_forces_remix():
 
 
 @pytest.mark.parametrize("name", list(BIN_CHOICES_GOLDEN))
-def test_choice_function_matches_reference(name):
+def test_per_key_map_matches_reference(name):
     shape, _ = BIN_CHOICES_GOLDEN[name]
     choices = choice_maps(*shape)[0]
     for key in SplitMix64(4242).draws(1 << 64, 10_000):
@@ -164,14 +164,14 @@ def test_batch_map_takes_keys_through_their_low_64_bits(name):
         (((1, 2), 2**64 + 1, 2), "cannot draw uniformly"),
     ],
 )
-def test_choice_function_rejects_bad_shapes(args, message):
+def test_per_key_map_rejects_bad_shapes(args, message):
     with pytest.raises(ValueError, match=message):
         choice_maps(*args)
     with pytest.raises(ValueError, match=message):
         bin_choices(1, *args)
 
 
-def test_choice_function_spans_2_64_bins():
+def test_per_key_map_spans_2_64_bins():
     # a span of 2^64 rejects no word, so each choice is the mixed key itself
     choices = choice_maps((1, 2), 1 << 64, 2)[0]
     assert [choices(k) for k in _GOLDEN_KEYS] == [(wang_mix64(k ^ 1), wang_mix64(k ^ 2)) for k in _GOLDEN_KEYS]

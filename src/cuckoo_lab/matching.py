@@ -8,9 +8,8 @@ cuckoo table places every key with it, and :func:`max_matching` runs it
 over a graph's keys.  Both callers own one mark list with an entry per
 bin, which holds the dead bins between searches and the search's own
 marks during one, so each bin the search reaches costs one list index.
-:func:`mu_via_deficit` reaches the same size with
-one union-find and no search.  Both are pure functions of an immutable
-:class:`BipartiteGraph`.
+:func:`mu_via_deficit` reaches the same size with one union-find and no
+search.  Both are pure functions of an immutable :class:`BipartiteGraph`.
 """
 
 from __future__ import annotations
@@ -63,21 +62,21 @@ def augment(
     along the chain one hop towards the empty bin and returns the chain,
     root first: ``bins[chain[0]]`` is then None, to be filled by the
     caller, and ``bins[chain[i]]`` (i >= 1) holds what moved there.  A
-    successful search sets every mark it wrote back to 0.  When no chain
-    exists it marks every bin it visited -1, appends them in visit order to
-    ``marked`` when one is given (none of them was dead before), and
-    returns None.  The dead bins are closed under the occupants' choices,
-    so a successful search never passes through a dead bin and never
-    changes one; only emptying a dead bin can revive dead bins.
+    free root ends the search before it writes a mark, and a longer chain
+    sets every mark it wrote back to 0.  When no chain exists it marks
+    every bin it visited -1, appends them in visit order to ``marked``
+    when one is given (none of them was dead before), and returns None.
+    The dead bins are closed under the occupants' choices, so a successful
+    search never passes through a dead bin and never changes one; only
+    emptying a dead bin can revive dead bins.
     """
+    for b in choices:
+        if bins[b] is None:
+            return [b]
     # the bins reached, in order: a repeated root keeps its first place, as
     # it expands to nothing new; the loop reads the list as it grows
     queue: list[int] = []
     for b in choices:
-        if bins[b] is None:
-            for r in queue:
-                mark[r] = 0
-            return [b]
         if not mark[b]:
             mark[b] = 1
             queue.append(b)

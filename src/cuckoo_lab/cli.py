@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import math
 import sys
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import __version__
@@ -221,14 +223,7 @@ def _handle_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     flags = _model_flags(args)
     # simulate's model names are the ModelParams variants
     stats = estimate_mu(ModelParams(args.n, args.m, args.model, **flags), args.trials, RngSeed(args.seed))
-    results = {
-        "mean": stats.mean,
-        "std_dev": stats.std_dev,
-        "min": stats.min,
-        "max": stats.max,
-        "std_error": stats.std_error,
-        "mean_over_n": stats.mean / args.n if args.n else 0.0,
-    }
+    results = {**dataclasses.asdict(stats), "mean_over_n": stats.mean / args.n if args.n else 0.0}
     return {"model": args.model, "n": args.n, "m": args.m, "trials": args.trials, **flags}, results
 
 
@@ -258,14 +253,7 @@ def _handle_trace(args: argparse.Namespace) -> tuple[dict, dict]:
         boundary = require_integral(args.beta * args.m, "beta*m")
         params["beta"] = args.beta
     report = run_trace_experiment(keys, args.m, args.d, args.repeats, args.seed, boundary)
-    results = {
-        "n": report.n,
-        "overflow_mean": report.overflow_mean,
-        "overflow_min": report.overflow_min,
-        "overflow_max": report.overflow_max,
-        "inserted_mean": report.inserted_mean,
-    }
-    return params, results
+    return params, dataclasses.asdict(report)
 
 
 def _handle_concentration(args: argparse.Namespace) -> tuple[dict, dict]:
@@ -299,27 +287,32 @@ def _points(args: argparse.Namespace) -> Iterator[argparse.Namespace]:
         return
     spec = args.sweep
     name, _, grid = spec.partition("=")
+    texts = grid.split(":")
     try:
-        start, stop, step = (_finite_float(v) for v in grid.split(":"))
+        start, stop, step = (_finite_float(v) for v in texts)
     except (ValueError, argparse.ArgumentTypeError):
         raise ValueError(f"bad --sweep spec {spec!r}; expected PARAM=START:STOP:STEP") from None
     flags = _NUMERIC[args.subcommand]
     if name not in flags:
         raise ValueError(f"cannot sweep {name!r} in {args.subcommand!r}; choose from {sorted(flags)}")
-    if step <= 0 or stop < start:
+    # an integer flag's grid is walked exactly, as a float rounds integers
+    # above 2^53; Fraction reads what float reads (underscores from 3.11 on)
+    exact = flags[name] is int
+    numbers = [Fraction(v.replace("_", "")) for v in texts] if exact else [start, stop, step]
+    # the floats are checked too, so that every grid they refuse stays refused
+    if step <= 0 or stop < start or numbers[1] < numbers[0]:
         raise ValueError("sweep needs step > 0 and stop >= start")
-    last = (stop - start) / step + 1e-9
-    if not math.isfinite(last):
+    if not math.isfinite((stop - start) / step):
         raise ValueError(f"--sweep {spec!r} has more points than can be counted")
+    start, stop, step = numbers
+    last = (stop - start) / step if exact else (stop - start) / step + 1e-9
     for k in range(math.floor(last) + 1):
         value = start + k * step
-        if flags[name] is int:
-            if abs(value - round(value)) > 1e-9:
-                raise ValueError(f"sweep value {value} for integer parameter {name!r}")
-            value = round(value)
+        if exact and value.denominator != 1:
+            raise ValueError(f"sweep value {float(value)} for integer parameter {name!r}")
         # each point gets its own copy: handlers may rewrite it (--round)
         point = argparse.Namespace(**vars(args))
-        setattr(point, name, value)
+        setattr(point, name, int(value) if exact else value)
         yield point
 
 

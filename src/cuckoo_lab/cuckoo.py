@@ -47,18 +47,17 @@ The stash keeps each key's cached choices in insertion order, so
 promotions never rehash.  A table builds its choice maps once, over one
 checked plan (:func:`cuckoo_lab.hashing.choice_maps`), so a key is hashed
 without re-checking the table's shape: insert and lookup use the per-key
-map, and ``insert_many`` the batch map, which hashes a block of keys in
-one pass over 128-bit lanes and then places them one by one, as
-``insert`` does.
+map, and ``insert_many`` the batch map: it hashes the whole key sequence,
+a block at a time in 128-bit lanes, and then places the keys one by one,
+as ``insert`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
-from .hashing import _LANES, choice_maps
+from .hashing import choice_maps
 from .matching import augment
 
 
@@ -105,11 +104,7 @@ class CuckooTable:
     stats: TableStats = field(init=False, default_factory=TableStats)
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if len(self.seeds) != self.d:
-            raise ValueError(f"need exactly {self.d} seeds")
-        # checks m and the partition boundary
+        # checks d, the seed count, m and the partition boundary
         self._choices, self._batch_choices = choice_maps(self.seeds, self.m, self.d, self.partition_boundary)
         # bins hold (key, choices) so displacement chains never rehash
         self._bins: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * self.m
@@ -139,13 +134,11 @@ class CuckooTable:
 
     def insert_many(self, keys: Iterable[int]) -> None:
         """Insert the keys in order, as :meth:`insert` would one by one,
-        but hash them _LANES at a time with the batch choice map.  A
-        duplicate raises :class:`DuplicateKeyError` with the keys before it
-        stored."""
-        keys = iter(keys)
-        while block := tuple(islice(keys, _LANES)):
-            for key, choices in zip(block, self._batch_choices(block)):
-                self._place(key, choices)
+        but hash them all first with the batch choice map.  A duplicate
+        raises :class:`DuplicateKeyError` with the keys before it stored."""
+        keys = tuple(keys)
+        for key, choices in zip(keys, self._batch_choices(keys)):
+            self._place(key, choices)
 
     def _place(self, key: int, choices: tuple[int, ...]) -> Optional[int]:
         """Store a new key whose choices are hashed: in the bin that ends

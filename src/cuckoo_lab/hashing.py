@@ -89,20 +89,22 @@ def choice_maps(
 ) -> tuple[Callable[[int], tuple[int, ...]], Callable[[Sequence[int]], list[tuple[int, ...]]]]:
     """The map from a key to its d candidate bins, and the batch map from a
     sequence of keys to the list of their bins, built over one plan: the
-    arguments checked and each choice's target range prepared once.
+    table's shape checked, here only, and each choice's range prepared once.
 
     Choice i is wang_mix64(key XOR seeds[i]) reduced into its range
     [lo, lo + span) without modulo bias: the mixed value is re-mixed while
     it is at or above :func:`rejection_threshold`.  With a partition
     boundary (d = 2 only), choice 0 lands in [0, boundary) and choice 1 in
     [boundary, m).  Keys and seeds act through their low 64 bits.  The
-    batch map mixes up to _LANES keys per pass over 128-bit lanes (module
-    docstring) and gives, key by key, what the per-key map gives.
+    batch map mixes any number of keys, _LANES per pass over 128-bit lanes
+    (module docstring), and gives, key by key, what the per-key map gives.
     """
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if len(seeds) != d:
+        raise ValueError(f"need {d} seeds, got {len(seeds)}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if len(seeds) < d:
-        raise ValueError(f"need {d} seeds, got {len(seeds)}")
     if partition_boundary is None:
         ranges = [(0, m)] * d
     else:

@@ -161,13 +161,12 @@ class SimStats:
     std_error: float
 
 
-def _matching_sizes(params: ModelParams, seed: RngSeed, lo: int, hi: int) -> list[int]:
-    """Maximum matching sizes of trials [lo, hi)."""
+def _matching_size(params: ModelParams, seed: RngSeed, trial: int) -> int:
+    """Maximum matching size of one trial's graph."""
+    graph = gen_graph(params, seed.derive(trial))
     # Degree <= 2 graphs admit the spare-bin component count, which equals
     # the maximum matching size and is much cheaper than a search.
-    search = params.variant == "fixed-d" and params.d > 2
-    graphs = (gen_graph(params, seed.derive(t)) for t in range(lo, hi))
-    return [max_matching(g)[0] if search else mu_via_deficit(g) for g in graphs]
+    return max_matching(graph)[0] if params.variant == "fixed-d" and params.d > 2 else mu_via_deficit(graph)
 
 
 def effective_threads() -> int:
@@ -180,33 +179,33 @@ def effective_threads() -> int:
     return min(int(env), os.cpu_count() or 1)
 
 
-def fan_out(fn: Callable, count: int, args: tuple) -> list:
-    """Split indices [0, count) into one contiguous chunk per worker and
-    return ``fn(*args, lo, hi)`` for each chunk, in index order.
+def _run_chunk(fn: Callable, args: tuple, lo: int, hi: int) -> list:
+    """``fn(*args, i)`` for each index of one chunk [lo, hi), in index order."""
+    return [fn(*args, i) for i in range(lo, hi)]
 
-    Chunks run in worker processes when :func:`effective_threads` allows
-    more than one; if the pool cannot start or breaks, they run
-    sequentially instead, giving the same results.  The pool's modules are
-    imported only then, so a one-worker run never loads them.
+
+def fan_out(fn: Callable, count: int, args: tuple) -> list:
+    """``[fn(*args, i) for i in range(count)]``, in index order.
+
+    The indices are split into one contiguous chunk per worker, and chunks
+    run in worker processes when :func:`effective_threads` allows more than
+    one; if the pool cannot start or breaks, they run sequentially instead,
+    giving the same results.  The pool's modules are imported only then, so
+    a one-worker run never loads them.
     """
     workers = min(effective_threads(), count)
     if workers <= 1:
-        return [fn(*args, 0, count)]
+        return _run_chunk(fn, args, 0, count)
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     bounds = [count * k // workers for k in range(workers + 1)]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, *args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            return [f.result() for f in futures]
+            futures = [pool.submit(_run_chunk, fn, args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            return [result for f in futures for result in f.result()]
     except (OSError, BrokenProcessPool):
-        return [fn(*args, 0, count)]
-
-
-def _trial_sizes(params: ModelParams, trials: int, seed: RngSeed) -> list[int]:
-    """Maximum matching sizes of trials [0, trials), in trial order."""
-    return sum(fan_out(_matching_sizes, trials, (params, seed)), [])
+        return _run_chunk(fn, args, 0, count)
 
 
 def estimate_mu(params: ModelParams, trials: int, seed: RngSeed) -> SimStats:
@@ -218,7 +217,7 @@ def estimate_mu(params: ModelParams, trials: int, seed: RngSeed) -> SimStats:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sizes = _trial_sizes(params, trials, seed)
+    sizes = fan_out(_matching_size, trials, (params, seed))
     total = sum(sizes)
     total_sq = sum(size * size for size in sizes)
 
@@ -259,7 +258,7 @@ def concentration_experiment(
     mu_exact = evaluate(params).mu
     radius = lam * sqrt(params.n)
     exceed = 0
-    for size in _trial_sizes(params, trials, seed):
+    for size in fan_out(_matching_size, trials, (params, seed)):
         deviation = mu_exact - size if one_sided else abs(size - mu_exact)
         exceed += deviation > radius
     return exceed / trials, bound

@@ -141,23 +141,14 @@ def synthetic_stream(count: int, seed: int) -> tuple[int, ...]:
     return _KeyTuple(RngSeed(seed).derive(_KEY_STREAM_OFFSET).draws(1 << 64, count))
 
 
-def _run_repeats(
-    keys: tuple[int, ...],
-    m: int,
-    d: int,
-    base_seed: int,
-    partition_boundary: Optional[int],
-    lo: int,
-    hi: int,
-) -> list[int]:
-    """Final stash sizes of repeats [lo, hi)."""
-    sizes = []
-    for repeat in range(lo, hi):
-        seeds = tuple(RngSeed(base_seed).derive(repeat).draws(1 << 64, d))
-        table = CuckooTable(m, d, seeds, partition_boundary)
-        table.insert_many(keys)
-        sizes.append(table.load_stats().stash_size)
-    return sizes
+def _stash_size(
+    keys: tuple[int, ...], m: int, d: int, base_seed: int, partition_boundary: Optional[int], repeat: int
+) -> int:
+    """Final stash size of one repeat."""
+    seeds = tuple(RngSeed(base_seed).derive(repeat).draws(1 << 64, d))
+    table = CuckooTable(m, d, seeds, partition_boundary)
+    table.insert_many(keys)
+    return table.load_stats().stash_size
 
 
 def run_trace_experiment(
@@ -181,8 +172,7 @@ def run_trace_experiment(
         raise ValueError("key stream contains duplicates; drop them or disambiguate_duplicates first")
     n = len(keys)
 
-    chunks = fan_out(_run_repeats, repeats, (keys, m, d, base_seed, partition_boundary))
-    sizes = [s for chunk in chunks for s in chunk]
+    sizes = fan_out(_stash_size, repeats, (keys, m, d, base_seed, partition_boundary))
     overflow = [s / n for s in sizes] if n else [0.0] * repeats
     mean_overflow = sum(overflow) / repeats
     return TraceReport(

@@ -12,6 +12,7 @@ from cuckoo_lab.asymptotics import (
     gamma_mixed_rand,
     gamma_partitioned,
     lambert_w0,
+    _halley,
 )
 from cuckoo_lab.exact import (
     expected_matching_d2,
@@ -40,6 +41,20 @@ def test_w0_known_points():
 def test_w0_domain_error():
     with pytest.raises(ValueError):
         lambert_w0(-math.exp(-1) - 1e-6)
+    # within the tolerance below the branch point, the branch point's value
+    assert lambert_w0(-math.exp(-1) - 1e-13) == -1.0
+
+
+def test_halley_steps_off_the_branch_point():
+    # W'(w) has a pole at w = -1, so a start there moves off it first
+    assert _halley(-0.3, -1.0) == lambert_w0(-0.3)
+
+
+def test_w0_at_the_largest_float():
+    # e^w (w + 1) overflows in Halley's denominator, which ends the iteration
+    x = 1.7976931348623157e308
+    w = lambert_w0(x)
+    assert w + math.log(w) == pytest.approx(math.log(x), rel=1e-7)
 
 
 def test_w0_at_infinity():
@@ -256,6 +271,7 @@ def test_gamma_partitioned_against_decimal_oracle(alpha, beta):
         (0.00204, 1 - 2.2e-6),  # Y underflows but Y e^(t1) does not
         (0.500000000001, 0.5),  # next to the double root t1 t2 = 1
         (0.0037259539497963385, 1.3882925571625308e-05),  # a step overshoots the double root
+        (0.4992290791769356, 0.5277547564238834),  # a rounded step passes f's maximum: step back
     ],
 )
 def test_gamma_partitioned_extreme_points_against_decimal_oracle(alpha, beta):

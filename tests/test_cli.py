@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,9 @@ def test_round_sweep_rows_match_standalone_runs(capsys):
         (("trace", "--synthetic", "100", "--m", "100", "--repeats", "1"), "seed=1:2:1"),
         (("trace", "--synthetic", "100", "--m", "100", "--repeats", "1"), "beta=0.2:0.4:0.1"),
         (("concentration", "--n", "10", "--m", "10", "--lambda", "1"), "trials=100:101:1"),
+        # integers above 2^53, which a float rounds
+        (("simulate", "--n", "3", "--m", "3", "--model", "d2", "--trials", "2"), "seed=9007199254740993:9007199254740995:2"),
+        (("exact", "--m", "10", "--model", "d2"), "n=9007199254740993:9007199254740995:2"),
     ],
 )
 def test_sweep_of_any_numeric_flag_matches_standalone_runs(capsys, flags, sweep):
@@ -283,12 +287,29 @@ def test_sweep_of_any_numeric_flag_matches_standalone_runs(capsys, flags, sweep)
     code, out, err = _run(capsys, *flags, "--sweep", sweep)
     assert code == 0, err
     rows = list(csv.DictReader(io.StringIO(out)))
-    name = sweep.split("=")[0]
+    name, _, grid = sweep.partition("=")
     assert len({row[name] for row in rows}) == len(rows) > 1
+    # the rows walk the grid: exactly for an integer flag
+    start, stop, step = (Fraction(v) for v in grid.split(":"))
+    points = [start + k * step for k in range((stop - start) // step + 1)]
+    if _NUMERIC[flags[0]][name] is int:
+        assert [int(row[name]) for row in rows] == points
+    else:
+        assert [float(row[name]) for row in rows] == pytest.approx([float(p) for p in points])
     for row in rows:
         code, out, err = _run(capsys, *flags, f"--{name}", row[name], "--format", "csv")
         assert code == 0, err
         assert list(csv.DictReader(io.StringIO(out))) == [row]
+
+
+def test_integer_sweep_points_above_2_53_are_exact(capsys):
+    # 2^60 to 2^60 + 10 is one float, but eleven integers
+    code, out, err = _run(capsys, "exact", "--m", "10", "--model", "d2", "--sweep", f"n={2**60}:{2**60 + 10}:1")
+    assert code == 0, err
+    assert [int(row["n"]) for row in csv.DictReader(io.StringIO(out))] == list(range(2**60, 2**60 + 11))
+    code, out, err = _run(capsys, "exact", "--n", "1", "--model", "d2", "--sweep", f"m={2**64 + 1}:{2**64 + 1}:1")
+    assert code == 0, err
+    assert [row["m"] for row in csv.DictReader(io.StringIO(out))] == [str(2**64 + 1)]
 
 
 def test_mixed_det_accepts_what_it_constructs(capsys):
@@ -542,6 +563,15 @@ def test_asymptotic_at_huge_alpha(capsys, model_flags):
     code, out, err = _run(capsys, "asymptotic", "--alpha", "1e308", "--model", *model_flags)
     assert code == 0, err
     assert _json(out)["results"]["gamma"] == pytest.approx(1e-308, rel=1e-12, abs=0)
+
+
+def test_csv_refuses_rows_whose_columns_differ():
+    records = [
+        {"command": "asymptotic", "parameters": {"model": "d2"}, "results": {"gamma": 1.0}, "metadata": {}},
+        {"command": "asymptotic", "parameters": {"model": "d2"}, "results": {"gamma": 1.0, "t1": 1.0}, "metadata": {}},
+    ]
+    with pytest.raises(RuntimeError, match="inconsistent sweep columns"):
+        _render(records, "csv", True)
 
 
 def test_json_refuses_non_finite_floats(capsys, monkeypatch):

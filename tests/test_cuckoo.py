@@ -64,10 +64,10 @@ def test_new_table_shapes():
 
 
 def test_new_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d must be >= 2"):
         _table(m=4, d=1)
-    with pytest.raises(ValueError):
-        new_table(4, 2, [1])  # seed count mismatch
+    with pytest.raises(ValueError, match="need 2 seeds, got 1"):
+        new_table(4, 2, [1])
     with pytest.raises(ValueError):
         _table(m=4, d=3, boundary=2)
     with pytest.raises(ValueError):

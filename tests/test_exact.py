@@ -540,6 +540,12 @@ def test_model_params_validation():
         ModelParams.fixed_d(3, 4, 1)
     assert ModelParams.mixed_det(4, 4, 1.5).two_choice_count == 2
     assert ModelParams.partitioned(3, 10, 0.3).up_bank_size == 3
+    with pytest.raises(ValueError, match="unknown variant 'd4'"):
+        ModelParams(3, 4, "d4")
+    with pytest.raises(ValueError, match="two_choice_count applies to mixed-det only"):
+        ModelParams.fixed2(3, 4).two_choice_count
+    with pytest.raises(ValueError, match="up_bank_size applies to partitioned only"):
+        ModelParams.fixed2(3, 4).up_bank_size
 
 
 def test_evaluate_dispatch():

@@ -4,6 +4,7 @@ import collections
 import concurrent.futures
 import hashlib
 import math
+import operator
 import os
 from concurrent.futures.process import BrokenProcessPool
 
@@ -387,7 +388,14 @@ def test_fan_out_falls_back_when_pool_breaks(monkeypatch):
     sequential = estimate_mu(params, 12, RngSeed(3))
     monkeypatch.setenv("CUCKOO_LAB_THREADS", "3")
     assert estimate_mu(params, 12, RngSeed(3)) == sequential
-    assert fan_out(lambda lo, hi: (lo, hi), 12, ()) == [(0, 12)]
+    assert fan_out(lambda i: i * i, 12, ()) == [i * i for i in range(12)]
+
+
+def test_fan_out_returns_each_index_in_order_through_a_pool(monkeypatch):
+    # 7 indices over 3 workers: chunks of 2, 2 and 3, each in its own process
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("CUCKOO_LAB_THREADS", "3")
+    assert fan_out(operator.mul, 7, (3,)) == [3 * i for i in range(7)]
 
 
 # ---------------------------------------------------------------------------

@@ -157,13 +157,13 @@ def test_batch_map_takes_keys_through_their_low_64_bits(name):
     "args, message",
     [
         (((1, 2), 0, 2), "m must be >= 1"),
-        (((1,), 10, 1), "d must be >= 2"),
         (((1,), 10, 2), "need 2 seeds, got 1"),
-        (((1, 2, 3), 10, 2), "need 2 seeds, got 3"),
         (((1, 2, 3), 10, 3, 4), "partitioned tables use d = 2"),
         (((1, 2), 10, 2, 0), "partition boundary must split the bins"),
         (((1, 2), 10, 2, 10), "partition boundary must split the bins"),
         (((1, 2), 2**64 + 1, 2), "cannot draw uniformly"),
+        (((1,), 10, 1), "d must be >= 2"),
+        (((1, 2, 3), 10, 2), "need 2 seeds, got 3"),
     ],
 )
 def test_per_key_map_rejects_bad_shapes(args, message):

@@ -1,5 +1,6 @@
 """Lambert W0 and the limit matching fractions."""
 
+import hashlib
 import math
 
 import pytest
@@ -336,3 +337,30 @@ def test_finite_to_limit_convergence(name, alpha, finite, limit):
     gaps = [abs(finite(n) - gamma) for n in (100, 1000, 10_000)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# pinned bits
+
+
+# sha256 over every limit's (gamma in hex, branch pair, closed-form flag):
+# each model on its parameter grid at alpha = k/1000 for k = 1..4000 and at
+# the extreme loads, so a change to W0 or the two-bank solve that moves any
+# limit by one ulp moves the digest
+_EXTREME_LOADS = (1e-300, 1e-5, 0.5, math.nextafter(0.5, 1.0), 1e3, 1e10, 1e100, 1e300, 1.7e308)
+_LIMITS_GOLDEN = "49dd88c78a17883bcae8fe1348453383c9b75848da9bdca647173f44a637eb84"
+
+
+def test_limits_golden():
+    limits = (
+        [gamma_d2]
+        + [lambda alpha, a=1 + j / 8: gamma_mixed(alpha, a) for j in range(9)]
+        + [lambda alpha, p=j / 4: gamma_mixed_rand(alpha, p) for j in range(5)]
+        + [lambda alpha, beta=j / 20: gamma_partitioned(alpha, beta) for j in range(21)]
+    )
+    digest = hashlib.sha256()
+    for alpha in [k / 1000 for k in range(1, 4001)] + list(_EXTREME_LOADS):
+        for limit in limits:
+            r = limit(alpha)
+            digest.update(repr((r.gamma.hex(), r.branch_data, r.closed_form_used)).encode())
+    assert digest.hexdigest() == _LIMITS_GOLDEN

@@ -2,9 +2,11 @@
 
 All results are expressed through the principal branch W0 of the
 Lambert-W function (the inverse of x * e^x), implemented here from
-scratch: initial guesses by region refined by Halley iteration.  The
-two-bank model needs an implicit solve instead, a monotone Newton
-iteration in one variable; see :func:`gamma_partitioned`.
+scratch on [-1/e, 0], the only arguments the limits pass it: an initial
+guess from a series about the branch point or about the origin, refined
+by Halley iteration.  The two-bank model needs an implicit solve
+instead, a monotone Newton iteration in one variable; see
+:func:`gamma_partitioned`.
 
 Branch-equation validation for the two-bank model
 -------------------------------------------------
@@ -83,34 +85,21 @@ def _halley(x: float, w: float) -> float:
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of Lambert W: the solution w >= -1 of w e^w = x,
-    defined for x >= -1/e.  Exact at the branch point, at zero and at
-    inf."""
-    if x == 0.0:
-        return 0.0
-    if x == inf:
-        return inf
-    if not x >= -_E_INV:  # NaN included
-        if not x >= -_E_INV - _BRANCH_POINT_TOL:
-            raise ValueError(f"lambert_w0 domain is [-1/e, inf); got {x}")
-        return -1.0
-    if x == -_E_INV:
+    """Principal branch of Lambert W on [-1/e, 0]: the solution w in
+    [-1, 0] of w e^w = x.  The limits pass it only such arguments; a
+    positive x, or NaN, is a ValueError."""
+    if not -_E_INV <= x <= 0.0:  # NaN included
+        if not -_E_INV - _BRANCH_POINT_TOL <= x <= 0.0:
+            raise ValueError(f"lambert_w0 domain is [-1/e, 0]; got {x}")
         return -1.0
 
     if x < -0.25:
         # series about the branch point in p = sqrt(2 (e x + 1))
         p = sqrt(max(0.0, 2.0 * (x / _E_INV + 1.0)))
         w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3
-    elif x < 0.5:
+    else:
         # series about the origin
         w = x * (1.0 - x + 1.5 * x * x)
-    elif x < 8.0:
-        # log(x) is too close to 0 here for the asymptotic form
-        w = 0.6 * log(1.0 + x)
-    else:
-        l1 = log(x)
-        l2 = log(l1)
-        w = l1 - l2 + l2 / l1
     return _halley(x, max(w, -1.0))
 
 

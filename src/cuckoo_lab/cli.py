@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
+from decimal import MAX_PREC, Context, Decimal
 from typing import Iterator, Sequence
 
 from . import __version__
@@ -278,6 +278,10 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 # sweeps and the entry point
 
+# exact arithmetic on the grid's decimals: no result of theirs has more
+# digits than this
+_EXACT = Context(prec=MAX_PREC)
+
 
 def _points(args: argparse.Namespace) -> Iterator[argparse.Namespace]:
     """``args`` itself or, with --sweep, one copy of it per grid point,
@@ -295,24 +299,22 @@ def _points(args: argparse.Namespace) -> Iterator[argparse.Namespace]:
     flags = _NUMERIC[args.subcommand]
     if name not in flags:
         raise ValueError(f"cannot sweep {name!r} in {args.subcommand!r}; choose from {sorted(flags)}")
-    # an integer flag's grid is walked exactly, as a float rounds integers
-    # above 2^53; Fraction reads what float reads (underscores from 3.11 on)
-    exact = flags[name] is int
-    numbers = [Fraction(v.replace("_", "")) for v in texts] if exact else [start, stop, step]
-    # the floats are checked too, so that every grid they refuse stays refused
-    if step <= 0 or stop < start or numbers[1] < numbers[0]:
+    # the grid is the decimals as written, walked exactly; the floats are
+    # checked too, so that every grid they refuse stays refused
+    exact_start, exact_stop, exact_step = (Decimal(v) for v in texts)
+    if step <= 0 or stop < start or exact_stop < exact_start:
         raise ValueError("sweep needs step > 0 and stop >= start")
     if not math.isfinite((stop - start) / step):
         raise ValueError(f"--sweep {spec!r} has more points than can be counted")
-    start, stop, step = numbers
-    last = (stop - start) / step if exact else (stop - start) / step + 1e-9
-    for k in range(math.floor(last) + 1):
-        value = start + k * step
-        if exact and value.denominator != 1:
+    kind = flags[name]
+    for k in range(int(_EXACT.divide_int(_EXACT.subtract(exact_stop, exact_start), exact_step)) + 1):
+        value = _EXACT.fma(k, exact_step, exact_start)
+        number = kind(value)
+        if kind is int and number != value:
             raise ValueError(f"sweep value {float(value)} for integer parameter {name!r}")
         # each point gets its own copy: handlers may rewrite it (--round)
         point = argparse.Namespace(**vars(args))
-        setattr(point, name, int(value) if exact else value)
+        setattr(point, name, number)
         yield point
 
 

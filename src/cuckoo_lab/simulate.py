@@ -20,12 +20,13 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from math import sqrt
 from typing import Callable
 
 from .exact import ModelParams, evaluate, concentration_tail_bound
-from .hashing import _LANES, _MASK64, _lane_masks, _unpack_lanes, rejection_threshold
+from .hashing import _LANES, _MASK64, _lane_masks, _pack_lanes, _unpack_lanes, rejection_threshold
 from .matching import BipartiteGraph, max_matching, mu_via_deficit
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -43,9 +44,7 @@ def mix64(z: int) -> int:
 
 # over _LANES 128-bit lanes, lane k holds (k + 1) * gamma mod 2^64; a block
 # of fewer lanes takes the low lanes
-_RAMP = int.from_bytes(
-    b"".join(((k * _GOLDEN) & _MASK64).to_bytes(16, "little") for k in range(1, _LANES + 1)), "little"
-)
+_RAMP = _pack_lanes([(k * _GOLDEN) & _MASK64 for k in range(1, _LANES + 1)])
 
 
 class SplitMix64:
@@ -105,13 +104,6 @@ class RngSeed:
         return SplitMix64(mix64(self.seed ^ mix64(index + 1)))
 
 
-def probability_threshold(p: float) -> int:
-    """p mapped onto the 64-bit comparison scale, exact at 0 and 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    return min(1 << 64, max(0, round(p * (1 << 64))))
-
-
 def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
     """Draw one random bipartite graph of the given model.
 
@@ -137,8 +129,9 @@ def gen_graph(params: ModelParams, rng: SplitMix64) -> BipartiteGraph:
         choices = tuple(zip(islice(words, n - d_keys))) + tuple(zip(*[words] * d))
     elif variant == "mixed-rand":
         # a raw coin word per key (nothing below 2^64 is rejected), two
-        # choices when it falls below probability p and one otherwise
-        coin = probability_threshold(params.p)
+        # choices when it falls below p * 2^64 (ModelParams has checked p
+        # in [0, 1]), so never at p = 0 and always at p = 1
+        coin = round(params.p * (1 << 64))
         two = [w < coin for w in rng.draws(1 << 64, n)]
         words = iter(rng.draws(m, n + sum(two)))
         choices = tuple((next(words), next(words)) if t else (next(words),) for t in two)
@@ -179,33 +172,27 @@ def effective_threads() -> int:
     return min(int(env), os.cpu_count() or 1)
 
 
-def _run_chunk(fn: Callable, args: tuple, lo: int, hi: int) -> list:
-    """``fn(*args, i)`` for each index of one chunk [lo, hi), in index order."""
-    return [fn(*args, i) for i in range(lo, hi)]
-
-
 def fan_out(fn: Callable, count: int, args: tuple) -> list:
     """``[fn(*args, i) for i in range(count)]``, in index order.
 
-    The indices are split into one contiguous chunk per worker, and chunks
-    run in worker processes when :func:`effective_threads` allows more than
-    one; if the pool cannot start or breaks, they run sequentially instead,
-    giving the same results.  The pool's modules are imported only then, so
-    a one-worker run never loads them.
+    When :func:`effective_threads` allows more than one worker, the
+    indices run in worker processes, handed out by the pool's ``map`` in
+    contiguous chunks of ceil(count / workers); an exception that ``fn``
+    raises there is raised here.  If the pool cannot start or breaks, the
+    indices run sequentially instead, giving the same results.  The pool's
+    modules are imported only then, so a one-worker run never loads them.
     """
     workers = min(effective_threads(), count)
-    if workers <= 1:
-        return _run_chunk(fn, args, 0, count)
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-    bounds = [count * k // workers for k in range(workers + 1)]
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, fn, args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            return [result for f in futures for result in f.result()]
-    except (OSError, BrokenProcessPool):
-        return _run_chunk(fn, args, 0, count)
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(partial(fn, *args), range(count), chunksize=-(-count // workers)))
+        except (OSError, BrokenProcessPool):
+            pass
+    return [fn(*args, i) for i in range(count)]
 
 
 def estimate_mu(params: ModelParams, trials: int, seed: RngSeed) -> SimStats:

@@ -32,11 +32,17 @@ import oracles
 def test_w0_known_points():
     assert lambert_w0(0.0) == 0.0
     assert lambert_w0(-math.exp(-1)) == -1.0
-    assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-13)
     # -2 e^-2 has the real roots -2 and about -0.406; W0 is the one >= -1
     w = lambert_w0(-2 * math.exp(-2))
     assert w >= -1.0
     assert w * math.exp(w) == pytest.approx(-2 * math.exp(-2), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [5e-324, math.e, 1.7976931348623157e308, math.inf, math.nan])
+def test_w0_refuses_what_no_limit_passes(x):
+    # the limits pass W0 arguments in [-1/e, 0] only
+    with pytest.raises(ValueError, match=r"\[-1/e, 0\]"):
+        lambert_w0(x)
 
 
 def test_w0_domain_error():
@@ -51,26 +57,17 @@ def test_halley_steps_off_the_branch_point():
     assert _halley(-0.3, -1.0) == lambert_w0(-0.3)
 
 
-def test_w0_at_the_largest_float():
-    # e^w (w + 1) overflows in Halley's denominator, which ends the iteration
-    x = 1.7976931348623157e308
-    w = lambert_w0(x)
-    assert w + math.log(w) == pytest.approx(math.log(x), rel=1e-7)
-
-
-def test_w0_at_infinity():
-    assert lambert_w0(math.inf) == math.inf
-
-
 def test_w0_identity_dense():
     for k in range(1201):
-        x = -1.0 + k * (6.0 / 1200)
+        x = -1.0 + k / 1200
         arg = x * math.exp(x)
         w = lambert_w0(arg)
         assert w == pytest.approx(x, rel=1e-12, abs=1e-13)
 
 
-@given(st.floats(min_value=-0.367, max_value=100.0, allow_nan=False))
+# just above the branch point W0 is too ill-conditioned for two
+# implementations to agree to 1e-12: at 1 ulp above -1/e they differ by 1e-9
+@given(st.floats(min_value=-0.367, max_value=0.0, allow_nan=False))
 def test_w0_against_scipy(x):
     mine = lambert_w0(x)
     reference = scipy_lambertw(x, 0).real

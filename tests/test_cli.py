@@ -289,13 +289,13 @@ def test_sweep_of_any_numeric_flag_matches_standalone_runs(capsys, flags, sweep)
     rows = list(csv.DictReader(io.StringIO(out)))
     name, _, grid = sweep.partition("=")
     assert len({row[name] for row in rows}) == len(rows) > 1
-    # the rows walk the grid: exactly for an integer flag
+    # the rows walk the grid's decimals exactly
     start, stop, step = (Fraction(v) for v in grid.split(":"))
     points = [start + k * step for k in range((stop - start) // step + 1)]
     if _NUMERIC[flags[0]][name] is int:
         assert [int(row[name]) for row in rows] == points
     else:
-        assert [float(row[name]) for row in rows] == pytest.approx([float(p) for p in points])
+        assert [float(row[name]) for row in rows] == [float(p) for p in points]
     for row in rows:
         code, out, err = _run(capsys, *flags, f"--{name}", row[name], "--format", "csv")
         assert code == 0, err
@@ -310,6 +310,23 @@ def test_integer_sweep_points_above_2_53_are_exact(capsys):
     code, out, err = _run(capsys, "exact", "--n", "1", "--model", "d2", "--sweep", f"m={2**64 + 1}:{2**64 + 1}:1")
     assert code == 0, err
     assert [row["m"] for row in csv.DictReader(io.StringIO(out))] == [str(2**64 + 1)]
+
+
+@pytest.mark.parametrize(
+    "flags, sweep, printed",
+    [
+        (("--model", "d2"), "alpha=0.1:2.0:0.1", [repr(k / 10) for k in range(1, 21)]),
+        (("--model", "partitioned", "--alpha", "0.75"), "beta=0.05:0.95:0.05", [repr(k / 20) for k in range(1, 20)]),
+        # the third point, 0.9999999999999999, lies above STOP
+        (("--model", "d2"), "alpha=0.3333333333333333:0.9999999998:0.3333333333333333",
+         ["0.3333333333333333", "0.6666666666666666"]),
+    ],
+)
+def test_float_sweep_points_are_the_decimals_as_written(capsys, flags, sweep, printed):
+    code, out, err = _run(capsys, "asymptotic", *flags, "--sweep", sweep)
+    assert code == 0, err
+    name = sweep.partition("=")[0]
+    assert [row[name] for row in csv.DictReader(io.StringIO(out))] == printed
 
 
 def test_mixed_det_accepts_what_it_constructs(capsys):
@@ -821,9 +838,12 @@ def test_fuzzed_argv_exits_0_with_strict_output_or_2(fuzz_key_file, data):
         step = data.draw(st.sampled_from((1.0, 1.0, 0.5, 0.5, 5e-324, 0.0, -0.5)), label="step")
         stop = start + data.draw(st.integers(0, 2), label="points - 1") * step
         argv += ["--sweep", f"{name}={start!r}:{stop!r}:{step!r}"]
-        # the grid the CLI walks; it exits 2 on an empty or uncountable one
-        last = (stop - start) / step + 1e-9 if step > 0 else math.nan
-        points = math.floor(last) + 1 if math.isfinite(last) else 0
+        # the grid the CLI walks, of the decimals as written; it exits 2 on
+        # an empty or uncountable one
+        if step > 0 and math.isfinite((stop - start) / step):
+            points = (Fraction(repr(stop)) - Fraction(repr(start))) // Fraction(repr(step)) + 1
+        else:
+            points = 0
     fmt = data.draw(st.sampled_from((None, "json", "csv")), label="format")
     if fmt:
         argv += ["--format", fmt]

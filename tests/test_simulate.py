@@ -22,7 +22,6 @@ from cuckoo_lab.simulate import (
     fan_out,
     gen_graph,
     mix64,
-    probability_threshold,
 )
 
 import oracles
@@ -86,12 +85,13 @@ def test_draws_across_block_edges_equal_reference(bound, count):
     assert rng.draws(bound, 1) == [ref.below(bound)] and rng.state == ref.state
 
 
-def test_probability_threshold_edges():
-    assert probability_threshold(0.0) == 0
-    assert probability_threshold(1.0) == 1 << 64
-    assert probability_threshold(0.5) == 1 << 63
-    with pytest.raises(ValueError):
-        probability_threshold(1.2)
+@pytest.mark.parametrize("p, choices", [(0.0, 1), (1.0, 2)])
+def test_mixed_rand_coin_at_p_0_and_1(p, choices):
+    # the coin compares a raw 64-bit word with p * 2^64: no word is below
+    # 0, and every word is below 2^64
+    for trial in range(20):
+        graph = gen_graph(ModelParams.mixed_rand(50, 50, p), RngSeed(5).derive(trial))
+        assert {len(row) for row in graph.choices} == {choices}
 
 
 def test_derived_states_distinct():
@@ -375,7 +375,7 @@ class _BrokenPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
+    def map(self, fn, *iterables, chunksize=1):
         raise BrokenProcessPool("worker died")
 
 
@@ -392,10 +392,27 @@ def test_fan_out_falls_back_when_pool_breaks(monkeypatch):
 
 
 def test_fan_out_returns_each_index_in_order_through_a_pool(monkeypatch):
-    # 7 indices over 3 workers: chunks of 2, 2 and 3, each in its own process
+    # 7 indices over 3 workers: chunks of 3, 3 and 1, run in worker processes
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("CUCKOO_LAB_THREADS", "3")
     assert fan_out(operator.mul, 7, (3,)) == [3 * i for i in range(7)]
+
+
+def _fails_in_a_worker(parent_pid, i):
+    if os.getpid() != parent_pid:
+        raise ValueError(f"index {i} failed in a worker")
+    return i
+
+
+def test_fan_out_raises_what_a_worker_raises(monkeypatch):
+    # a worker's error is the caller's error, not a broken pool: it is not
+    # run again sequentially, where the second function would succeed
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("CUCKOO_LAB_THREADS", "2")
+    with pytest.raises(ValueError, match="math domain error"):
+        fan_out(math.log, 3, ())
+    with pytest.raises(ValueError, match="failed in a worker"):
+        fan_out(_fails_in_a_worker, 3, (os.getpid(),))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def lambert_w0(x: float) -> float:
     else:
         # series about the origin
         w = x * (1.0 - x + 1.5 * x * x)
-    return _halley(x, max(w, -1.0))
+    return _halley(x, w)
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,10 @@ def choice_maps(
                 # below 2^96 per lane, so the last product needs no mask
                 x = ((x ^ (x >> 28)) & low) * 0x80000001
                 words = _unpack_lanes(x, count)
-                if max(words) >= threshold:
+                # a lane's word plus 2^64 - threshold reaches bit 64 exactly
+                # when the word is rejected; the sum stays below 2^65, so no
+                # carry leaves its 128-bit lane
+                if (((x & low) + ((1 << 64) - threshold) * ones) >> 64) & ones:
                     words = [_remix(w, threshold) for w in words]
                 columns.append([lo + w % span for w in words])
             out += zip(*columns)

@@ -35,8 +35,8 @@ class TraceReport:
 
     A repeat's overflow is the fraction of the n keys left in the stash;
     ``overflow_min``/``overflow_mean``/``overflow_max`` spread it across
-    the repeats (the confidence band), and ``inserted_mean`` is
-    1 - ``overflow_mean``.
+    the repeats (the confidence band), and ``inserted_mean`` is the mean
+    fraction of the keys placed, 1 - ``overflow_mean`` before rounding.
     """
 
     n: int
@@ -173,12 +173,15 @@ def run_trace_experiment(
     n = len(keys)
 
     sizes = fan_out(_stash_size, repeats, (keys, m, d, base_seed, partition_boundary))
-    overflow = [s / n for s in sizes] if n else [0.0] * repeats
-    mean_overflow = sum(overflow) / repeats
+    if not n:
+        return TraceReport(n=0, overflow_mean=0.0, overflow_min=0.0, overflow_max=0.0, inserted_mean=1.0)
+    # each mean is one correctly rounded division of integers, so it lies
+    # between the min and the max and the two means carry no rounding noise
+    total, stashed = n * repeats, sum(sizes)
     return TraceReport(
         n=n,
-        overflow_mean=mean_overflow,
-        overflow_min=min(overflow),
-        overflow_max=max(overflow),
-        inserted_mean=1.0 - mean_overflow,
+        overflow_mean=stashed / total,
+        overflow_min=min(sizes) / n,
+        overflow_max=max(sizes) / n,
+        inserted_mean=(total - stashed) / total,
     )

@@ -628,6 +628,30 @@ def wang_mix64(x: int) -> int:
     return x
 
 
+def _unxorshift(x: int, shift: int) -> int:
+    # y = x ^ (x >> shift) fixes the top shift bits of x, and each pass
+    # fixes the next shift bits below them
+    y = x
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def wang_unmix64(x: int) -> int:
+    """The inverse of :func:`wang_mix64` on [0, 2^64): its steps undone in
+    reverse order, each product by the inverse of its odd constant modulo
+    2^64 and each xor-shift by repeated substitution."""
+    x &= _MASK64
+    x = (x * pow(1 + (1 << 31), -1, 1 << 64)) & _MASK64
+    x = _unxorshift(x, 28)
+    x = (x * pow(1 + (1 << 2) + (1 << 4), -1, 1 << 64)) & _MASK64
+    x = _unxorshift(x, 14)
+    x = (x * pow(1 + (1 << 3) + (1 << 8), -1, 1 << 64)) & _MASK64
+    x = _unxorshift(x, 24)
+    # ~x + (x << 21) is x * (2^21 - 1) - 1
+    return ((x + 1) * pow((1 << 21) - 1, -1, 1 << 64)) & _MASK64
+
+
 def _reduce(value: int, lo: int, span: int) -> int:
     # re-mix while the value falls in the truncated residue of the 2^64 range
     threshold = (1 << 64) - ((1 << 64) % span)

@@ -176,6 +176,15 @@ def test_trace_synthetic(capsys):
     assert rec["results"]["inserted_mean"] + rec["results"]["overflow_mean"] == pytest.approx(1.0)
 
 
+def test_trace_means_are_exact_ratios(capsys):
+    # one bin holds one of five keys in each repeat: 1 - 0.8 would print
+    # 0.19999999999999996
+    code, out, _ = _run(capsys, "trace", "--synthetic", "5", "--m", "1", "--repeats", "2")
+    assert code == 0
+    results = _json(out)["results"]
+    assert (results["overflow_mean"], results["inserted_mean"]) == (0.8, 0.2)
+
+
 def test_trace_from_file(tmp_path, capsys):
     path = tmp_path / "keys.hex"
     path.write_text("".join(f"{k:x}\n" for k in range(500)))

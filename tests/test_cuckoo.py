@@ -129,6 +129,63 @@ def test_displacement_chain():
     _check_equivalence(t)
 
 
+def _count_searches(monkeypatch) -> list:
+    """The choices of every augmenting search the table runs from now on."""
+    calls = []
+
+    def counting(bins, mark, choices, *rest):
+        calls.append(choices)
+        return augment(bins, mark, choices, *rest)
+
+    monkeypatch.setattr(cuckoo, "augment", counting)
+    return calls
+
+
+def test_a_free_choice_never_enters_the_search(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    assert _table(m=1000).insert(42) is not None
+    keys = SplitMix64(31).draws(1 << 64, 500)
+    batched = _table(m=1000)
+    batched.insert_many(keys[:1])
+    assert calls == []
+    # at load 1/2 a search runs for exactly the keys whose every choice is
+    # taken when they arrive, by insert and by insert_many alike
+    one_by_one, busy = _table(m=1000), []
+    for key in keys:
+        if all(one_by_one._bins[b] is not None for b in one_by_one._choices(key)):
+            busy.append(one_by_one._choices(key))
+        one_by_one.insert(key)
+    batched.insert_many(keys[1:])
+    assert 0 < len(busy) < len(keys) // 10
+    assert calls == busy + busy
+    assert _state(batched, keys) == _state(one_by_one, keys)
+
+
+def test_a_key_with_every_choice_taken_searches_once(monkeypatch):
+    t = _table(m=2)
+    k1 = _find_key_with_choices(t, (0, 0))
+    k2 = _find_key_with_choices(t, (1, 1))
+    t.insert(k1)
+    t.insert(k2)
+    calls = _count_searches(monkeypatch)
+    k3 = _find_key_with_choices(t, (0, 1))
+    assert t.insert(k3) is None
+    assert calls == [(0, 1)]
+
+
+def test_a_free_choice_is_the_first_free_bin_in_choice_order(monkeypatch):
+    # (free, free) takes the first, (taken, free) the second, and a free
+    # repeated bin (c, c) takes c; each is counted as placed, none moves a key
+    calls = _count_searches(monkeypatch)
+    t = _table(m=4)
+    t._choices = {10: (1, 2), 11: (1, 0), 12: (3, 3)}.__getitem__
+    assert [t.insert(k) for k in (10, 11, 12)] == [1, 0, 3]
+    assert [t.bin_of(k) for k in (10, 11, 12)] == [1, 0, 3]
+    assert t._bins == [(11, (1, 0)), (10, (1, 2)), None, (12, (3, 3))]
+    assert t.stats == TableStats(placed=3, displacements=0, stash_peak=0)
+    assert calls == []
+
+
 def test_lookup_variants():
     t = _table(m=2)
     keys = [10, 20, 30]

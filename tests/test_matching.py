@@ -7,6 +7,7 @@ import zlib
 
 import pytest
 
+from cuckoo_lab import matching
 from cuckoo_lab.exact import ModelParams
 from cuckoo_lab.matching import BipartiteGraph, augment, max_matching, mu_via_deficit
 from cuckoo_lab.simulate import RngSeed, gen_graph
@@ -78,6 +79,22 @@ def test_max_matching_matched_set_is_consistent():
     assert len(used) == len(set(used)) == size
     for u, v in enumerate(matched):
         assert v in g.choices[u]
+
+
+def test_max_matching_searches_only_keys_with_no_free_choice(monkeypatch):
+    calls = []
+
+    def counting(bins, mark, choices, *rest):
+        calls.append(choices)
+        return augment(bins, mark, choices, *rest)
+
+    monkeypatch.setattr(matching, "augment", counting)
+    # each key's first choice is a distinct free bin
+    assert max_matching(_graph(3, 4, [[2, 0], [0, 2], [3, 3]])) == (3, (2, 0, 3))
+    assert calls == []
+    # the third key finds both of its bins taken
+    assert max_matching(_graph(3, 3, [[0], [1, 2], [1, 0]])) == (3, (0, 2, 1))
+    assert calls == [(1, 0)]
 
 
 def test_max_matching_deterministic():

@@ -18,7 +18,7 @@ from cuckoo_lab.trace import (
     synthetic_stream,
 )
 
-from oracles import reference_bin_choices
+from oracles import reference_bin_choices, wang_unmix64
 
 # frozen from an independent big-integer evaluation of the pinned bit sequence
 WANG_GOLDEN = {
@@ -151,6 +151,28 @@ def test_batch_map_takes_keys_through_their_low_64_bits(name):
     # keys outside [0, 2^64) on both sides of a block edge
     keys = SplitMix64(3141).draws(1 << 64, _LANES - 2) + _WIDE_KEYS
     assert batch(keys) == [choices(k) for k in keys]
+
+
+@pytest.mark.parametrize("span", [2**63 + 1, 3 * 2**62, 1000])
+def test_batch_map_rejects_from_the_exact_threshold(span):
+    # keys whose first mixed word is just below, at and far above the
+    # threshold, each alone in a block or among keys that every choice
+    # accepts, at the first, a middle and the last lane
+    shape = (_SEEDS2, span, 2, None)
+    choices, batch = choice_maps(*shape)
+    threshold = (1 << 64) - (1 << 64) % span
+    fillers = [
+        k for k in SplitMix64(1618).draws(1 << 64, 8 * _LANES)
+        if all(wang_mix64(k ^ s) < threshold for s in _SEEDS2)
+    ][: _LANES - 1]
+    assert len(fillers) == _LANES - 1
+    for word in (threshold - 1, threshold, (1 << 64) - 1):
+        key = wang_unmix64(word) ^ _SEEDS2[0]
+        assert wang_mix64(key ^ _SEEDS2[0]) == word
+        assert batch([key]) == [choices(key)] == [reference_bin_choices(key, *shape)]
+        for lane in (0, _LANES // 2 - 1, _LANES - 1):
+            keys = fillers[:lane] + [key] + fillers[lane:]
+            assert batch(keys) == [choices(k) for k in keys]
 
 
 @pytest.mark.parametrize(

@@ -622,13 +622,7 @@ def test_remove_searches_in_proportion_to_what_it_frees(monkeypatch):
     for key in live:
         t.insert(key)
     assert len(t._stash) > 250
-    calls = []
-
-    def counting(*args):
-        calls.append(args[2])
-        return augment(*args)
-
-    monkeypatch.setattr(cuckoo, "augment", counting)
+    calls = _count_searches(monkeypatch)
     outside = inside = 0
     for key in [k for k in live if t.bin_of(k) is not None][:400]:
         was_dead = t.bin_of(key) in _dead(t)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from math import exp, fsum, lgamma, log, log1p, perm, sqrt
+from math import exp, expm1, fsum, lgamma, log, log1p, perm, sqrt
 from typing import Iterator, Optional
 
 _NEG_INF = float("-inf")
@@ -180,14 +180,17 @@ class ExactResult:
 
 
 def _series(n: int, m: int, rows: Iterator[float]) -> ExactResult:
-    """m minus the sum of ``rows``, the expected number of bins stranded by
-    the tree components with s = 0, 1, ... elements, clamped to
-    [0, min(n, m)].  The sum stops once TRUNCATION_RUN consecutive rows
+    """The first of ``rows``, the expected number of bins some element
+    chooses, minus the rest, the expected number of bins stranded by the
+    tree components with s = 1, 2, ... elements, clamped to [0, min(n, m)]:
+    never m minus term 0 = m - (first row), which loses the chosen bins
+    below an ulp of m.  The sum stops once TRUNCATION_RUN consecutive rows
     fall below TRUNCATION_EPS times the running total.
     """
-    terms: list[float] = []
-    running, tiny_run, truncated_at = 0.0, 0, None
-    for s, term in enumerate(rows):
+    chosen = next(rows)
+    terms = [m - chosen]
+    running, tiny_run, truncated_at = terms[0], 0, None
+    for s, term in enumerate(rows, 1):
         terms.append(term)
         running += term
         if term >= TRUNCATION_EPS * running:
@@ -195,7 +198,7 @@ def _series(n: int, m: int, rows: Iterator[float]) -> ExactResult:
         elif (tiny_run := tiny_run + 1) >= TRUNCATION_RUN:
             truncated_at = s
             break
-    mu = min(max(m - fsum(terms), 0.0), float(min(n, m)))
+    mu = min(max(chosen - fsum(terms[1:]), 0.0), float(min(n, m)))
     return ExactResult(mu=mu, stash_expected=n - mu, terms=tuple(terms), truncated_at=truncated_at)
 
 
@@ -204,8 +207,9 @@ def _series(n: int, m: int, rows: Iterator[float]) -> ExactResult:
 
 
 def _deficit_rows(n: int, m: int, d: int, pool: int, p: float) -> Iterator[float]:
-    """Expected number of bins stranded by the tree components with s
-    d-choice elements and q = (d-1)s + 1 bins, for s = 0, 1, ...
+    """Expected number of bins some element chooses, then of bins stranded
+    by the tree components with s d-choice elements and q = (d-1)s + 1
+    bins, for s = 1, 2, ...
 
     ``pool`` of the n elements may have d choices, each independently with
     probability p; every other element has one.  Summand s is
@@ -243,18 +247,21 @@ def _deficit_rows(n: int, m: int, d: int, pool: int, p: float) -> Iterator[float
     head = 0.0
     for s in range(min(pool, (m - 1) // (d - 1)) + 1):
         q = (d - 1) * s + 1
-        # from s-1 to s: C(pool,s)/C(pool,s-1), the ratio of the (q-s)
-        # factors, and the next d-1 bins of the falling factorial over m^d
-        if s and exact:
-            head += log((pool - s + 1) * (q - s) * perm(m - q + d - 1, d - 1) / (s * (q - s + 2 - d) * md))
-        elif s:
-            head += log((pool - s + 1) * (q - s) / (s * (q - s + 2 - d))) + lgamma(m - q + d) - lgamma(m - q + 1) - d * log_m
         e = d * (pool - s) + n - pool if fixed else n - s  # outside elements
         if q < m:
             x = q / m
             out = log1p(-x) if fixed else log1p(-x) + log1p(-p * x)
         else:  # the component holds every bin: nothing may lie outside
             out = _NEG_INF
+        if not s:  # m minus summand 0, m (1 - 1/m)^e in d2, never formed from it
+            yield -m * expm1(e * out) if e else 0.0
+            continue
+        # from s-1 to s: C(pool,s)/C(pool,s-1), the ratio of the (q-s)
+        # factors, and the next d-1 bins of the falling factorial over m^d
+        if exact:
+            head += log((pool - s + 1) * (q - s) * perm(m - q + d - 1, d - 1) / (s * (q - s + 2 - d) * md))
+        else:
+            head += log((pool - s + 1) * (q - s) / (s * (q - s + 2 - d))) + lgamma(m - q + d) - lgamma(m - q + 1) - d * log_m
         yield m * exp(head + s * log_dp + (s - 2) * log(q) + (e * out if e else 0.0))
 
 
@@ -301,9 +308,10 @@ def expected_matching_partitioned(n: int, m: int, beta: float) -> ExactResult:
 
 
 def _partitioned_rows(n: int, m1: int, m2: int) -> Iterator[float]:
-    """Expected number of bins stranded by the two-bank tree components
-    with s elements, for s = 0, 1, ..., n: the sum of row s over the
-    shapes with i up bins and j = s + 1 - i down bins."""
+    """Expected number of bins some element chooses, then of bins stranded
+    by the two-bank tree components with s elements, for s = 1, ..., n:
+    the sum of row s over the shapes with i up bins and j = s + 1 - i down
+    bins."""
     # Summand (i, j) of row s is
     #   C(n,s) C(m1,i) C(m2,j) (1-i/m1)^(n-s) (1-j/m2)^(n-s) (i/m1)^s (j/m2)^s conn(i,j)
     # with conn(i,j) = i^(j-1) j^(i-1) s! / (i j)^s, so its log is
@@ -318,18 +326,20 @@ def _partitioned_rows(n: int, m1: int, m2: int) -> Iterator[float]:
     log_k = [0.0, 0.0]  # log 0 set to 0, and log 1
     row = 0.0
     peak = 0
-    for s in range(n + 1):
-        if s == 0:  # the single bins, shapes (0, 1) and (1, 0)
-            lo, hi = 0, 1
-        else:  # a shape with s >= 1 elements needs a bin in each bank
-            lo, hi = max(1, s + 1 - m2), min(s, m1)
-            row += log((n - s + 1) / (m1 * m2))
+    _grow_bank(m1, choose1, out1, 1)
+    _grow_bank(m2, choose2, out2, 1)
+    # m minus row 0, whose shapes (0, 1) and (1, 0) are the single bins
+    yield -m1 * expm1(n * out1[1]) - m2 * expm1(n * out2[1]) if n else 0.0
+    for s in range(1, n + 1):
+        # a shape with s elements needs a bin in each bank
+        lo, hi = max(1, s + 1 - m2), min(s, m1)
+        row += log((n - s + 1) / (m1 * m2))
         if lo > hi:  # s >= m: no shape has s + 1 bins
             yield 0.0
             continue
-        # the row reads entries up to max(s, 1)
-        _grow_bank(m1, choose1, out1, max(s, 1))
-        _grow_bank(m2, choose2, out2, max(s, 1))
+        # the row reads entries up to s
+        _grow_bank(m1, choose1, out1, s)
+        _grow_bank(m2, choose2, out2, s)
         log_k.extend(log(k) for k in range(len(log_k), s + 1))
         a = n - s
         if not a:  # s = n, the last row: 0^0 = 1

@@ -13,8 +13,9 @@ for d = 2, d = 3 and two banks, m = 1000).  Both callers own one mark
 list with an entry per bin, which holds the dead bins between searches
 and the search's own marks during one, so each bin the search reaches
 costs one list index.
-:func:`mu_via_deficit` reaches the same size with one union-find and no
-search.  Both are pure functions of an immutable :class:`BipartiteGraph`.
+:func:`mu_via_columns` reaches the same size for keys of at most two
+choices, given as two endpoint columns, with one union-find and no search;
+:func:`mu_via_deficit` feeds it a graph's rows.
 """
 
 from __future__ import annotations
@@ -143,45 +144,44 @@ def max_matching(graph: BipartiteGraph) -> tuple[int, tuple[Optional[int], ...]]
 
 
 def mu_via_deficit(graph: BipartiteGraph) -> int:
-    """Maximum matching size of a graph with left degrees <= 2, computed as
-    the bin count minus the number of trees in the cuckoo graph.
-
-    The cuckoo graph has the bins as vertices and each key as an edge
-    between its choices; a one-choice key, or a key that repeats a bin, is
-    a loop, and a key with no choice is no edge.  A component with a cycle
-    or a loop matches all its bins; a tree, an isolated bin included,
-    leaves exactly one spare.  One union-find over the bins, with a
-    per-root flag set by any cycle or loop, counts the trees in
-    near-linear time, with no matching search: every bin starts as a
-    tree, and an edge removes one unless it joins two components that
-    already have a cycle.
-    """
+    """Maximum matching size of a graph with left degrees <= 2: the tree
+    count of :func:`mu_via_columns` over the edges ``(row[0], row[-1])``,
+    so a one-choice key is a loop, and a key with no choice is no edge."""
     choices = graph.choices
     if graph.max_left_degree() > 2:
         u = next(u for u, row in enumerate(choices) if len(row) > 2)
         raise ValueError(f"left vertex {u} has degree {len(choices[u])} > 2")
-    m = graph.m
-    parent = list(range(m))
-    saturated = [False] * m
+    rows = [row for row in choices if row]
+    return mu_via_columns(graph.m, [row[0] for row in rows], [row[-1] for row in rows])
+
+
+def mu_via_columns(m: int, xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Maximum matching size of the keys whose choices are the bins
+    ``xs[u]`` and ``ys[u]``, each in [0, m) (unchecked): m minus the number
+    of trees in the cuckoo graph, whose vertices are the bins and whose
+    edges are the keys.  A one-choice key, ``ys[u] == xs[u]``, is a loop.
+    A component with a cycle or a loop matches all its bins; a tree, an
+    isolated bin included, leaves exactly one spare.  One union-find counts
+    the trees, with no search: every bin starts as a tree, and an edge
+    removes one unless it joins two components that already have a cycle.
+    ``parent[b]`` is b's parent bin, or for a root -1 (a tree) or -2 (a
+    cycle or a loop), so a root's find also reads its flag.
+    """
+    parent = [-1] * m
     trees = m
-    for row in choices:
-        if not row:
-            continue
-        # a one-choice key has row[0] == row[-1]: a loop, like a repeated
-        # bin; both roots are found with path halving
-        a = row[0]
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        b = row[-1]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
+    for a, b in zip(xs, ys):
+        # each root is found with path halving; fa and fb end as the flags
+        while (fa := parent[a]) >= 0:
+            parent[a] = a = fa if (g := parent[fa]) < 0 else g
+        while (fb := parent[b]) >= 0:
+            parent[b] = b = fb if (g := parent[fb]) < 0 else g
         if a == b:
-            if not saturated[a]:
-                saturated[a] = True
-                trees -= 1
+            fb = -2  # the edge closes a cycle
         else:
             parent[b] = a
-            if not (saturated[a] and saturated[b]):
-                saturated[a] = saturated[a] or saturated[b]
-                trees -= 1
+        if fa == -1:  # a takes b's flag
+            parent[a] = fb
+            trees -= 1
+        elif fb == -1:
+            trees -= 1
     return m - trees

@@ -398,11 +398,15 @@ def partitioned_series_full(n: int, m1: int, m2: int):
     """The two-bank series summed over every summand of every row: returns
     (mu, terms, truncated_at) as ``expected_matching_partitioned`` reports
     them, with the same stopping rule (50 consecutive row sums below 1e-18
-    of the running total) and the same clamp of mu to [0, min(n, m)]."""
+    of the running total) and the same clamp of mu to [0, min(n, m)].
+    Row 0, the single bins, enters as its complement, the expected number
+    of bins some element chooses, -mb expm1(n log(1 - 1/mb)) per bank, and
+    mu is that count minus the rows s >= 1."""
     m = m1 + m2
-    terms: list[float] = []
-    running, tiny_run, truncated_at = 0.0, 0, None
-    for s in range(n + 1):
+    chosen = sum(-mb * math.expm1(n * _log1m(1 / mb)) if n else 0.0 for mb in (m1, m2))
+    terms: list[float] = [m - chosen]
+    running, tiny_run, truncated_at = terms[0], 0, None
+    for s in range(1, n + 1):
         term = math.fsum(math.exp(lt) for lt in partitioned_row_logs(n, m1, m2, s) if lt != float("-inf"))
         terms.append(term)
         running += term
@@ -413,7 +417,7 @@ def partitioned_series_full(n: int, m1: int, m2: int):
                 break
         else:
             tiny_run = 0
-    mu = min(max(m - math.fsum(terms), 0.0), float(min(n, m)))
+    mu = min(max(chosen - math.fsum(terms[1:]), 0.0), float(min(n, m)))
     return mu, tuple(terms), truncated_at
 
 

@@ -185,6 +185,21 @@ def test_trace_means_are_exact_ratios(capsys):
     assert (results["overflow_mean"], results["inserted_mean"]) == (0.8, 0.2)
 
 
+def test_exact_keeps_the_chosen_bins_below_an_ulp_of_m(capsys):
+    # at m = 2^64 the bins no key chooses, m (1 - 1/m)^(2n), round to m, and
+    # mu, formed as m minus them, printed 0.0; the chosen bins are now their
+    # own term.  What is left is the rounding of the s = 1 row, exp of a log
+    # near -ln m = -44: a few parts in 1e15
+    for model in (["d2"], ["mixed-det", "--a", "2"], ["mixed-rand", "--p", "0.5"],
+                  ["bound-d", "--d", "3"], ["partitioned", "--beta", "0.5"]):
+        for n in (1, 3):
+            code, out, _ = _run(capsys, "exact", "--n", str(n), "--m", str(1 << 64), "--model", *model)
+            assert code == 0
+            results = _json(out)["results"]
+            assert results["mu"] == pytest.approx(n, rel=1e-14), (model, n)
+            assert results["stash_expected"] == pytest.approx(0.0, abs=1e-14), (model, n)
+
+
 def test_trace_from_file(tmp_path, capsys):
     path = tmp_path / "keys.hex"
     path.write_text("".join(f"{k:x}\n" for k in range(500)))
@@ -657,13 +672,13 @@ _PINNED = [
     ('exact --n 2 --m 2 --model d2',
      '{"command": "exact", "parameters": {"model": "d2", "n": 2, "m": 2}, "results": {"mu": 1.875, "stash_expected": 0.125, "mu_over_n": 0.9375, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
     ('exact --n 30 --m 40 --model mixed-det --a 1.5 --format csv',
-     'command,model,n,m,a,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-det,30,40,1.5,24.982789246279605,5.017210753720395,0.8327596415426535,,0.1.0\n'),
+     'command,model,n,m,a,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-det,30,40,1.5,24.98278924627961,5.017210753720391,0.8327596415426536,,0.1.0\n'),
     ('exact --n 4 --m 10 --model partitioned --beta 0.33 --round',
-     '{"command": "exact", "parameters": {"model": "partitioned", "n": 4, "m": 10, "beta": 0.3}, "results": {"mu": 3.988554151819458, "stash_expected": 0.011445848180541951, "mu_over_n": 0.9971385379548645, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
+     '{"command": "exact", "parameters": {"model": "partitioned", "n": 4, "m": 10, "beta": 0.3}, "results": {"mu": 3.9885541518194576, "stash_expected": 0.011445848180542395, "mu_over_n": 0.9971385379548644, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
     ('exact --n 50 --m 50 --model bound-d --d 3',
-     '{"command": "exact", "parameters": {"model": "bound-d", "n": 50, "m": 50, "d": 3}, "results": {"mu": 47.574507094181236, "stash_expected": 2.425492905818764, "mu_over_n": 0.9514901418836247, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
+     '{"command": "exact", "parameters": {"model": "bound-d", "n": 50, "m": 50, "d": 3}, "results": {"mu": 47.57450709418123, "stash_expected": 2.4254929058187713, "mu_over_n": 0.9514901418836246, "truncated_at": null}, "metadata": {"version": "0.1.0"}}\n'),
     ('exact --m 50 --model mixed-rand --p 0.3 --sweep n=10:30:10',
-     'command,model,n,m,p,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-rand,10,50,0.3,9.525880765130275,0.4741192348697254,0.9525880765130275,,0.1.0\nexact,mixed-rand,20,50,0.3,17.877023129516665,2.1229768704833347,0.8938511564758332,,0.1.0\nexact,mixed-rand,30,50,0.3,24.924177762171784,5.075822237828216,0.8308059254057262,,0.1.0\n'),
+     'command,model,n,m,p,mu,stash_expected,mu_over_n,truncated_at,version\nexact,mixed-rand,10,50,0.3,9.525880765130275,0.4741192348697254,0.9525880765130275,,0.1.0\nexact,mixed-rand,20,50,0.3,17.87702312951667,2.122976870483331,0.8938511564758335,,0.1.0\nexact,mixed-rand,30,50,0.3,24.92417776217178,5.07582223782822,0.830805925405726,,0.1.0\n'),
     ('asymptotic --alpha 1 --model partitioned --beta 0.3',
      '{"command": "asymptotic", "parameters": {"model": "partitioned", "alpha": 1.0, "beta": 0.3}, "results": {"gamma": 0.8072088548048635, "closed_form": false, "t1": 0.12613112418768965, "t2": 0.9062251444004882}, "metadata": {"version": "0.1.0"}}\n'),
     ('asymptotic --model partitioned --alpha 1e-10 --beta 5e-324',

@@ -7,9 +7,9 @@ import zlib
 
 import pytest
 
-from cuckoo_lab import matching
+from cuckoo_lab import matching, simulate
 from cuckoo_lab.exact import ModelParams
-from cuckoo_lab.matching import BipartiteGraph, augment, max_matching, mu_via_deficit
+from cuckoo_lab.matching import BipartiteGraph, augment, max_matching, mu_via_columns, mu_via_deficit
 from cuckoo_lab.simulate import RngSeed, gen_graph
 
 import oracles
@@ -261,6 +261,61 @@ def test_mu_via_deficit_equals_matching_on_random_graphs():
         for t in range(3):
             g = gen_graph(params, seed.derive(t))
             assert mu_via_deficit(g) == max_matching(g)[0], (params.variant, t)
+
+
+def test_mu_via_columns_examples():
+    # (m, xs, ys) with the choice rows of the same keys: one-choice keys
+    # repeat their bin in ys
+    cases = [
+        (3, [0, 1], [0, 1], [[0], [1]]),  # two one-choice loops
+        (2, [0, 0, 1], [1, 1, 1], [[0, 1], [0, 1], [1]]),  # parallel edges, then a loop
+        (2, [1], [1], [[1, 1]]),  # a key that repeats its bin
+        (4, [], [], []),  # n = 0
+        (1, [0, 0, 0], [0, 0, 0], [[0], [0, 0], [0]]),  # m = 1
+        (5, [3] * 6, [3] * 6, [[3, 3], [3], [3, 3], [3], [3], [3, 3]]),  # every key in one bin
+        (4, [0, 1, 2, 3], [1, 2, 3, 0], [[0, 1], [1, 2], [2, 3], [3, 0]]),  # a cycle
+        (6, [0, 1, 3, 4, 2, 0], [1, 2, 4, 5, 5, 0], [[0, 1], [1, 2], [3, 4], [4, 5], [2, 5], [0]]),
+    ]
+    for m, xs, ys, rows in cases:
+        want = max_matching(_graph(len(rows), m, rows))[0]
+        assert mu_via_columns(m, xs, ys) == want, (m, xs, ys)
+
+
+def test_mu_via_columns_a_merged_cycle_saturates_the_whole_component():
+    # a loop at bin 0 joins bin 1's tree, on either side of the union; a
+    # further key inside the joined component matches nothing more, as two
+    # bins hold at most two keys, and bins 2 and 3 stay trees
+    for xs, ys in (([0, 1, 1], [0, 0, 1]), ([0, 0, 1], [0, 1, 1]), ([0, 1, 0], [0, 0, 1])):
+        rows = [[x, y] for x, y in zip(xs, ys)]
+        assert mu_via_columns(4, xs, ys) == max_matching(_graph(3, 4, rows))[0] == 2
+    # a cycle through bins 0-2 joins bin 3's tree, then bin 3 takes a loop
+    xs, ys = [0, 1, 2, 3, 3], [1, 2, 0, 0, 3]
+    rows = [[x, y] for x, y in zip(xs, ys)]
+    assert mu_via_columns(5, xs, ys) == max_matching(_graph(5, 5, rows))[0] == 4
+
+
+def test_trial_columns_match_the_graph_and_its_matching():
+    # the endpoint columns of every d <= 2 model are the ends of gen_graph's
+    # rows, drawn from the same state, and their tree count is the maximum
+    # matching size
+    seed = RngSeed(31)
+    for params in (
+        ModelParams.fixed2(300, 300),
+        ModelParams.fixed_d(300, 300, 2),
+        ModelParams.mixed_det(300, 300, 1.5),
+        ModelParams.mixed_rand(300, 300, 0.5),
+        ModelParams.mixed_rand(300, 300, 0.0),
+        ModelParams.mixed_rand(300, 300, 1.0),
+        ModelParams.partitioned(300, 300, 0.3),
+        ModelParams.fixed2(150, 300),
+        ModelParams.fixed2(40, 1),
+    ):
+        for t in range(4):
+            rng = seed.derive(t)
+            xs, ys, _ = simulate._endpoints(params, rng)
+            g = gen_graph(params, seed.derive(t))
+            assert (xs, ys) == ([row[0] for row in g.choices], [row[-1] for row in g.choices])
+            assert mu_via_columns(params.m, xs, ys) == max_matching(g)[0], (params, t)
 
 
 def test_deficit_component_is_tree_with_full_degrees():

@@ -12,10 +12,13 @@ import pytest
 from scipy.stats import chi2
 
 from cuckoo_lab.exact import ModelParams, concentration_tail_bound, evaluate
+from cuckoo_lab import matching
 from cuckoo_lab.hashing import _LANES
+from cuckoo_lab.matching import BipartiteGraph
 from cuckoo_lab.simulate import (
     RngSeed,
     SplitMix64,
+    _matching_size,
     concentration_experiment,
     effective_threads,
     estimate_mu,
@@ -280,6 +283,101 @@ def test_estimate_mu_golden():
     ]
     for params, trials, expected in cases:
         assert repr(estimate_mu(params, trials, RngSeed(7))) == expected
+
+
+# repr(estimate_mu(params, 20, RngSeed(7))) and the sha256 of repr of its
+# per-trial size list, for every d <= 2 model other than d2, pinned from
+# the trial path that built a BipartiteGraph and ran mu_via_deficit on it;
+# the digest catches two trials that trade sizes, which the moments miss
+_D2_MODELS_GOLDEN = {
+    ("mixed-det", 400): (
+        "SimStats(mean=297.2, std_dev=6.469360986909555, min=286.0, max=313.0, std_error=1.446593093771489)",
+        "3b284a93bf1adedeee5164fab22dd0ef985489e34a4d733bb5be7dfadf48ba6b"),
+    ("mixed-rand 0.5", 400): (
+        "SimStats(mean=296.45, std_dev=6.099827435005199, min=288.0, max=314.0, std_error=1.3639628795689804)",
+        "c153ad7bd0e039a595a157af287b5f6495dc774fdb05179d7b9ef21f7cfa62d5"),
+    ("mixed-rand 0", 400): (
+        "SimStats(mean=252.1, std_dev=6.180614856144977, min=238.0, max=262.0, std_error=1.3820274961085253)",
+        "2d5402ee23eedd0709323dde9030df49344862de34e24db7510baf9051617068"),
+    ("mixed-rand 1", 400): (
+        "SimStats(mean=333.65, std_dev=5.112162998801563, min=324.0, max=342.0, std_error=1.143114397737947)",
+        "73369ce80390302aad954a19727d9a21e66cd1fc23d6cf63b4b06b9a548f8e3e"),
+    ("partitioned", 400): (
+        "SimStats(mean=325.2, std_dev=4.583724066279456, min=315.0, max=333.0, std_error=1.0249518602302614)",
+        "a34676f1816cf394dd79badad3828bc10fe7bcb15b6e0880aa0a7569f0249f4f"),
+    ("fixed-d 2", 400): (
+        "SimStats(mean=335.3, std_dev=4.0535884037934125, min=326.0, max=341.0, std_error=0.9064099223686937)",
+        "6e0cebd99c58758f87beb1b79317fa8eb4597fb1d32e2dcefb973fa974a87ba3"),
+    ("mixed-det", 200): (
+        "SimStats(mean=179.45, std_dev=3.0517466957034363, min=173.0, max=183.0, std_error=0.6823913061703248)",
+        "720facab65b0675472e1fb83f6a6db33e024e5afaadcde7e5f7797e0798644f8"),
+    ("mixed-rand 0.5", 200): (
+        "SimStats(mean=181.8, std_dev=4.137123333148796, min=175.0, max=190.0, std_error=0.9250889004221218)",
+        "f9b6117dc104042a45980097d646dd8f57ccd67343e94121fa8a92c77c87e5a0"),
+    ("mixed-rand 0", 200): (
+        "SimStats(mean=158.8, std_dev=5.454114815536306, min=151.0, max=169.0, std_error=1.2195771484627904)",
+        "0322465425a8e14e7e7064c8df0071d12da24676e8ab0f518ba9a1b40ce6b814"),
+    ("mixed-rand 1", 200): (
+        "SimStats(mean=199.7, std_dev=0.9233805168766387, min=196.0, max=200.0, std_error=0.2064741604835056)",
+        "681ae0aed98c0cdcdbcdc6a2ca25dee567a056ba0fa54e0407281c8fa3f53af6"),
+    ("partitioned", 200): (
+        "SimStats(mean=199.6, std_dev=0.9403246919632545, min=197.0, max=200.0, std_error=0.21026299321513872)",
+        "07b03b3686614abfadf3622b05af7036f1dd58f783e39bfe71729a85a62c2076"),
+    ("fixed-d 2", 200): (
+        "SimStats(mean=199.75, std_dev=0.5501196042201808, min=198.0, max=200.0, std_error=0.12301048307916045)",
+        "bb3a969e99fc821f63ccd6a3f14e444464b7e04f5f098ba24c61180448178e4f"),
+}
+
+
+def _d2_model(name, n, m=400):
+    variant, _, arg = name.partition(" ")
+    return {
+        "mixed-det": lambda: ModelParams.mixed_det(n, m, 1.5),
+        "mixed-rand": lambda: ModelParams.mixed_rand(n, m, float(arg or 0)),
+        "partitioned": lambda: ModelParams.partitioned(n, m, 0.3),
+        "fixed-d": lambda: ModelParams.fixed_d(n, m, 2),
+    }[variant]()
+
+
+@pytest.mark.parametrize("name, n", sorted(_D2_MODELS_GOLDEN))
+def test_estimate_mu_golden_d2_models(name, n):
+    params = _d2_model(name, n)
+    sizes = fan_out(_matching_size, 20, (params, RngSeed(7)))
+    got = (repr(estimate_mu(params, 20, RngSeed(7))), hashlib.sha256(repr(sizes).encode()).hexdigest())
+    assert got == _D2_MODELS_GOLDEN[(name, n)]
+
+
+def _count_graphs_and_searches(monkeypatch):
+    """Run every trial in this process, and count the graphs built and the
+    augmenting searches run."""
+    monkeypatch.delenv("CUCKOO_LAB_THREADS", raising=False)
+    counts = collections.Counter()
+    check, augment = BipartiteGraph.__post_init__, matching.augment
+
+    def counting_check(graph):
+        counts["graphs"] += 1
+        check(graph)
+
+    def counting_augment(*args):
+        counts["searches"] += 1
+        return augment(*args)
+
+    monkeypatch.setattr(BipartiteGraph, "__post_init__", counting_check)
+    monkeypatch.setattr(matching, "augment", counting_augment)
+    return counts
+
+
+def test_trials_with_two_choices_build_no_graph(monkeypatch):
+    counts = _count_graphs_and_searches(monkeypatch)
+    for name in sorted({name for name, _ in _D2_MODELS_GOLDEN}):
+        estimate_mu(_d2_model(name, 400), 5, RngSeed(3))
+    estimate_mu(ModelParams.fixed2(400, 400), 5, RngSeed(3))
+    concentration_experiment(ModelParams.fixed2(100, 100), 100, 2.0, RngSeed(3))
+    concentration_experiment(ModelParams.mixed_rand(100, 100, 0.5), 100, 2.0, RngSeed(3))
+    assert counts == {}
+    # d = 3 still builds one graph per trial and searches in it
+    estimate_mu(ModelParams.fixed_d(400, 400, 3), 5, RngSeed(3))
+    assert counts["graphs"] == 5 and counts["searches"] > 0
 
 
 def test_estimate_mu_stats_shape():

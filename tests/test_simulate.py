@@ -11,8 +11,8 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 from scipy.stats import chi2
 
-from cuckoo_lab.exact import ModelParams, concentration_tail_bound, evaluate
 from cuckoo_lab import matching
+from cuckoo_lab.exact import ModelParams, concentration_tail_bound, evaluate
 from cuckoo_lab.hashing import _LANES
 from cuckoo_lab.matching import BipartiteGraph
 from cuckoo_lab.simulate import (
@@ -347,9 +347,9 @@ def test_estimate_mu_golden_d2_models(name, n):
     assert got == _D2_MODELS_GOLDEN[(name, n)]
 
 
-def _count_graphs_and_searches(monkeypatch):
-    """Run every trial in this process, and count the graphs built and the
-    augmenting searches run."""
+def test_trials_with_two_choices_build_no_graph(monkeypatch):
+    # every trial runs in this process, which counts the graphs built and
+    # the augmenting searches run
     monkeypatch.delenv("CUCKOO_LAB_THREADS", raising=False)
     counts = collections.Counter()
     check, augment = BipartiteGraph.__post_init__, matching.augment
@@ -364,11 +364,6 @@ def _count_graphs_and_searches(monkeypatch):
 
     monkeypatch.setattr(BipartiteGraph, "__post_init__", counting_check)
     monkeypatch.setattr(matching, "augment", counting_augment)
-    return counts
-
-
-def test_trials_with_two_choices_build_no_graph(monkeypatch):
-    counts = _count_graphs_and_searches(monkeypatch)
     for name in sorted({name for name, _ in _D2_MODELS_GOLDEN}):
         estimate_mu(_d2_model(name, 400), 5, RngSeed(3))
     estimate_mu(ModelParams.fixed2(400, 400), 5, RngSeed(3))

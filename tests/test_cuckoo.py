@@ -1,6 +1,7 @@
 """Cuckoo table semantics and the placed-count/maximum-matching guarantee."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -638,3 +639,39 @@ def test_remove_searches_in_proportion_to_what_it_frees(monkeypatch):
             assert calls == []
             assert len(t._stash) == stash
     assert outside > 50 and inside > 50
+
+
+# name -> (m, d, two-bank boundary), and the digest of the table's state
+# every 250 steps of a seeded stream at load 1, frozen from the table whose
+# index held keys, before it held bin and stash codes
+_EVOLUTION_GOLDEN = {
+    "d2": ((2000, 2, None), "500114e8d2c21d10b34b3941a76968097b8a503271898a07952dcd046700fab2"),
+    "d3": ((400, 3, None), "554dc55a4ec86e468dc6e592d715424fa027f277b2a6a81b701b722538a079d3"),
+    "two-bank": ((2000, 2, 800), "e53b2d151b42a4771cd857f8180ab935cf16a2ccd4ccfa4dedf44955ef3a58b5"),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVOLUTION_GOLDEN))
+def test_table_evolution_golden(name):
+    # fill to n = m, then 2000 rounds of one remove and one insert; the
+    # digest covers the layout, stash order, marks and counters
+    (m, d, boundary), expected = _EVOLUTION_GOLDEN[name]
+    rng = random.Random(3232)
+    t = _table(m=m, d=d, seed=3232, boundary=boundary)
+    live: list[int] = []
+    digest = hashlib.sha256()
+    promoted = 0
+    for step in range(m + 2 * 2000):
+        if step >= m and step % 2:
+            key = live.pop(rng.randrange(len(live)))
+            stash = len(t._stash) if t.bin_of(key) is not None else -1
+            assert t.remove(key)
+            promoted += len(t._stash) < stash
+        else:
+            key = rng.getrandbits(64)
+            t.insert(key)
+            live.append(key)
+        if step % 250 == 249:
+            digest.update(repr((t._bins, t.stash_keys(), t._mark, t.stats)).encode())
+    assert promoted > 100
+    assert digest.hexdigest() == expected

@@ -41,11 +41,24 @@ re-insertion loop over the stash would promote; its search, pruned by
 the rest of the dead bins, finds the chain the full search would.  After
 a promotion every bin of the reach again holds a key whose choices are
 all dead, so the reach is dead again; with no promotion it comes back to
-life.  The walk reads an index from each bin to the stashed keys and
-dead-bin occupants that choose it.  A key is indexed when it is
-stashed.  The bins a failed search marks dead wait in a list, so an
-insert-only build never indexes their occupants; the next deletion that
-empties a dead bin indexes them before it walks.
+life.
+
+The walk reads an index from each bin to the locations of the keys that
+choose it, not to the keys: the occupant of dead bin b is indexed by the
+code b under each of its choices other than b, and the key stashed t-th
+by the code ~t under all its choices.  So a walk step tests a bin code
+against its mark, or a stash code against the earliest one seen, and
+looks up no key; the stash maps each code ~t to its key and choices.  An
+occupant is not indexed under its own bin, which the walk would only
+skip.  A promotion moves keys along its chain, so it recodes them from
+the chain's end back to its root: a key that moves from bin x to bin y
+loses its entry under y, gains the entry y under x, and has x replaced
+by y under its other choices, and the promoted key's ~t becomes the
+root.  From the end, each bin code is free when a key takes it, so no
+code is ever present twice.  A key is indexed when it is stashed.  The
+bins a failed search marks dead wait in a list, so an insert-only build
+never indexes their occupants; the next deletion that empties a dead bin
+indexes them before it walks.
 
 The stash keeps each key's cached choices in insertion order, so
 promotions never rehash.  A table builds its choice maps once, over one
@@ -112,20 +125,21 @@ class CuckooTable:
         self._choices, self._batch_choices = choice_maps(self.seeds, self.m, self.d, self.partition_boundary)
         # bins hold (key, choices) so displacement chains never rehash
         self._bins: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * self.m
-        # stashed key -> its choices, in stash (insertion) order
-        self._stash: dict[int, tuple[int, ...]] = {}
         # key -> its bin, or ~t for the t-th key stashed: negative, and
         # larger for a key stashed earlier
         self._where: dict[int, int] = {}
+        # ~t -> (key, choices) of each stashed key, in stash (insertion) order
+        self._stash: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._tickets = 0
         # per bin: -1 for an occupied bin from which no displacement chain
         # reaches an empty bin, else 0; the dead bins are closed under the
         # occupant's choices (module docstring), and augment's own marks
         # last only while it runs
         self._mark = [0] * self.m
-        # bin -> the stashed keys and dead-bin occupants choosing it: every
-        # stashed key, and the occupants of every dead bin but those in
-        # _marked, which a remove from a dead bin takes in before it walks
+        # bin c -> the codes of the keys that choose it: b for the occupant
+        # of dead bin b when c != b, and ~t for a stashed key; every dead
+        # bin is indexed but those in _marked, which a remove from a dead
+        # bin takes in before it walks
         self._choosers: list[tuple[int, ...]] = [()] * self.m
         self._marked: list[int] = []
 
@@ -159,10 +173,11 @@ class CuckooTable:
                 return b
         chain = augment(bins, self._mark, choices, self._marked)
         if chain is None:
-            self._stash[key] = choices
-            self._choose(key, choices)
-            self._where[key] = ~self._tickets
+            code = ~self._tickets
             self._tickets += 1
+            self._stash[code] = (key, choices)
+            self._choose(code, choices)
+            self._where[key] = code
             if len(self._stash) > self.stats.stash_peak:
                 self.stats.stash_peak = len(self._stash)
             return None
@@ -199,15 +214,15 @@ class CuckooTable:
         if loc is None:
             return False
         if loc < 0:
-            self._unchoose(key, self._stash.pop(key))
+            self._unchoose(loc, self._stash.pop(loc)[1])
             return True
         bins = self._bins
         if self._mark[loc] < 0:
             # loc's occupant may wait in _marked, so the marks are taken in first
             for b in self._marked:
-                self._choose(*bins[b])
+                self._choose(b, bins[b][1])
             self._marked.clear()
-            self._unchoose(*bins[loc])
+            self._unchoose(loc, bins[loc][1])
             bins[loc] = None
             self._refill(loc)
         else:
@@ -222,44 +237,55 @@ class CuckooTable:
         The walk revives each bin of the reach (mark 0) as it reaches it,
         so a revived mark is what says a bin is already in the reach.  A
         promotion searches from the stashed key with the rest of the dead
-        bins still marked, then marks the reach dead again."""
-        bins, where, choosers, mark = self._bins, self._where, self._choosers, self._mark
+        bins still marked, marks the reach dead again, and recodes the
+        keys that moved."""
+        bins, choosers, mark = self._bins, self._choosers, self._mark
         mark[loc] = 0
         reach = [loc]
-        first, top = None, ~self._tickets  # below every stashed key's ~ticket
-        # the loop reads the reach as it grows; every placed key in the
-        # index sits in a dead bin
+        none = top = ~self._tickets  # below every stashed key's code
+        # the loop reads the reach as it grows; every bin code in the index
+        # is a dead bin, revived once it is in the reach
         for r in reach:
-            for k in choosers[r]:
-                b = where[k]
-                if b >= 0:
-                    if mark[b]:
-                        mark[b] = 0
-                        reach.append(b)
-                elif b > top:
-                    first, top = k, b
-        if first is None:
+            for c in choosers[r]:
+                if c >= 0:
+                    if mark[c]:
+                        mark[c] = 0
+                        reach.append(c)
+                elif c > top:
+                    top = c
+        if top == none:
             for b in reach[1:]:
-                self._unchoose(*bins[b])
+                self._unchoose(b, bins[b][1])
             return
-        choices = self._stash.pop(first)
+        key, choices = self._stash.pop(top)
         # the stashed key has a choice in the reach, and the reach leads only to loc
         chain = augment(bins, mark, choices)
         for b in reach:
             mark[b] = -1
-        self._settle(chain, first, choices)
+        # from the chain's end, where loc's code is free, back to its root:
+        # each key gives up the code of the bin it left and takes that of
+        # the bin it entered, which the key after it has already given up
+        for i in range(len(chain) - 1, 0, -1):
+            moved = bins[chain[i]][1]
+            self._unchoose(chain[i - 1], moved)
+            self._choose(chain[i], moved)
+        self._unchoose(top, choices)
+        self._choose(chain[0], choices)
+        self._settle(chain, key, choices)
 
-    def _choose(self, key: int, choices: tuple[int, ...]) -> None:
+    def _choose(self, code: int, choices: tuple[int, ...]) -> None:
         choosers = self._choosers
         for c in choices:
-            choosers[c] += (key,)
+            if c != code:
+                choosers[c] += (code,)
 
-    def _unchoose(self, key: int, choices: tuple[int, ...]) -> None:
+    def _unchoose(self, code: int, choices: tuple[int, ...]) -> None:
         choosers = self._choosers
         for c in choices:
-            keys = choosers[c]
-            i = keys.index(key)
-            choosers[c] = keys[:i] + keys[i + 1 :]
+            if c != code:
+                codes = choosers[c]
+                i = codes.index(code)
+                choosers[c] = codes[:i] + codes[i + 1 :]
 
     # -- read path ----------------------------------------------------------
 
@@ -270,7 +296,8 @@ class CuckooTable:
             slot = bins[b]
             if slot is not None and slot[0] == key:
                 return LookupResult(found=True, bin=b)
-        return _IN_STASH if key in self._stash else _MISS
+        # a placed key is found in its bin, so one still known is stashed
+        return _IN_STASH if key in self._where else _MISS
 
     def load_stats(self) -> LoadStats:
         return LoadStats(placed=self.stats.placed, stash_size=len(self._stash))
@@ -278,7 +305,7 @@ class CuckooTable:
     # -- introspection, read by the tests and perfbench's answer checks -----
 
     def stash_keys(self) -> tuple[int, ...]:
-        return tuple(self._stash)
+        return tuple(key for key, _ in self._stash.values())
 
     def bin_of(self, key: int) -> Optional[int]:
         loc = self._where.get(key)

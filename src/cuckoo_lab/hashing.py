@@ -5,15 +5,18 @@ that table layouts and experiment outputs reproduce across platforms and
 implementations.
 
 A table's bin choices come from one checked plan, with two maps over it:
-a per-key map, and a batch map that hashes many keys in one pass.  The
-batch map puts each key in its own 128-bit lane of a single Python
-integer, and every step of the mix becomes a few big-integer operations
-over all lanes at once.  A lane holds a 64-bit word, so its product with
-a constant below 2^64 stays below 2^128 and carries nothing into the next
-lane; masking with 2^64 - 1 in every lane clears the bits a shift brings
-in from the neighbouring lane.  The words equal those of the scalar mix,
-one by one.  :class:`cuckoo_lab.simulate.SplitMix64` mixes its words the
-same way, with the lane helpers below.
+a per-key map, and a batch map that hashes many keys in one pass.  Both
+mix in 128-bit lanes of a single Python integer, through one helper,
+:func:`_wang_lanes`, where every step of the mix becomes a few
+big-integer operations over all lanes at once: the per-key map puts
+key XOR seeds[i] in lane i, d lanes per key, and the batch map puts each
+key in its own lane, one pass per choice.  A lane holds a 64-bit word,
+so its product with a constant below 2^64 stays below 2^128 and carries
+nothing into the next lane; masking with 2^64 - 1 in every lane clears
+the bits a shift brings in from the neighbouring lane.  The words equal
+those of the scalar mix, one by one.
+:class:`cuckoo_lab.simulate.SplitMix64` mixes its words the same way,
+with the lane helpers below.
 """
 
 from __future__ import annotations
@@ -59,6 +62,19 @@ def _unpack_lanes(lanes: int, count: int) -> array:
     return words[::2]
 
 
+def _wang_lanes(x: int, low: int) -> int:
+    """:func:`wang_mix64` of the word in each 128-bit lane of ``x``, every
+    word below 2^64, where ``low`` holds 2^64 - 1 in as many lanes.  Each
+    shift-and-add step is one product, which carries nothing into the next
+    lane; adding 2^64 - 1 subtracts 1 modulo 2^64 without a borrow across
+    lanes.  The mixed words are the low halves of the lanes; the high
+    halves hold bits below 2^96 that the caller drops."""
+    x = (x * 0x1FFFFF + low) & low  # ~x + (x << 21)
+    x = ((x ^ (x >> 24)) & low) * 265 & low  # x + (x << 3) + (x << 8)
+    x = ((x ^ (x >> 14)) & low) * 21 & low  # x + (x << 2) + (x << 4)
+    return ((x ^ (x >> 28)) & low) * 0x80000001  # x + (x << 31)
+
+
 def wang_mix64(x: int) -> int:
     """Wang's 64-bit integer mix; deterministic and well-avalanching."""
     x &= _MASK64
@@ -96,8 +112,10 @@ def choice_maps(
     it is at or above :func:`rejection_threshold`.  With a partition
     boundary (d = 2 only), choice 0 lands in [0, boundary) and choice 1 in
     [boundary, m).  Keys and seeds act through their low 64 bits.  The
-    batch map mixes any number of keys, _LANES per pass over 128-bit lanes
-    (module docstring), and gives, key by key, what the per-key map gives.
+    per-key map mixes a key's d words in one pass over d 128-bit lanes,
+    lane i holding key XOR seeds[i]; the batch map mixes any number of
+    keys, _LANES per pass, one choice at a time (module docstring), and
+    gives, key by key, what the per-key map gives.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -117,24 +135,21 @@ def choice_maps(
         (seed & _MASK64, lo, span, rejection_threshold(span))
         for seed, (lo, span) in zip(seeds, ranges)
     )
+    # the per-key map's d lanes: the seeds, and 1 and 2^64 - 1 in each
+    seeded = _pack_lanes([seed for seed, _, _, _ in plan])
+    d_ones, d_low = _pack_lanes([1] * d), _pack_lanes([_MASK64] * d)
+    reductions = tuple((lo, span, threshold) for _, lo, span, threshold in plan)
 
     def choices(key: int) -> tuple[int, ...]:
         out = []
-        for seed, lo, span, threshold in plan:
-            # wang_mix64 inlined, each shift-and-add step as one product;
-            # the first is reduced modulo 2^64, so the key acts through its
-            # low 64 bits
-            x = key ^ seed
-            x = (x * 0x1FFFFF - 1) & _MASK64  # ~x + (x << 21)
-            x ^= x >> 24
-            x = (x * 265) & _MASK64  # x + (x << 3) + (x << 8)
-            x ^= x >> 14
-            x = (x * 21) & _MASK64  # x + (x << 2) + (x << 4)
-            x ^= x >> 28
-            x = (x * 0x80000001) & _MASK64  # x + (x << 31)
-            while x >= threshold:
-                x = wang_mix64(x)
-            out.append(lo + x % span)
+        x = _wang_lanes((key & _MASK64) * d_ones ^ seeded, d_low)
+        # lane by lane, each word shifted down in turn
+        for lo, span, threshold in reductions:
+            w = x & _MASK64
+            x >>= 128
+            while w >= threshold:
+                w = wang_mix64(w)
+            out.append(lo + w % span)
         return tuple(out)
 
     def batch(keys: Sequence[int]) -> list[tuple[int, ...]]:
@@ -149,13 +164,7 @@ def choice_maps(
                 packed = _pack_lanes([k & _MASK64 for k in block])
             columns = []
             for seed, lo, span, threshold in plan:
-                # the steps of choices() over every lane; adding 2^64 - 1
-                # subtracts 1 modulo 2^64 without a borrow across lanes
-                x = ((packed ^ seed * ones) * 0x1FFFFF + low) & low
-                x = ((x ^ (x >> 24)) & low) * 265 & low
-                x = ((x ^ (x >> 14)) & low) * 21 & low
-                # below 2^96 per lane, so the last product needs no mask
-                x = ((x ^ (x >> 28)) & low) * 0x80000001
+                x = _wang_lanes(packed ^ seed * ones, low)
                 words = _unpack_lanes(x, count)
                 # a lane's word plus 2^64 - threshold reaches bit 64 exactly
                 # when the word is rejected; the sum stays below 2^65, so no

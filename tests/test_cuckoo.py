@@ -468,25 +468,49 @@ def test_partitioned_table_respects_banks():
 def _check_remove_invariants(table: CuckooTable) -> None:
     """Marks of 0 and -1 only, as no search is running; invariant (a) of
     the module docstring, a closed set of occupied dead bins, and an index
-    equal to its recomputation from every stashed key and the occupants of
-    the dead bins not waiting in _marked."""
+    equal to its recomputation: each stashed key's code ~t under each of
+    its choices, and each dead bin b not waiting in _marked under each of
+    its occupant's choices other than b."""
     assert set(table._mark) <= {0, -1}
     _check_dead_bins(table)
     dead = _dead(table)
-    for choices in table._stash.values():
+    for _, choices in table._stash.values():
         assert set(choices) <= dead
     waiting = set(table._marked)
     assert len(waiting) == len(table._marked) and waiting <= dead
-    owners = [table._bins[b] for b in dead - waiting]
-    owners += table._stash.items()
-    expected = sorted((c, key) for key, choices in owners for c in choices)
-    assert sorted((c, key) for c, keys in enumerate(table._choosers) for key in keys) == expected
+    assert all(table._where[key] == code for code, (key, _) in table._stash.items())
+    owners = [(b, table._bins[b][1]) for b in dead - waiting]
+    owners += [(code, choices) for code, (_, choices) in table._stash.items()]
+    expected = sorted((c, code) for code, choices in owners for c in choices if c != code)
+    assert sorted((c, code) for c, codes in enumerate(table._choosers) for code in codes) == expected
 
 
 def _check_matches_reference(table: CuckooTable, ref: ReferenceCuckooTable) -> None:
     assert table._bins == ref.bins
     assert table.stash_keys() == tuple(ref.stash)
     assert dataclasses.asdict(table.stats) == ref.stats
+
+
+def test_a_promotion_recodes_its_chain(monkeypatch):
+    # K0 in bin 0; K2 in bin 1 can move to 0, K1 in bin 2 can move to 1, and
+    # both choose bin 3 with K3, which can go nowhere; S finds no chain and
+    # is stashed, every bin dead.  Removing K0 promotes S along the chain
+    # 2 -> 1 -> 0, and the index follows each key to its new bin
+    calls = _count_searches(monkeypatch)
+    t = _table(m=4, d=3)
+    k0, k2, k1, k3, s = 10, 11, 12, 13, 14
+    t._choices = {k0: (0, 0, 0), k2: (1, 0, 3), k1: (2, 1, 3), k3: (3, 3, 3), s: (2, 3, 3)}.__getitem__
+    assert [t.insert(k) for k in (k0, k2, k1, k3, s)] == [0, 1, 2, 3, None]
+    assert _dead(t) == {0, 1, 2, 3} and sorted(t._marked) == [0, 1, 2, 3]
+    _check_remove_invariants(t)
+    assert t.remove(k0)
+    assert t._bins == [(k2, (1, 0, 3)), (k1, (2, 1, 3)), (s, (2, 3, 3)), (k3, (3, 3, 3))]
+    assert t.stash_keys() == () and _dead(t) == {0, 1, 2, 3}
+    assert t.stats == TableStats(placed=4, displacements=2, stash_peak=1)
+    assert calls[-1] == (2, 3, 3)
+    # each occupant under its choices other than its own bin
+    assert [sorted(codes) for codes in t._choosers] == [[], [0], [1], [0, 1, 2, 2]]
+    _check_remove_invariants(t)
 
 
 # d, the two-bank split as a share of m, and the largest m: at d = 3 and

@@ -129,6 +129,25 @@ def test_per_key_map_matches_reference(name):
         assert choices(key) == reference_bin_choices(key, *shape)
 
 
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_per_key_map_mixes_many_lanes_as_the_reference(d):
+    # d lanes per key, and keys whose word is rejected in exactly one lane:
+    # at m = 1000 only the top 616 words of the 2^64 range are rejected
+    seeds = tuple(SplitMix64(d).draws(1 << 64, d))
+    for m in (1000, 2**63 + 1):
+        choices = choice_maps(seeds, m, d)[0]
+        for key in SplitMix64(5150).draws(1 << 64, 2000):
+            assert choices(key) == reference_bin_choices(key, seeds, m, d)
+    choices, batch = choice_maps(seeds, 1000, d)
+    threshold = (1 << 64) - (1 << 64) % 1000
+    for lane in range(d):
+        for word in (threshold, threshold + 1, (1 << 64) - 1):
+            key = wang_unmix64(word) ^ seeds[lane]
+            rejected = [wang_mix64(key ^ seed) >= threshold for seed in seeds]
+            assert rejected == [i == lane for i in range(d)]
+            assert choices(key) == reference_bin_choices(key, seeds, 1000, d) == batch([key])[0]
+
+
 @pytest.mark.parametrize("name", list(BIN_CHOICES_GOLDEN))
 @pytest.mark.parametrize("count", [0, 1, _LANES, _LANES + 1, 2 * _LANES + 1])
 def test_batch_map_equals_per_key_map(name, count):

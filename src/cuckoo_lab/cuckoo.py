@@ -50,15 +50,16 @@ by the code ~t under all its choices.  So a walk step tests a bin code
 against its mark, or a stash code against the earliest one seen, and
 looks up no key; the stash maps each code ~t to its key and choices.  An
 occupant is not indexed under its own bin, which the walk would only
-skip.  A promotion moves keys along its chain, so it recodes them from
-the chain's end back to its root: a key that moves from bin x to bin y
-loses its entry under y, gains the entry y under x, and has x replaced
-by y under its other choices, and the promoted key's ~t becomes the
-root.  From the end, each bin code is free when a key takes it, so no
-code is ever present twice.  A key is indexed when it is stashed.  The
-bins a failed search marks dead wait in a list, so an insert-only build
-never indexes their occupants; the next deletion that empties a dead bin
-indexes them before it walks.
+skip.  A promotion moves keys along its chain, so it recodes them: a
+key that moves from bin x to bin y loses its entry under y, gains the
+entry y under x, and has x replaced by y under its other choices, and
+the promoted key's ~t becomes the root.  Each step removes only entries
+that are there, and the walk reads a bin's codes as a set, so the steps
+may run in any order; the table runs them from the chain's end back to
+its root.  A key is indexed when it is stashed.  The bins a failed
+search marks dead wait in a list, so an insert-only build never indexes
+their occupants; the next deletion that empties a dead bin indexes them
+before it walks.
 
 The stash keeps each key's cached choices in insertion order, so
 promotions never rehash.  A table builds its choice maps once, over one
@@ -262,9 +263,9 @@ class CuckooTable:
         chain = augment(bins, mark, choices)
         for b in reach:
             mark[b] = -1
-        # from the chain's end, where loc's code is free, back to its root:
         # each key gives up the code of the bin it left and takes that of
-        # the bin it entered, which the key after it has already given up
+        # the bin it entered; the order of the steps is free (module
+        # docstring), and runs from the chain's end back to its root
         for i in range(len(chain) - 1, 0, -1):
             moved = bins[chain[i]][1]
             self._unchoose(chain[i - 1], moved)

@@ -36,7 +36,11 @@ _LOW = _ONES * _MASK64
 
 
 def _lane_masks(count: int) -> tuple[int, int]:
-    """_ONES and _LOW cut to their first ``count`` lanes, count <= _LANES."""
+    """1, and 2^64 - 1, in each of ``count`` 128-bit lanes: _ONES and _LOW
+    cut to their first count lanes, or built anew for more than _LANES."""
+    if count > _LANES:
+        ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+        return ones, ones * _MASK64
     keep = (1 << (count << 7)) - 1
     return _ONES & keep, _LOW & keep
 
@@ -137,7 +141,7 @@ def choice_maps(
     )
     # the per-key map's d lanes: the seeds, and 1 and 2^64 - 1 in each
     seeded = _pack_lanes([seed for seed, _, _, _ in plan])
-    d_ones, d_low = _pack_lanes([1] * d), _pack_lanes([_MASK64] * d)
+    d_ones, d_low = _lane_masks(d)
     reductions = tuple((lo, span, threshold) for _, lo, span, threshold in plan)
 
     def choices(key: int) -> tuple[int, ...]:

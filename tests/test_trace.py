@@ -148,6 +148,15 @@ def test_per_key_map_mixes_many_lanes_as_the_reference(d):
             assert choices(key) == reference_bin_choices(key, seeds, 1000, d) == batch([key])[0]
 
 
+def test_per_key_map_mixes_more_lanes_than_a_block():
+    # d = _LANES + 1 lanes per key, past the lane masks built up front
+    d = _LANES + 1
+    seeds = tuple(SplitMix64(d).draws(1 << 64, d))
+    choices = choice_maps(seeds, 1000, d)[0]
+    for key in SplitMix64(5151).draws(1 << 64, 20):
+        assert choices(key) == reference_bin_choices(key, seeds, 1000, d)
+
+
 @pytest.mark.parametrize("name", list(BIN_CHOICES_GOLDEN))
 @pytest.mark.parametrize("count", [0, 1, _LANES, _LANES + 1, 2 * _LANES + 1])
 def test_batch_map_equals_per_key_map(name, count):

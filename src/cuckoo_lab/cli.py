@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from decimal import MAX_PREC, Context, Decimal
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .asymptotics import gamma_d2, gamma_mixed, gamma_mixed_rand, gamma_partitioned
@@ -92,15 +92,12 @@ _REQUIRED = {
 # longest list
 _PER_BIN = ("simulate", "trace", "concentration")
 
-# the one model flag each model takes (None: it takes none)
-_MODEL_FLAG = {
-    "d2": None,
-    "mixed": "a",
-    "mixed-det": "a",
-    "mixed-rand": "p",
-    "partitioned": "beta",
-    "bound-d": "d",
-    "fixed-d": "d",
+# the subcommands that take --model: their models, and the one model flag
+# each model takes (None: it takes none)
+_MODELS: dict[str, dict[str, Optional[str]]] = {
+    "exact": {"d2": None, "mixed-det": "a", "mixed-rand": "p", "partitioned": "beta", "bound-d": "d"},
+    "asymptotic": {"d2": None, "mixed": "a", "mixed-rand": "p", "partitioned": "beta"},
+    "simulate": {"d2": None, "mixed-det": "a", "mixed-rand": "p", "partitioned": "beta", "fixed-d": "d"},
 }
 
 
@@ -115,14 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("exact", help="exact expected matching size / stash for finite n, m")
-    p.add_argument("--model", required=True, choices=("d2", "mixed-det", "mixed-rand", "partitioned", "bound-d"))
     p.add_argument("--round", action="store_true", help="snap a*n or beta*m to the nearest integer")
 
-    p = sub.add_parser("asymptotic", help="limit matching fraction gamma at fixed load")
-    p.add_argument("--model", required=True, choices=("d2", "mixed", "mixed-rand", "partitioned"))
+    sub.add_parser("asymptotic", help="limit matching fraction gamma at fixed load")
 
     p = sub.add_parser("simulate", help="Monte-Carlo matching-size statistics")
-    p.add_argument("--model", required=True, choices=("d2", "mixed-det", "mixed-rand", "partitioned", "fixed-d"))
     p.set_defaults(seed=0)
 
     sub.add_parser("stash-size", help="stash capacity for a target overflow probability")
@@ -140,6 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for command, flags in _NUMERIC.items():
         p = sub.choices[command]
+        if command in _MODELS:
+            p.add_argument("--model", required=True, choices=tuple(_MODELS[command]))
         for name, kind in flags.items():
             # trace's --synthetic is the alternative to --input
             group = source if (command, name) == ("trace", "synthetic") else p
@@ -157,11 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _model_flags(args: argparse.Namespace) -> dict:
     """Require the model's own flag and refuse the subcommand's other model
     flags; returns the model's flag and its value, if it has one."""
-    own = _MODEL_FLAG[args.model]
+    models = _MODELS[args.subcommand]
+    own = models[args.model]
     if own is not None and getattr(args, own) is None:
         raise ValueError(f"--{own} is required here")
     for name in _NUMERIC[args.subcommand]:
-        if name != own and name in _MODEL_FLAG.values() and getattr(args, name) is not None:
+        if name != own and name in models.values() and getattr(args, name) is not None:
             raise ValueError(f"--{name} does not apply to model {args.model!r}")
     return {} if own is None else {own: getattr(args, own)}
 

@@ -6,12 +6,11 @@ key whose choices are all occupied runs a breadth-first augmenting-path
 search over the occupancy graph instead of the classic random-walk
 kick-out: the package's one matching kernel,
 :func:`cuckoo_lab.matching.augment`, which ``max_matching`` runs too.  A
-free choice is the one-bin chain that search would return, so the layout
-is the same either way.  That makes the table an online maximum-matching
-machine: a key is stashed only when no augmenting path exists, so for any
-d the number of placed keys equals the maximum matching size of the
-bipartite graph induced by all stored keys' bin choices, instance by
-instance, not just in expectation.
+free choice is the shortest chain there is.  That makes the table an
+online maximum-matching machine: a key is stashed only when no augmenting
+path exists, so for any d the number of placed keys equals the maximum
+matching size of the bipartite graph induced by all stored keys' bin
+choices, instance by instance, not just in expectation.
 
 Searches are pruned by dead bins: occupied bins from which no
 displacement chain reaches an empty bin.  The table keeps one mark list
@@ -37,11 +36,12 @@ through the dead bins whose occupants choose a bin already reached: the
 reach, exactly the dead bins with a chain to the emptied bin.  The
 stashed keys with a choice in the reach are the only ones with an
 augmenting path, so the earliest of them in stash order is the key a
-re-insertion loop over the stash would promote; its search, pruned by
-the rest of the dead bins, finds the chain the full search would.  After
-a promotion every bin of the reach again holds a key whose choices are
-all dead, so the reach is dead again; with no promotion it comes back to
-life.
+re-insertion loop over the stash would promote.  If it chooses the
+emptied bin, it takes that bin without a search: no other choice of a
+stashed key is empty.  Otherwise its search, pruned by the rest of the
+dead bins, finds the chain the full search would.  After a promotion
+every bin of the reach again holds a key whose choices are all dead, so
+the reach is dead again; with no promotion it comes back to life.
 
 The walk reads an index from each bin to the locations of the keys that
 choose it, not to the keys: the occupant of dead bin b is indexed by the
@@ -237,9 +237,9 @@ class CuckooTable:
 
         The walk revives each bin of the reach (mark 0) as it reaches it,
         so a revived mark is what says a bin is already in the reach.  A
-        promotion searches from the stashed key with the rest of the dead
-        bins still marked, marks the reach dead again, and recodes the
-        keys that moved."""
+        promoted key that chooses ``loc`` takes it; any other searches
+        with the rest of the dead bins still marked.  The promotion marks
+        the reach dead again and recodes the keys that moved."""
         bins, choosers, mark = self._bins, self._choosers, self._mark
         mark[loc] = 0
         reach = [loc]
@@ -259,8 +259,9 @@ class CuckooTable:
                 self._unchoose(b, bins[b][1])
             return
         key, choices = self._stash.pop(top)
-        # the stashed key has a choice in the reach, and the reach leads only to loc
-        chain = augment(bins, mark, choices)
+        # the stashed key has a choice in the reach, and the reach leads
+        # only to loc, the one empty bin it can choose
+        chain = [loc] if loc in choices else augment(bins, mark, choices)
         for b in reach:
             mark[b] = -1
         # each key gives up the code of the bin it left and takes that of

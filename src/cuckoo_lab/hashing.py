@@ -142,17 +142,16 @@ def choice_maps(
     # the per-key map's d lanes: the seeds, and 1 and 2^64 - 1 in each
     seeded = _pack_lanes([seed for seed, _, _, _ in plan])
     d_ones, d_low = _lane_masks(d)
-    reductions = tuple((lo, span, threshold) for _, lo, span, threshold in plan)
 
     def choices(key: int) -> tuple[int, ...]:
         out = []
         x = _wang_lanes((key & _MASK64) * d_ones ^ seeded, d_low)
         # lane by lane, each word shifted down in turn
-        for lo, span, threshold in reductions:
+        for _, lo, span, threshold in plan:
             w = x & _MASK64
             x >>= 128
-            while w >= threshold:
-                w = wang_mix64(w)
+            if w >= threshold:
+                w = _remix(w, threshold)
             out.append(lo + w % span)
         return tuple(out)
 

@@ -5,14 +5,13 @@ choices, by counting the trees of its cuckoo graph.
 Left vertices model hashed elements, right vertices model bins.  One
 augmenting-path search, :func:`augment`, is the matching kernel: the
 cuckoo table places a key with it, and :func:`max_matching` runs it over
-a graph's keys, but only for a key none of whose choices is empty.  A key
-with a free choice takes the first one in choice order without a search,
-which is the one-bin chain the search itself would return; that is 90-98%
-of the keys at load 1/2 and 71-77% at load 1 (10 synthetic streams each
-for d = 2, d = 3 and two banks, m = 1000).  Both callers own one mark
-list with an entry per bin, which holds the dead bins between searches
-and the search's own marks during one, so each bin the search reaches
-costs one list index.
+a graph's keys, but only for a key none of whose choices is empty: that
+is its precondition.  A key with a free choice takes the first one in
+choice order without a search; that is 90-98% of the keys at load 1/2
+and 71-77% at load 1 (10 synthetic streams each for d = 2, d = 3 and two
+banks, m = 1000).  Both callers own one mark list with an entry per bin,
+which holds the dead bins between searches and the search's own marks
+during one, so each bin the search reaches costs one list index.
 :func:`mu_via_columns` reaches the same size for keys of at most two
 choices, given as two endpoint columns, with one union-find and no search;
 :func:`mu_via_deficit` feeds it a graph's rows.
@@ -56,9 +55,8 @@ def augment(
 ) -> Optional[list[int]]:
     """Free one of ``choices`` by a chain of displacements: the one
     augmenting-path search of the package, run by the cuckoo table and by
-    :func:`max_matching` for a key whose choices are all occupied, and by
-    the table for the stashed key it promotes after a remove, which may
-    choose the emptied bin itself.
+    :func:`max_matching`.  Every one of ``choices`` must be occupied; a
+    caller places a key with a free choice itself.
 
     ``bins[b]`` is None or an ``(item, item_choices)`` pair.  ``mark`` is
     the caller's list of one entry per bin: 0 for a bin the search may
@@ -69,18 +67,14 @@ def augment(
     the bin it came from plus 2, or 1 for a root.  It shifts each occupant
     along the chain one hop towards the empty bin and returns the chain,
     root first: ``bins[chain[0]]`` is then None, to be filled by the
-    caller, and ``bins[chain[i]]`` (i >= 1) holds what moved there.  A
-    free root ends the search before it writes a mark, and a longer chain
-    sets every mark it wrote back to 0.  When no chain exists it marks
-    every bin it visited -1, appends them in visit order to ``marked``
-    when one is given (none of them was dead before), and returns None.
+    caller, and ``bins[chain[i]]`` (i >= 1) holds what moved there; every
+    mark it wrote is set back to 0.  When no chain exists it marks every
+    bin it visited -1, appends them in visit order to ``marked`` when one
+    is given (none of them was dead before), and returns None.
     The dead bins are closed under the occupants' choices, so a successful
     search never passes through a dead bin and never changes one; only
     emptying a dead bin can revive dead bins.
     """
-    for b in choices:
-        if bins[b] is None:
-            return [b]
     # the bins reached, in order: a repeated root keeps its first place, as
     # it expands to nothing new; the loop reads the list as it grows
     queue: list[int] = []

@@ -1,7 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, Phase, settings
+
+from cuckoo_lab.matching import augment
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -15,3 +18,24 @@ settings.register_profile(
     phases=[p for p in Phase if p is not Phase.explain],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def count_searches(monkeypatch):
+    """``count_searches(module)`` swaps ``module.augment`` for a wrapper and
+    returns the list of the choices of every search it runs from then on.
+    Each call first asserts augment's precondition: every choice of the
+    key is occupied."""
+
+    def watch(module) -> list:
+        calls = []
+
+        def counting(bins, mark, choices, *rest):
+            assert all(bins[b] is not None for b in choices), ("a free choice reached augment", choices)
+            calls.append(choices)
+            return augment(bins, mark, choices, *rest)
+
+        monkeypatch.setattr(module, "augment", counting)
+        return calls
+
+    return watch

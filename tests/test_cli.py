@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuckoo_lab import __version__, cli, exact
 from cuckoo_lab.asymptotics import gamma_d2
-from cuckoo_lab.cli import _MODEL_FLAG, _NUMERIC, _REQUIRED, _render, run
+from cuckoo_lab.cli import _MODELS, _NUMERIC, _REQUIRED, _render, run
 from cuckoo_lab.exact import (
     expected_matching_d2,
     expected_matching_mixed_det,
@@ -799,11 +799,6 @@ _FUZZ_INTS = {
     "repeats": (0, 1, 3),
     "seed": (-1, 0, 7, 2**64 - 1, 2**64),
 }
-_FUZZ_MODELS = {
-    "exact": ("d2", "mixed-det", "mixed-rand", "partitioned", "bound-d"),
-    "asymptotic": ("d2", "mixed", "mixed-rand", "partitioned"),
-    "simulate": ("d2", "mixed-det", "mixed-rand", "partitioned", "fixed-d"),
-}
 _FUZZ_SWITCHES = {
     "exact": ("--round",),
     "trace": ("--keep-duplicates", "--input-format=binary-u64-le"),
@@ -832,17 +827,18 @@ def fuzz_key_file(tmp_path_factory):
 def test_fuzzed_argv_exits_0_with_strict_output_or_2(fuzz_key_file, data):
     command = data.draw(st.sampled_from(sorted(_NUMERIC)), label="command")
     argv = [command]
+    models = _MODELS.get(command, {})
     own = None
-    if command in _FUZZ_MODELS:
-        model = data.draw(st.sampled_from(_FUZZ_MODELS[command]), label="model")
+    if models:
+        model = data.draw(st.sampled_from(list(models)), label="model")
         argv += ["--model", model]
-        own = _MODEL_FLAG[model]
+        own = models[model]
     # mostly valid argv: the flags a run needs are usually given, the
     # flags of other models seldom, and the rest half the time
     for name in _NUMERIC[command]:
         if name in _REQUIRED[command] or name == own or (command, name) == ("trace", "synthetic"):
             odds = 7
-        elif name in _MODEL_FLAG.values():
+        elif name in models.values():
             odds = 1
         else:
             odds = 4
@@ -855,7 +851,7 @@ def test_fuzzed_argv_exits_0_with_strict_output_or_2(fuzz_key_file, data):
             argv.append(switch)
     points = 1
     if data.draw(st.booleans(), label="sweep"):
-        applicable = [name for name in _NUMERIC[command] if name == own or name not in _MODEL_FLAG.values()]
+        applicable = [name for name in _NUMERIC[command] if name == own or name not in models.values()]
         name = data.draw(st.sampled_from(applicable), label="swept")
         start = float(data.draw(st.sampled_from(_fuzz_values(command, name)), label="start"))
         # mostly steps that make a grid; 0 and -0.5 make none

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from cuckoo_lab import cuckoo
+from cuckoo_lab import cuckoo, matching
 from cuckoo_lab.cuckoo import _IN_STASH, _MISS, CuckooTable, DuplicateKeyError, LoadStats, TableStats, new_table
+from cuckoo_lab.exact import ModelParams
 from cuckoo_lab.hashing import choice_maps
-from cuckoo_lab.matching import BipartiteGraph, augment, max_matching
-from cuckoo_lab.simulate import SplitMix64
+from cuckoo_lab.matching import BipartiteGraph, max_matching
+from cuckoo_lab.simulate import RngSeed, SplitMix64, gen_graph
 
 from oracles import ReferenceCuckooTable, hopcroft_karp_matching, reference_bin_choices
 
@@ -130,20 +131,8 @@ def test_displacement_chain():
     _check_equivalence(t)
 
 
-def _count_searches(monkeypatch) -> list:
-    """The choices of every augmenting search the table runs from now on."""
-    calls = []
-
-    def counting(bins, mark, choices, *rest):
-        calls.append(choices)
-        return augment(bins, mark, choices, *rest)
-
-    monkeypatch.setattr(cuckoo, "augment", counting)
-    return calls
-
-
-def test_a_free_choice_never_enters_the_search(monkeypatch):
-    calls = _count_searches(monkeypatch)
+def test_a_free_choice_never_enters_the_search(count_searches):
+    calls = count_searches(cuckoo)
     assert _table(m=1000).insert(42) is not None
     keys = SplitMix64(31).draws(1 << 64, 500)
     batched = _table(m=1000)
@@ -162,22 +151,22 @@ def test_a_free_choice_never_enters_the_search(monkeypatch):
     assert _state(batched, keys) == _state(one_by_one, keys)
 
 
-def test_a_key_with_every_choice_taken_searches_once(monkeypatch):
+def test_a_key_with_every_choice_taken_searches_once(count_searches):
     t = _table(m=2)
     k1 = _find_key_with_choices(t, (0, 0))
     k2 = _find_key_with_choices(t, (1, 1))
     t.insert(k1)
     t.insert(k2)
-    calls = _count_searches(monkeypatch)
+    calls = count_searches(cuckoo)
     k3 = _find_key_with_choices(t, (0, 1))
     assert t.insert(k3) is None
     assert calls == [(0, 1)]
 
 
-def test_a_free_choice_is_the_first_free_bin_in_choice_order(monkeypatch):
+def test_a_free_choice_is_the_first_free_bin_in_choice_order(count_searches):
     # (free, free) takes the first, (taken, free) the second, and a free
     # repeated bin (c, c) takes c; each is counted as placed, none moves a key
-    calls = _count_searches(monkeypatch)
+    calls = count_searches(cuckoo)
     t = _table(m=4)
     t._choices = {10: (1, 2), 11: (1, 0), 12: (3, 3)}.__getitem__
     assert [t.insert(k) for k in (10, 11, 12)] == [1, 0, 3]
@@ -491,12 +480,12 @@ def _check_matches_reference(table: CuckooTable, ref: ReferenceCuckooTable) -> N
     assert dataclasses.asdict(table.stats) == ref.stats
 
 
-def test_a_promotion_recodes_its_chain(monkeypatch):
+def test_a_promotion_recodes_its_chain(count_searches):
     # K0 in bin 0; K2 in bin 1 can move to 0, K1 in bin 2 can move to 1, and
     # both choose bin 3 with K3, which can go nowhere; S finds no chain and
     # is stashed, every bin dead.  Removing K0 promotes S along the chain
     # 2 -> 1 -> 0, and the index follows each key to its new bin
-    calls = _count_searches(monkeypatch)
+    calls = count_searches(cuckoo)
     t = _table(m=4, d=3)
     k0, k2, k1, k3, s = 10, 11, 12, 13, 14
     t._choices = {k0: (0, 0, 0), k2: (1, 0, 3), k1: (2, 1, 3), k3: (3, 3, 3), s: (2, 3, 3)}.__getitem__
@@ -511,6 +500,45 @@ def test_a_promotion_recodes_its_chain(monkeypatch):
     # each occupant under its choices other than its own bin
     assert [sorted(codes) for codes in t._choosers] == [[], [0], [1], [0, 1, 2, 2]]
     _check_remove_invariants(t)
+
+
+def test_a_promoted_key_that_chooses_the_emptied_bin_takes_it_without_a_search(count_searches):
+    # K0 in bin 0 and K1 in bin 1 can go nowhere else; S, then U, finds no
+    # chain and is stashed, every bin dead.  Removing K0 empties bin 0,
+    # which both choose: S, stashed first, takes it with no search
+    calls = count_searches(cuckoo)
+    t = _table(m=2)
+    k0, k1, s, u = 10, 11, 12, 13
+    t._choices = {k0: (0, 0), k1: (1, 1), s: (1, 0), u: (0, 1)}.__getitem__
+    assert [t.insert(k) for k in (k0, k1, s, u)] == [0, 1, None, None]
+    assert calls == [(1, 0), (0, 1)]
+    assert t.remove(k0)
+    assert calls == [(1, 0), (0, 1)]
+    assert t._bins == [(s, (1, 0)), (k1, (1, 1))]
+    assert t.stash_keys() == (u,) and _dead(t) == {0, 1}
+    assert t.stats == TableStats(placed=2, displacements=0, stash_peak=2)
+    _check_remove_invariants(t)
+
+
+def test_every_search_finds_all_its_choices_occupied(count_searches):
+    # the fixture's wrapper asserts augment's precondition at each call:
+    # from the table along load-1 streams of removes and inserts, and from
+    # max_matching over seeded d = 3 graphs
+    table_calls = count_searches(cuckoo)
+    for d, boundary in ((2, None), (3, None), (2, 400)):
+        m = 1000 if d == 2 else 300
+        rng = random.Random(3300 + d)
+        t = _table(m=m, d=d, seed=33, boundary=boundary)
+        live = [rng.getrandbits(64) for _ in range(m)]
+        t.insert_many(live)
+        for _ in range(1000):
+            assert t.remove(live.pop(rng.randrange(len(live))))
+            live.append(rng.getrandbits(64))
+            t.insert(live[-1])
+    matching_calls = count_searches(matching)
+    for n in (270, 300, 330):
+        max_matching(gen_graph(ModelParams.fixed_d(n, 300, 3), RngSeed(33).derive(n)))
+    assert len(table_calls) > 1000 and len(matching_calls) > 100
 
 
 # d, the two-bank split as a share of m, and the largest m: at d = 3 and
@@ -637,9 +665,10 @@ def test_drain_from_full_to_half_load_matches_reference(d, boundary):
     assert t.load_stats().stash_size < full_stash
 
 
-def test_remove_searches_in_proportion_to_what_it_frees(monkeypatch):
-    # a remove from a live bin searches nothing; one from a dead bin runs at
-    # most one augmenting search, however large the stash
+def test_remove_searches_in_proportion_to_what_it_frees(count_searches):
+    # a remove from a live bin searches nothing; one from a dead bin runs
+    # one augmenting search exactly when it promotes a stashed key that
+    # does not choose the emptied bin, however large the stash
     m = 2000
     rng = random.Random(9)
     t = _table(m=m, seed=21)
@@ -647,22 +676,25 @@ def test_remove_searches_in_proportion_to_what_it_frees(monkeypatch):
     for key in live:
         t.insert(key)
     assert len(t._stash) > 250
-    calls = _count_searches(monkeypatch)
-    outside = inside = 0
+    calls = count_searches(cuckoo)
+    outside = taken = searched = 0
     for key in [k for k in live if t.bin_of(k) is not None][:400]:
-        was_dead = t.bin_of(key) in _dead(t)
-        stash = len(t._stash)
+        loc = t.bin_of(key)
+        was_dead = loc in _dead(t)
+        stash = set(t.stash_keys())
         del calls[:]
         assert t.remove(key)
+        promoted = [t._choices(k) for k in stash - set(t.stash_keys())]
         if was_dead:
-            inside += 1
-            assert len(calls) <= 1
-            assert len(calls) == stash - len(t._stash)
+            assert len(promoted) <= 1
+            into_loc = sum(loc in choices for choices in promoted)
+            assert len(calls) == len(promoted) - into_loc
+            taken += into_loc
+            searched += len(calls)
         else:
             outside += 1
-            assert calls == []
-            assert len(t._stash) == stash
-    assert outside > 50 and inside > 50
+            assert calls == [] and promoted == []
+    assert outside > 50 and taken > 10 and searched > 10
 
 
 # name -> (m, d, two-bank boundary), and the digest of the table's state

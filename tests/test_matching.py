@@ -28,14 +28,6 @@ def _components(g):
 # marks are gone when it returns
 
 
-def test_augment_free_root_after_occupied_root_leaves_no_mark():
-    bins = [("a", (0, 1)), None, None]
-    mark = [0, 0, 0]
-    assert augment(bins, mark, (0, 1)) == [1]
-    assert mark == [0, 0, 0]
-    assert bins == [("a", (0, 1)), None, None]
-
-
 def test_augment_success_clears_every_mark_it_wrote():
     # the search reaches bins 0, 3 and 1, skips the dead bin 4, and shifts
     # a from 0 to 1 and b from 1 to the free bin 2; bin 3 is off the chain
@@ -81,14 +73,8 @@ def test_max_matching_matched_set_is_consistent():
         assert v in g.choices[u]
 
 
-def test_max_matching_searches_only_keys_with_no_free_choice(monkeypatch):
-    calls = []
-
-    def counting(bins, mark, choices, *rest):
-        calls.append(choices)
-        return augment(bins, mark, choices, *rest)
-
-    monkeypatch.setattr(matching, "augment", counting)
+def test_max_matching_searches_only_keys_with_no_free_choice(count_searches):
+    calls = count_searches(matching)
     # each key's first choice is a distinct free bin
     assert max_matching(_graph(3, 4, [[2, 0], [0, 2], [3, 3]])) == (3, (2, 0, 3))
     assert calls == []

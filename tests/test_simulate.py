@@ -347,32 +347,28 @@ def test_estimate_mu_golden_d2_models(name, n):
     assert got == _D2_MODELS_GOLDEN[(name, n)]
 
 
-def test_trials_with_two_choices_build_no_graph(monkeypatch):
+def test_trials_with_two_choices_build_no_graph(monkeypatch, count_searches):
     # every trial runs in this process, which counts the graphs built and
     # the augmenting searches run
     monkeypatch.delenv("CUCKOO_LAB_THREADS", raising=False)
     counts = collections.Counter()
-    check, augment = BipartiteGraph.__post_init__, matching.augment
+    check = BipartiteGraph.__post_init__
 
     def counting_check(graph):
         counts["graphs"] += 1
         check(graph)
 
-    def counting_augment(*args):
-        counts["searches"] += 1
-        return augment(*args)
-
     monkeypatch.setattr(BipartiteGraph, "__post_init__", counting_check)
-    monkeypatch.setattr(matching, "augment", counting_augment)
+    searches = count_searches(matching)
     for name in sorted({name for name, _ in _D2_MODELS_GOLDEN}):
         estimate_mu(_d2_model(name, 400), 5, RngSeed(3))
     estimate_mu(ModelParams.fixed2(400, 400), 5, RngSeed(3))
     concentration_experiment(ModelParams.fixed2(100, 100), 100, 2.0, RngSeed(3))
     concentration_experiment(ModelParams.mixed_rand(100, 100, 0.5), 100, 2.0, RngSeed(3))
-    assert counts == {}
+    assert counts == {} and searches == []
     # d = 3 still builds one graph per trial and searches in it
     estimate_mu(ModelParams.fixed_d(400, 400, 3), 5, RngSeed(3))
-    assert counts["graphs"] == 5 and counts["searches"] > 0
+    assert counts["graphs"] == 5 and searches
 
 
 def test_estimate_mu_stats_shape():

@@ -230,15 +230,17 @@ def test_per_key_map_spans_2_64_bins():
 
 
 def test_bin_choices_uniformity_chi_square():
+    # hashed by the batch map, which gives the per-key map's bins
+    # (test_batch_map_equals_per_key_map)
     m = 1024
     seeds = (0x1234_5678, 0x9ABC_DEF0)
     counts = [0] * m
     rng = SplitMix64(2)
     samples = 1_000_000
-    choices = choice_maps(seeds, m, 2)[0]
+    batch = choice_maps(seeds, m, 2)[1]
     for _ in range(samples // 1000):
-        for key in rng.draws(1 << 64, 1000):
-            counts[choices(key)[0]] += 1
+        for first, _ in batch(rng.draws(1 << 64, 1000)):
+            counts[first] += 1
     expected = samples / m
     statistic = sum((c - expected) ** 2 / expected for c in counts)
     assert statistic < chi2.ppf(0.999, m - 1)
